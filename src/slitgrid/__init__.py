@@ -38,12 +38,10 @@ from .grating import (
 )
 from .scattering import (
     DetectorSignal,
-    FieldSample,
     OrderSpectrum,
     TwoSlitConfig,
     detector_signal,
     interference_intensity,
-    sample_field,
     single_slit_detector_signal,
     single_slit_power_limit,
     single_slit_spectrum,
@@ -62,7 +60,6 @@ __all__ = [
     "CheckResult",
     "ComplementarityRecord",
     "DetectorSignal",
-    "FieldSample",
     "GratingGeometry",
     "GratingSpec",
     "OrderSpectrum",
@@ -84,7 +81,6 @@ __all__ = [
     "order_wavevector",
     "reflection_amplitude",
     "run_verification",
-    "sample_field",
     "single_slit_detector_signal",
     "single_slit_power_limit",
     "single_slit_spectrum",

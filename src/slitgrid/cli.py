@@ -13,8 +13,9 @@ Output is CSV with one header row per section, values printed with 12
 significant digits (lowercase scientific below 1e-4), ``\\n`` line endings,
 no timestamps: re-running a command with the same configuration rewrites
 byte-identical output.  Flags override config-file values, which override
-the built-in defaults.  Exit codes: 0 success, 1 usage error,
-2 verification failure, 3 I/O error.
+the built-in defaults.  Each command reads and validates only its own
+settings (the keys of ``_DEFAULTS``) and ignores the rest.  Exit codes:
+0 success, 1 usage error, 2 verification failure, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import complementarity, scattering, verify
-from .grating import AmplitudeTable, GratingSpec, fourier_coefficient, grid_function
+from .grating import AmplitudeTable, GratingSpec, grid_function
 
 __all__ = ["main", "format_number"]
 
@@ -42,12 +43,13 @@ PATTERN_SAMPLES = 401  # over two periods each side of the axis
 _CHANNEL_FLAGS = {"t": ("transmitted",), "r": ("reflected",), "both": ("transmitted", "reflected")}
 _CONFIG_KEYS = ("a", "order", "phase", "channel", "points", "out", "perturb")
 
+# the settings each command reads, with their defaults
 _DEFAULTS = {
-    "coeffs": {"a": 0.06, "order": 50, "phase": 0.0, "channel": "t", "points": 0},
-    "pattern": {"a": 0.06, "order": 50, "phase": 0.0, "channel": "t", "points": 0},
-    "orders": {"a": 0.06, "order": 30, "phase": 0.0, "channel": "both", "points": 0},
-    "sweep": {"a": 0.06, "order": 50, "phase": 0.0, "channel": "t", "points": 1001},
-    "verify": {"a": 0.06, "order": 2000, "phase": 0.0, "channel": "both", "points": 4096},
+    "coeffs": {"a": 0.06, "order": 50, "phase": 0.0, "out": None},
+    "pattern": {"a": 0.06, "order": 50, "phase": 0.0, "out": None},
+    "orders": {"a": 0.06, "order": 30, "phase": 0.0, "channel": "both", "out": None},
+    "sweep": {"channel": "t", "points": 1001, "out": None},
+    "verify": {"order": 2000, "points": 4096, "perturb": None},
 }
 
 
@@ -75,13 +77,15 @@ def format_number(value: float) -> str:
 
 @dataclass(frozen=True)
 class RunConfig:
+    """Resolved settings; those the command does not read stay None."""
+
     command: str
-    cover_ratio: float
-    truncation: int
-    delta_phi: float
-    channels: tuple[str, ...]
-    points: int
-    out: str | None
+    cover_ratio: float | None = None
+    truncation: int | None = None
+    delta_phi: float | None = None
+    channels: tuple[str, ...] | None = None
+    points: int | None = None
+    out: str | None = None
     perturb: str | None = None
 
 
@@ -148,40 +152,37 @@ def _coerce(key: str, value: str):
 
 
 def _resolve(args: argparse.Namespace) -> RunConfig:
-    """Merge flags over config-file values over per-command defaults."""
+    """Merge flags over config-file values over per-command defaults.
+
+    Only the settings the command reads are resolved and validated.
+    """
     file_values = _load_config_file(args.config) if args.config else {}
-    defaults = _DEFAULTS[args.command]
-
-    def pick(key: str):
-        flag = getattr(args, key, None)
+    values = {}
+    for key, default in _DEFAULTS[args.command].items():
+        flag = getattr(args, key)
         if flag is not None:
-            return flag
-        if key in file_values:
-            return _coerce(key, file_values[key])
-        return defaults.get(key)
-
-    channel = pick("channel")
-    out = pick("out")
-    perturb = getattr(args, "perturb", None)
-    if perturb is None and "perturb" in file_values and args.command == "verify":
-        perturb = _coerce("perturb", file_values["perturb"])
-    config = RunConfig(
+            values[key] = flag
+        elif key in file_values:
+            values[key] = _coerce(key, file_values[key])
+        else:
+            values[key] = default
+    if "a" in values and not (0.0 <= values["a"] <= 1.0):
+        raise _UsageError(f"--a must lie in [0, 1], got {values['a']}")
+    if "order" in values and values["order"] < 1:
+        raise _UsageError(f"--order must be >= 1, got {values['order']}")
+    if args.command == "sweep" and values["points"] < 2:
+        raise _UsageError(f"--points must be >= 2 for sweep, got {values['points']}")
+    channel = values.get("channel")
+    return RunConfig(
         command=args.command,
-        cover_ratio=pick("a"),
-        truncation=pick("order"),
-        delta_phi=pick("phase"),
-        channels=_CHANNEL_FLAGS[channel],
-        points=pick("points"),
-        out=out,
-        perturb=perturb,
+        cover_ratio=values.get("a"),
+        truncation=values.get("order"),
+        delta_phi=values.get("phase"),
+        channels=_CHANNEL_FLAGS[channel] if channel else None,
+        points=values.get("points"),
+        out=values.get("out"),
+        perturb=values.get("perturb"),
     )
-    if not (0.0 <= config.cover_ratio <= 1.0):
-        raise _UsageError(f"--a must lie in [0, 1], got {config.cover_ratio}")
-    if config.truncation < 1:
-        raise _UsageError(f"--order must be >= 1, got {config.truncation}")
-    if config.command == "sweep" and config.points < 2:
-        raise _UsageError(f"--points must be >= 2 for sweep, got {config.points}")
-    return config
 
 
 def _pattern_section(config: RunConfig) -> list[str]:
@@ -210,11 +211,10 @@ def _cmd_coeffs(config: RunConfig) -> list[str]:
         f"# coefficients: a={format_number(config.cover_ratio)} order={config.truncation}",
         "n,c_n,r_n,t_n",
     ]
-    for n in range(config.truncation + 1):
-        c = fourier_coefficient(n, config.cover_ratio)
-        lines.append(
-            f"{n},{format_number(c)},{format_number(table.r[n])},{format_number(table.t[n])}"
-        )
+    # c_0 = a and c_n = -2*r_n
+    c = np.concatenate(([config.cover_ratio], -2.0 * table.r[1:]))
+    for n, (c_n, r_n, t_n) in enumerate(zip(c, table.r, table.t)):
+        lines.append(f"{n},{format_number(c_n)},{format_number(r_n)},{format_number(t_n)}")
     lines.append("")
     lines.extend(_pattern_section(config))
     return lines

@@ -36,13 +36,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .grating import (
-    CHANNELS,
-    Channel,
-    channel_amplitude,
-    sin_pi,
-    sinc_pi,
-)
+from .grating import AmplitudeTable, Channel, sampling_window, sin_pi, sinc_pi
 
 __all__ = [
     "VisibilityResult",
@@ -55,16 +49,6 @@ __all__ = [
 ]
 
 MIN_QUADRATURE_POINTS = 16
-
-
-def _check_cover_ratio(cover_ratio: float) -> None:
-    if not (0.0 <= cover_ratio <= 1.0):
-        raise ValueError(f"cover ratio must lie in [0, 1], got {cover_ratio!r}")
-
-
-def _check_channel(channel: Channel) -> None:
-    if channel not in CHANNELS:
-        raise ValueError(f"channel must be one of {CHANNELS}, got {channel!r}")
 
 
 @dataclass(frozen=True)
@@ -102,13 +86,8 @@ def visibility_closed(cover_ratio: float, channel: Channel = "transmitted") -> V
     exact limit value 1 at the singular endpoint and stays fully accurate
     next to it.
     """
-    _check_cover_ratio(cover_ratio)
-    _check_channel(channel)
+    width, _ = sampling_window(cover_ratio, channel)
     s = sin_pi(cover_ratio)
-    if channel == "transmitted":
-        width = 1.0 - cover_ratio
-    else:
-        width = float(cover_ratio)
     i_max = (math.pi * width + s) / (2.0 * math.pi)
     i_min = max(0.0, (math.pi * width - s) / (2.0 * math.pi))
     return VisibilityResult(i_max=i_max, i_min=i_min, visibility=sinc_pi(width))
@@ -135,12 +114,10 @@ def visibility_quadrature(
     degenerate endpoint (zero-width window) both integrals vanish and the
     visibility takes its analytic limit 1, matching the closed form.
     """
-    _check_cover_ratio(cover_ratio)
-    _check_channel(channel)
+    width, _ = sampling_window(cover_ratio, channel)
     if not (isinstance(points, (int, np.integer)) and points >= MIN_QUADRATURE_POINTS):
         raise ValueError(f"points must be an integer >= {MIN_QUADRATURE_POINTS}, got {points!r}")
     subintervals = int(points) + (int(points) % 2)
-    width = 1.0 - cover_ratio if channel == "transmitted" else float(cover_ratio)
     if width == 0.0:
         return VisibilityResult(i_max=0.0, i_min=0.0, visibility=1.0)
     half = 0.5 * width
@@ -156,38 +133,31 @@ def distinguishability_closed(cover_ratio: float, channel: Channel = "transmitte
     ratios in [0, 1] the enclosed expression is already non-negative, so
     it only ever absorbs floating-point dust at the endpoints.
     """
-    _check_cover_ratio(cover_ratio)
-    _check_channel(channel)
+    width, _ = sampling_window(cover_ratio, channel)
     leak = sin_pi(cover_ratio) / math.pi
-    if channel == "transmitted":
-        base = (1.0 - cover_ratio) ** 2
-    else:
-        base = float(cover_ratio) ** 2
-    return abs(base - leak * leak)
+    return abs(width**2 - leak * leak)
 
 
 def distinguishability_from_amplitudes(
-    cover_ratio: float, channel: Channel = "transmitted"
+    table: AmplitudeTable, channel: Channel = "transmitted"
 ) -> float:
     """Distinguishability via the trace-norm sum over both slits.
 
-    Uses the zeroth- and first-order amplitude lookups directly: detector
+    Reads the zeroth- and first-order amplitudes of ``table``: detector
     one sees ``u_0`` from its own slit and ``u_1`` from the other, and
-    symmetrically for detector two.  Must agree with the closed form to
+    symmetrically for detector two.  For a table from
+    :meth:`AmplitudeTable.build` it must agree with the closed form to
     machine precision.
     """
-    _check_cover_ratio(cover_ratio)
-    _check_channel(channel)
-    u0 = channel_amplitude(0, cover_ratio, channel)
-    u1 = channel_amplitude(1, cover_ratio, channel)
-    return 0.5 * (abs(u0 * u0 - u1 * u1) + abs(u1 * u1 - u0 * u0))
+    u0, u1 = table.amplitudes(channel)[:2]
+    return float(0.5 * (abs(u0 * u0 - u1 * u1) + abs(u1 * u1 - u0 * u0)))
 
 
 def complementarity_sweep(
     cover_ratios: Iterable[float] | Sequence[float], channel: Channel = "transmitted"
 ) -> list[ComplementarityRecord]:
     """Evaluate (V, D, V**2 + D**2) for each covering ratio, input order kept."""
-    _check_channel(channel)
+    sampling_window(0.0, channel)  # rejects an unknown channel even for no ratios
     records = []
     for a in cover_ratios:
         a = float(a)

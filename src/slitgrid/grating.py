@@ -10,6 +10,8 @@ with ``c0 = cover_ratio`` and ``c_n = 2*(-1)**n * sin(cover_ratio*pi*n)/(pi*n)``
 
 Reflection picks up a pi phase jump, so ``r_0 = -c0`` and ``r_n = -c_n/2``;
 transmission follows as ``t_0 = 1 + r_0`` and ``t_n = r_n`` for ``n >= 1``.
+The harmonics ``r_n`` are evaluated in one place, :func:`_harmonics`, which
+the table and the scalar lookups share; ``c_n = -2*r_n`` is read from it.
 Both families are even in the order index, which the lookup helpers apply
 structurally.  Everything here is a pure function of its inputs.
 """
@@ -28,7 +30,6 @@ __all__ = [
     "DEFAULT_TRUNCATION",
     "SPECTRUM_TRUNCATION",
     "GratingSpec",
-    "FourierCoefficients",
     "AmplitudeTable",
     "sin_pi",
     "sinc_pi",
@@ -36,7 +37,7 @@ __all__ = [
     "grid_function",
     "reflection_amplitude",
     "transmission_amplitude",
-    "channel_amplitude",
+    "sampling_window",
     "normalization_defect",
 ]
 
@@ -104,49 +105,27 @@ class GratingSpec:
         _check_truncation(self.truncation)
 
 
+def _harmonics(cover_ratio: float, n):
+    """``r_n = t_n = (-1)**(n+1) * sin(cover_ratio*pi*n)/(pi*n)`` for integer ``n >= 1``.
+
+    ``n`` is one order or an integer array of them.
+    """
+    sign = 2.0 * (n % 2) - 1.0  # (-1)**(n+1)
+    return sign * sin_pi(cover_ratio * n) / (math.pi * n)
+
+
 def fourier_coefficient(n: int, cover_ratio: float) -> float:
     """Cosine-series coefficient ``c_n`` of the strip profile.
 
     ``c_0 = cover_ratio``; for ``n >= 1``,
-    ``c_n = 2*(-1)**n * sin(cover_ratio*pi*n)/(pi*n)``.
+    ``c_n = -2*r_n = 2*(-1)**n * sin(cover_ratio*pi*n)/(pi*n)``.
     """
     _check_cover_ratio(cover_ratio)
     if not (isinstance(n, (int, np.integer)) and n >= 0):
         raise ValueError(f"coefficient index must be a non-negative integer, got {n!r}")
     if n == 0:
         return float(cover_ratio)
-    sign = -1.0 if n % 2 else 1.0
-    return 2.0 * sign * sin_pi(cover_ratio * n) / (math.pi * n)
-
-
-@dataclass(frozen=True, eq=False)
-class FourierCoefficients:
-    """Mean value ``c0`` and harmonics ``c_1..c_N`` of the strip profile.
-
-    The summed squared harmonics stay below ``2*(c0 - c0**2)`` for any
-    truncation, with equality in the untruncated limit.
-    """
-
-    c0: float
-    c: np.ndarray
-
-    @classmethod
-    def build(cls, cover_ratio: float, truncation: int = DEFAULT_TRUNCATION) -> "FourierCoefficients":
-        _check_cover_ratio(cover_ratio)
-        _check_truncation(truncation)
-        n = np.arange(1, truncation + 1)
-        signs = np.where(n % 2 == 1, -1.0, 1.0)
-        harmonics = 2.0 * signs * sin_pi(cover_ratio * n) / (math.pi * n)
-        harmonics.flags.writeable = False
-        return cls(c0=float(cover_ratio), c=harmonics)
-
-    @property
-    def truncation(self) -> int:
-        return len(self.c)
-
-    def partial_power(self) -> float:
-        """Sum of the squared harmonics."""
-        return float(np.sum(self.c**2))
+    return float(-2.0 * _harmonics(cover_ratio, n))
 
 
 def grid_function(x, spec: GratingSpec):
@@ -156,11 +135,11 @@ def grid_function(x, spec: GratingSpec):
     gaps, with the usual overshoot of a truncated discontinuous series
     near the strip edges.  Accepts scalar or array ``x``.
     """
-    coeffs = FourierCoefficients.build(spec.cover_ratio, spec.truncation)
-    arr = np.asarray(x, dtype=float)
     n = np.arange(1, spec.truncation + 1)
+    coefficients = -2.0 * _harmonics(spec.cover_ratio, n)
+    arr = np.asarray(x, dtype=float)
     angles = (2.0 * math.pi / spec.period) * np.multiply.outer(arr, n)
-    values = coeffs.c0 + np.cos(angles) @ coeffs.c
+    values = spec.cover_ratio + np.cos(angles) @ coefficients
     if arr.ndim == 0:
         return float(values)
     return values
@@ -176,8 +155,7 @@ def reflection_amplitude(n: int, cover_ratio: float) -> float:
     m = abs(int(n))
     if m == 0:
         return -float(cover_ratio)
-    sign = 1.0 if m % 2 else -1.0  # (-1)**(m+1)
-    return sign * sin_pi(cover_ratio * m) / (math.pi * m)
+    return _harmonics(cover_ratio, m)
 
 
 def transmission_amplitude(n: int, cover_ratio: float) -> float:
@@ -186,15 +164,25 @@ def transmission_amplitude(n: int, cover_ratio: float) -> float:
     m = abs(int(n))
     if m == 0:
         return 1.0 - float(cover_ratio)
-    return reflection_amplitude(m, cover_ratio)
+    return _harmonics(cover_ratio, m)
 
 
-def channel_amplitude(n: int, cover_ratio: float, channel: Channel) -> float:
-    """Amplitude of order ``n`` in the requested channel."""
+def sampling_window(cover_ratio: float, channel: Channel) -> tuple[float, float]:
+    """``(width, sign)`` of the part of each period that feeds ``channel``.
+
+    The transmitted channel sees the fringe through the open gap, width
+    ``1 - cover_ratio`` and sign +1; the reflected channel through the
+    strip, width ``cover_ratio`` and sign -1.  At zero slit phase the gap
+    sits on the fringe maxima and the strip on the minima, and the sign
+    also gives the direction the channel's light leaves in (+z
+    transmitted, -z reflected).  This is the one place that tells the
+    channels apart by name.
+    """
+    _check_cover_ratio(cover_ratio)
     if channel == "transmitted":
-        return transmission_amplitude(n, cover_ratio)
+        return 1.0 - cover_ratio, 1.0
     if channel == "reflected":
-        return reflection_amplitude(n, cover_ratio)
+        return float(cover_ratio), -1.0
     raise ValueError(f"channel must be one of {CHANNELS}, got {channel!r}")
 
 
@@ -214,9 +202,7 @@ class AmplitudeTable:
     def build(cls, cover_ratio: float, truncation: int = DEFAULT_TRUNCATION) -> "AmplitudeTable":
         _check_cover_ratio(cover_ratio)
         _check_truncation(truncation)
-        n = np.arange(1, truncation + 1)
-        signs = np.where(n % 2 == 1, 1.0, -1.0)  # (-1)**(n+1)
-        harmonics = signs * sin_pi(cover_ratio * n) / (math.pi * n)
+        harmonics = _harmonics(cover_ratio, np.arange(1, truncation + 1))
         r = np.concatenate(([-cover_ratio], harmonics))
         t = np.concatenate(([1.0 - cover_ratio], harmonics))
         r.flags.writeable = False
@@ -240,21 +226,19 @@ class AmplitudeTable:
         return float(self.t[self._index(n)])
 
     def amplitudes(self, channel: Channel) -> np.ndarray:
-        if channel == "transmitted":
-            return self.t
-        if channel == "reflected":
-            return self.r
-        raise ValueError(f"channel must be one of {CHANNELS}, got {channel!r}")
+        """``t`` for the transmitted channel (window sign +1), ``r`` for the reflected one."""
+        _, sign = sampling_window(self.cover_ratio, channel)
+        return self.t if sign > 0.0 else self.r
 
 
-def normalization_defect(cover_ratio: float, truncation: int) -> float:
-    """Power unaccounted for by the truncated amplitude table.
+def normalization_defect(table: AmplitudeTable) -> float:
+    """Power unaccounted for by a truncated amplitude table.
 
     Returns ``1 - (r_0**2 + t_0**2 + sum_{n=1..N} 2*(r_n**2 + t_n**2))``.
-    Non-negative, and bounded by the series tail ``4/(pi**2 * N)``; exactly
-    zero for the degenerate gratings ``cover_ratio`` 0 and 1.
+    For a table from :meth:`AmplitudeTable.build` it is non-negative and
+    bounded by the series tail ``4/(pi**2 * N)``, and exactly zero for the
+    degenerate gratings ``cover_ratio`` 0 and 1.
     """
-    table = AmplitudeTable.build(cover_ratio, truncation)
     head = table.r[0] ** 2 + table.t[0] ** 2
     tail = 2.0 * float(np.sum(table.r[1:] ** 2 + table.t[1:] ** 2))
     return 1.0 - (head + tail)

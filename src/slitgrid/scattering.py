@@ -28,29 +28,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import SetupGeometry, derive_grating_geometry
-from .grating import (
-    CHANNELS,
-    AmplitudeTable,
-    Channel,
-    GratingSpec,
-    sin_pi,
-)
+from .grating import AmplitudeTable, Channel, GratingSpec, sampling_window, sin_pi
 
 __all__ = [
     "TwoSlitConfig",
     "OrderSpectrum",
     "DetectorSignal",
-    "FieldSample",
     "interference_intensity",
     "single_slit_spectrum",
+    "two_slit_probabilities",
     "two_slit_spectrum",
     "detector_signal",
     "single_slit_detector_signal",
     "single_slit_power_limit",
     "two_slit_power_limit",
     "synthesize_field",
-    "sample_field",
 ]
+
+
+def _check_phase(delta_phi: float) -> None:
+    if not math.isfinite(delta_phi):
+        raise ValueError(f"delta_phi must be finite, got {delta_phi!r}")
 
 
 @dataclass(frozen=True)
@@ -65,8 +63,7 @@ class TwoSlitConfig:
     delta_phi: float = 0.0
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.delta_phi):
-            raise ValueError(f"delta_phi must be finite, got {self.delta_phi!r}")
+        _check_phase(self.delta_phi)
         object.__setattr__(self, "delta_phi", self.delta_phi % math.tau)
 
 
@@ -85,7 +82,7 @@ class OrderSpectrum:
     def __post_init__(self) -> None:
         if self.orders.shape != self.probabilities.shape:
             raise ValueError("orders and probabilities must have matching shapes")
-        if np.any(self.probabilities < 0.0):
+        if not np.all(self.probabilities >= 0.0):  # also false for NaN
             raise ValueError("probabilities must be non-negative")
 
     @property
@@ -122,22 +119,14 @@ class DetectorSignal:
         return self.p_d1 + self.p_d2 + self.p_loss
 
 
-@dataclass(frozen=True)
-class FieldSample:
-    """Complex field amplitude at one point of the grating's far side."""
-
-    x: float
-    z: float
-    value: complex
-
-
 def interference_intensity(x, delta_phi: float = 0.0, period: float = 1.0):
     """Two-slit fringe intensity ``cos(pi*x/period + delta_phi)**2``.
 
     Evaluated through the double-angle form so the zeros at half-period
     offsets come out exactly 0.0 (and the maxima exactly 1.0).  Accepts
-    scalar or array ``x``.
+    scalar or array ``x``; ``delta_phi`` must be finite.
     """
+    _check_phase(delta_phi)
     if not (math.isfinite(period) and period > 0.0):
         raise ValueError(f"period must be positive, got {period!r}")
     arr = np.asarray(x, dtype=float) / period
@@ -160,21 +149,29 @@ def single_slit_spectrum(spec: GratingSpec, channel: Channel) -> OrderSpectrum:
     return OrderSpectrum(channel=channel, orders=orders, probabilities=amps**2)
 
 
+def two_slit_probabilities(half: np.ndarray, delta_phi: float) -> np.ndarray:
+    """Half-order probabilities from one channel's stored amplitudes ``u_0..u_N``.
+
+    ``P(m) = |u_n + exp(i*delta_phi)*u_{n+1}|**2 / 2`` expanded for the
+    real amplitudes, for ``m = n + 1/2`` with ``n`` in [-N, N-1]: every
+    bin whose two contributing orders are inside the truncated table.
+    """
+    full = _mirrored(half)
+    lower, upper = full[:-1], full[1:]
+    cos_phi = math.cos(delta_phi)
+    # grouping the product keeps P(m) == P(-m) exact, not just up to rounding;
+    # the clamp absorbs the last-ulp negatives of fully destructive bins
+    return np.maximum(0.5 * (lower**2 + upper**2 + 2.0 * cos_phi * (lower * upper)), 0.0)
+
+
 def two_slit_spectrum(config: TwoSlitConfig, channel: Channel) -> OrderSpectrum:
     """Stage with both slits open: half-order bins ``m = n + 1/2``.
 
-    ``P(m) = |u_n + exp(i*delta_phi)*u_{n+1}|**2 / 2`` expanded for the
-    real amplitudes; covers every ``m`` whose two contributing orders are
-    inside the truncated table, i.e. ``n`` in [-N, N-1].
+    See :func:`two_slit_probabilities` for the bins and their probabilities.
     """
     spec = config.spec
     table = AmplitudeTable.build(spec.cover_ratio, spec.truncation)
-    full = _mirrored(table.amplitudes(channel))
-    lower, upper = full[:-1], full[1:]
-    cos_phi = math.cos(config.delta_phi)
-    # grouping the product keeps P(m) == P(-m) exact, not just up to rounding;
-    # the clamp absorbs the last-ulp negatives of fully destructive bins
-    probs = np.maximum(0.5 * (lower**2 + upper**2 + 2.0 * cos_phi * (lower * upper)), 0.0)
+    probs = two_slit_probabilities(table.amplitudes(channel), config.delta_phi)
     orders = np.arange(-spec.truncation, spec.truncation, dtype=float) + 0.5
     return OrderSpectrum(channel=channel, orders=orders, probabilities=probs)
 
@@ -212,13 +209,11 @@ def single_slit_power_limit(cover_ratio: float, channel: Channel) -> float:
     """Untruncated channel total with one slit open: the geometric split.
 
     Transmitted power tends to the open fraction ``1 - cover_ratio``,
-    reflected power to the covered fraction ``cover_ratio``.
+    reflected power to the covered fraction ``cover_ratio``: the width of
+    the channel's sampling window.
     """
-    if channel == "transmitted":
-        return 1.0 - cover_ratio
-    if channel == "reflected":
-        return float(cover_ratio)
-    raise ValueError(f"channel must be one of {CHANNELS}, got {channel!r}")
+    width, _ = sampling_window(cover_ratio, channel)
+    return width
 
 
 def two_slit_power_limit(cover_ratio: float, channel: Channel, delta_phi: float = 0.0) -> float:
@@ -229,14 +224,13 @@ def two_slit_power_limit(cover_ratio: float, channel: Channel, delta_phi: float 
     ``a - cos(phi)*sin(pi*a)/pi`` reflected; the two always add to one.
     These equal the fringe intensity integrated over the open gaps
     (respectively the strips), which is how the visibility module checks
-    them independently.
+    them independently.  The cross term enters with the window's sign:
+    at zero phase the gaps sit on the fringe maxima, the strips on the
+    minima.
     """
+    width, sign = sampling_window(cover_ratio, channel)
     cross = math.cos(delta_phi) * sin_pi(cover_ratio) / math.pi
-    if channel == "transmitted":
-        return 1.0 - cover_ratio + cross
-    if channel == "reflected":
-        return float(cover_ratio) - cross
-    raise ValueError(f"channel must be one of {CHANNELS}, got {channel!r}")
+    return width + sign * cross
 
 
 def synthesize_field(
@@ -257,9 +251,8 @@ def synthesize_field(
     At ``z = 0`` the single-slit transmitted field reproduces
     ``1 - grid_function(x)`` up to the propagation cutoff.
     """
-    if side not in CHANNELS:
-        raise ValueError(f"side must be one of {CHANNELS}, got {side!r}")
     spec = config.spec if isinstance(config, TwoSlitConfig) else config
+    _, z_sign = sampling_window(spec.cover_ratio, side)
     geom = derive_grating_geometry(setup)
     table = AmplitudeTable.build(spec.cover_ratio, spec.truncation)
     full = _mirrored(table.amplitudes(side))
@@ -280,17 +273,6 @@ def synthesize_field(
     k_x = k_x[propagating]
     amps = amps[propagating]
     k_z = np.sqrt(setup.k * setup.k - k_x * k_x)
-    z_sign = 1.0 if side == "transmitted" else -1.0
     phases = np.exp(1j * (z_sign * k_z * z + k_x * x))
     return complex(np.sum(amps * phases))
 
-
-def sample_field(
-    x: float,
-    z: float,
-    config: GratingSpec | TwoSlitConfig,
-    side: Channel,
-    setup: SetupGeometry,
-) -> FieldSample:
-    """:func:`synthesize_field` wrapped into a positioned record."""
-    return FieldSample(x=float(x), z=float(z), value=synthesize_field(x, z, config, side, setup))

@@ -14,8 +14,10 @@ compares it against a fixed tolerance:
   parseval-two-slit        spectrum totals vs closed limits      <= 2.1e-4 (N=2000)
   endpoint-degenerate      every operation runs at a = 0 and 1
 
-For fault injection (``perturb``) the amplitude-driven checks read their
-tables through one perturbable source, so biasing a single amplitude (for
+The amplitude-driven checks pass their tables to the library functions
+they check (``normalization_defect``, ``distinguishability_from_amplitudes``
+and ``two_slit_probabilities``).  For fault injection (``perturb``) those
+tables come from one perturbable source, so biasing a single amplitude (for
 example ``r0``) must trip the suite.
 """
 
@@ -59,20 +61,14 @@ class CheckResult:
     detail: str = ""
 
 
-def _amplitude_arrays(cover_ratio, truncation, perturb):
-    """r and t arrays 0..N with an optional single-amplitude bias."""
+def _table(cover_ratio, truncation, perturb):
+    """Amplitude table 0..N, with one amplitude biased when ``perturb`` names it."""
     table = AmplitudeTable.build(cover_ratio, truncation)
-    r = table.r.copy()
-    t = table.t.copy()
-    if perturb is not None:
-        if perturb not in PERTURBATIONS:
-            raise ValueError(f"unknown perturbation {perturb!r}; expected one of {PERTURBATIONS}")
-        family, index = perturb[0], int(perturb[1:])
-        if family == "r":
-            r[index] += _PERTURB_OFFSET
-        else:
-            t[index] += _PERTURB_OFFSET
-    return r, t
+    if perturb is None:
+        return table
+    r, t = table.r.copy(), table.t.copy()
+    (r if perturb[0] == "r" else t)[int(perturb[1:])] += _PERTURB_OFFSET
+    return AmplitudeTable(table.cover_ratio, r, t)
 
 
 def _cover_grid(points: int) -> np.ndarray:
@@ -82,8 +78,8 @@ def _cover_grid(points: int) -> np.ndarray:
 def _check_normalization_identity(grid, perturb):
     worst = 0.0
     for a in _cover_grid(grid):
-        r, t = _amplitude_arrays(a, 1, perturb)
-        worst = max(worst, abs(r[0] ** 2 + t[0] ** 2 + 2.0 * (a - a * a) - 1.0))
+        table = _table(a, 1, perturb)
+        worst = max(worst, abs(table.r[0] ** 2 + table.t[0] ** 2 + 2.0 * (a - a * a) - 1.0))
     tol = 1e-14
     return CheckResult(
         name="normalization-identity",
@@ -97,9 +93,7 @@ def _check_normalization_identity(grid, perturb):
 def _check_normalization_defect(grid, truncation, perturb):
     worst = 0.0
     for a in _cover_grid(grid):
-        r, t = _amplitude_arrays(a, truncation, perturb)
-        defect = 1.0 - (r[0] ** 2 + t[0] ** 2 + 2.0 * float(np.sum(r[1:] ** 2 + t[1:] ** 2)))
-        worst = max(worst, abs(defect))
+        worst = max(worst, abs(normalization_defect(_table(a, truncation, perturb))))
     tol = 4.0 / (math.pi**2 * truncation)
     return CheckResult(
         name="normalization-defect",
@@ -143,11 +137,10 @@ def _check_visibility_spot():
 
 def _check_distinguishability_dual(grid, perturb):
     worst = 0.0
-    for channel in CHANNELS:
-        for a in _cover_grid(grid):
-            r, t = _amplitude_arrays(a, 1, perturb)
-            u = t if channel == "transmitted" else r
-            amp_route = 0.5 * (abs(u[0] ** 2 - u[1] ** 2) + abs(u[1] ** 2 - u[0] ** 2))
+    for a in _cover_grid(grid):
+        table = _table(a, 1, perturb)
+        for channel in CHANNELS:
+            amp_route = complementarity.distinguishability_from_amplitudes(table, channel)
             closed = complementarity.distinguishability_closed(a, channel)
             worst = max(worst, abs(amp_route - closed))
     tol = 1e-14
@@ -199,14 +192,14 @@ def _check_duality(sweep):
 def _check_parseval(truncation, perturb):
     worst = 0.0
     for a in PARSEVAL_COVER_RATIOS:
-        r, t = _amplitude_arrays(a, truncation, perturb)
-        totals = {}
-        for channel, half in (("transmitted", t), ("reflected", r)):
-            full = np.concatenate((half[:0:-1], half))
-            totals[channel] = float(np.sum(0.5 * (full[:-1] + full[1:]) ** 2))
+        table = _table(a, truncation, perturb)
+        totals = []
+        for channel in CHANNELS:
+            probs = scattering.two_slit_probabilities(table.amplitudes(channel), 0.0)
+            totals.append(float(np.sum(probs)))
             closed = scattering.two_slit_power_limit(a, channel)
-            worst = max(worst, abs(totals[channel] - closed))
-        worst = max(worst, abs(totals["transmitted"] + totals["reflected"] - 1.0))
+            worst = max(worst, abs(totals[-1] - closed))
+        worst = max(worst, abs(sum(totals) - 1.0))
     tol = 0.42 / truncation  # 2.1e-4 at the default 2000 terms, scaling with the tail
     return CheckResult(
         name="parseval-two-slit",
@@ -224,13 +217,14 @@ def _check_endpoints(points):
     for a in (0.0, 1.0):
         try:
             spec = GratingSpec(cover_ratio=a, truncation=30)
+            table = AmplitudeTable.build(a, 30)
             values = [
                 fourier_coefficient(0, a),
                 fourier_coefficient(3, a),
                 reflection_amplitude(2, a),
                 transmission_amplitude(2, a),
                 grid_function(0.25, spec),
-                normalization_defect(a, 30),
+                normalization_defect(table),
             ]
             for channel in CHANNELS:
                 values.append(scattering.single_slit_spectrum(spec, channel).total())
@@ -243,7 +237,7 @@ def _check_endpoints(points):
                     complementarity.visibility_quadrature(a, channel, points=points).visibility
                 )
                 values.append(complementarity.distinguishability_closed(a, channel))
-                values.append(complementarity.distinguishability_from_amplitudes(a, channel))
+                values.append(complementarity.distinguishability_from_amplitudes(table, channel))
             single = scattering.single_slit_detector_signal(spec)
             values.extend((single.p_d1, single.p_d2, single.p_loss))
             if not all(math.isfinite(v) for v in values):

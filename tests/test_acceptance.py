@@ -20,6 +20,7 @@ from slitgrid.complementarity import (
     visibility_quadrature,
 )
 from slitgrid.grating import (
+    AmplitudeTable,
     GratingSpec,
     fourier_coefficient,
     grid_function,
@@ -96,7 +97,7 @@ def test_criterion_3_normalization():
     worst_defect = 0.0
     worst_identity = 0.0
     for a in A_GRID_101:
-        worst_defect = max(worst_defect, abs(normalization_defect(a, 2000)))
+        worst_defect = max(worst_defect, abs(normalization_defect(AmplitudeTable.build(a, 2000))))
         r0 = reflection_amplitude(0, a)
         t0 = transmission_amplitude(0, a)
         worst_identity = max(worst_identity, abs(r0**2 + t0**2 + 2.0 * (a - a * a) - 1.0))
@@ -122,7 +123,7 @@ def test_criterion_5_distinguishability_dual_path():
         worst = max(
             worst,
             abs(
-                distinguishability_from_amplitudes(a, "transmitted")
+                distinguishability_from_amplitudes(AmplitudeTable.build(a, 1), "transmitted")
                 - distinguishability_closed(a, "transmitted")
             ),
         )
@@ -164,12 +165,13 @@ def test_criterion_7_parseval_power_bookkeeping():
 def test_criterion_8_degenerate_endpoints():
     for a in (0.0, 1.0):
         spec = GratingSpec(cover_ratio=a, truncation=30)
+        table = AmplitudeTable.build(a, 30)
         values = [
             fourier_coefficient(2, a),
             reflection_amplitude(1, a),
             transmission_amplitude(1, a),
             grid_function(0.3, spec),
-            normalization_defect(a, 30),
+            normalization_defect(table),
         ]
         for channel in ("transmitted", "reflected"):
             values.append(single_slit_spectrum(spec, channel).total())
@@ -180,7 +182,7 @@ def test_criterion_8_degenerate_endpoints():
             values.append(visibility_closed(a, channel).visibility)
             values.append(visibility_quadrature(a, channel).visibility)
             values.append(distinguishability_closed(a, channel))
-            values.append(distinguishability_from_amplitudes(a, channel))
+            values.append(distinguishability_from_amplitudes(table, channel))
         single = single_slit_detector_signal(spec)
         values.extend([single.p_d1, single.p_d2, single.p_loss])
         assert all(math.isfinite(v) for v in values)

@@ -223,11 +223,51 @@ class TestExitCodes:
     def test_unknown_perturbation_is_a_usage_error(self):
         assert run_cli("verify", "--perturb", "q7") == EXIT_USAGE
 
+    @pytest.mark.parametrize("phase", ["nan", "inf"])
+    @pytest.mark.parametrize("command", ["pattern", "coeffs", "orders"])
+    def test_non_finite_phase_is_a_usage_error(self, command, phase, capsys):
+        assert run_cli(command, "--phase", phase, "--out", "-") == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: delta_phi must be finite, got {phase}\n"
+
     def test_stdout_output(self, capsys):
         assert run_cli("pattern", "--order", "3") == EXIT_OK
         lines = capsys.readouterr().out.splitlines()
         assert lines[1] == "x_over_Lambda,G,I"
         assert len(lines) == 403
+
+
+class TestIgnoredSettings:
+    """A command neither validates nor reads a setting it does not use."""
+
+    @pytest.mark.parametrize(
+        "argv, ignored",
+        [
+            (["sweep", "--points", "11"], ["--a", "2"]),
+            (["sweep", "--points", "11"], ["--order", "0"]),
+            (["verify"], ["--a", "2"]),
+        ],
+    )
+    def test_flag_is_ignored(self, argv, ignored, capsys):
+        plain_code = run_cli(*argv)
+        plain = capsys.readouterr()
+        assert plain_code == EXIT_OK
+        assert run_cli(*argv, *ignored) == EXIT_OK
+        assert capsys.readouterr() == plain
+
+    def test_config_value_is_ignored(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("a = 2\norder = 0\nphase = nan\n")
+        assert run_cli("sweep", "--points", "11") == EXIT_OK
+        plain = capsys.readouterr()
+        assert run_cli("sweep", "--points", "11", "--config", str(config)) == EXIT_OK
+        assert capsys.readouterr() == plain
+
+    def test_config_value_is_still_checked_where_read(self, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("a = 2\n")
+        assert run_cli("orders", "--config", str(config)) == EXIT_USAGE
 
 
 class TestVerifySuite:

@@ -11,6 +11,7 @@ from slitgrid.complementarity import (
     visibility_closed,
     visibility_quadrature,
 )
+from slitgrid.grating import AmplitudeTable
 
 # 30-digit reference evaluations of the closed forms
 V_T_006 = 0.0634524733178203
@@ -114,7 +115,7 @@ class TestVisibilityQuadrature:
 class TestDistinguishability:
     def test_perfect_paths_without_grating(self):
         assert distinguishability_closed(0.0) == 1.0
-        assert distinguishability_from_amplitudes(0.0) == 1.0
+        assert distinguishability_from_amplitudes(AmplitudeTable.build(0.0, 1)) == 1.0
 
     def test_mirror_leaves_no_transmitted_information(self):
         assert distinguishability_closed(1.0) == 0.0
@@ -132,11 +133,22 @@ class TestDistinguishability:
     def test_reflected_sparse_grating(self):
         assert distinguishability_closed(0.06, "reflected") == pytest.approx(D_R_006, rel=1e-10)
 
-    @given(cover_ratios, channels)
-    def test_amplitude_route_equals_closed_form(self, a, channel):
+    @given(cover_ratios, channels, st.integers(min_value=1, max_value=50))
+    def test_amplitude_route_equals_closed_form(self, a, channel, truncation):
         closed = distinguishability_closed(a, channel)
-        amps = distinguishability_from_amplitudes(a, channel)
+        amps = distinguishability_from_amplitudes(AmplitudeTable.build(a, truncation), channel)
         assert abs(closed - amps) <= 1e-14
+
+    def test_amplitude_route_reads_the_table_it_is_given(self):
+        table = AmplitudeTable.build(0.06, 1)
+        t = table.t.copy()
+        t[1] += 1e-3
+        biased = AmplitudeTable(table.cover_ratio, table.r, t)
+        assert distinguishability_from_amplitudes(biased, "reflected") == (
+            distinguishability_from_amplitudes(table, "reflected")
+        )
+        shift = distinguishability_from_amplitudes(table) - distinguishability_from_amplitudes(biased)
+        assert shift == pytest.approx(2.0 * table.t[1] * 1e-3 + 1e-6, rel=1e-9)
 
     @given(cover_ratios, channels)
     def test_within_unit_interval(self, a, channel):
@@ -191,3 +203,5 @@ class TestComplementaritySweep:
     def test_rejects_invalid_entries(self):
         with pytest.raises(ValueError):
             complementarity_sweep([0.2, 1.3])
+        with pytest.raises(ValueError, match="channel must be one of"):
+            complementarity_sweep([], "sideways")

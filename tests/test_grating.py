@@ -12,6 +12,7 @@ from slitgrid.grating import (
     grid_function,
     normalization_defect,
     reflection_amplitude,
+    sampling_window,
     sin_pi,
     sinc_pi,
     transmission_amplitude,
@@ -174,6 +175,25 @@ class TestAmplitudes:
         with pytest.raises(ValueError):
             table.reflection(11)
 
+    def test_channel_families(self):
+        table = AmplitudeTable.build(0.2, truncation=3)
+        assert table.amplitudes("transmitted") is table.t
+        assert table.amplitudes("reflected") is table.r
+        with pytest.raises(ValueError, match="channel must be one of"):
+            table.amplitudes("both")
+
+
+class TestSamplingWindow:
+    def test_gap_and_strip(self):
+        assert sampling_window(0.06, "transmitted") == (1.0 - 0.06, 1.0)
+        assert sampling_window(0.06, "reflected") == (0.06, -1.0)
+
+    def test_rejects_unknown_channel_and_bad_cover_ratio(self):
+        with pytest.raises(ValueError, match="channel must be one of"):
+            sampling_window(0.5, "sideways")
+        with pytest.raises(ValueError, match="cover ratio"):
+            sampling_window(1.5, "transmitted")
+
 
 class TestNormalization:
     @given(cover_ratios)
@@ -183,11 +203,11 @@ class TestNormalization:
         assert abs(r0**2 + t0**2 + 2.0 * (a - a * a) - 1.0) <= 1e-14
 
     def test_degenerate_gratings_have_zero_defect(self):
-        assert normalization_defect(0.0, 10) == 0.0
-        assert normalization_defect(1.0, 10) == 0.0
+        assert normalization_defect(AmplitudeTable.build(0.0, 10)) == 0.0
+        assert normalization_defect(AmplitudeTable.build(1.0, 10)) == 0.0
 
     def test_defect_matches_tail_identity(self):
-        defect = normalization_defect(0.06, 50)
+        defect = normalization_defect(AmplitudeTable.build(0.06, 50))
         assert 0.0 < defect <= 4.0 / (math.pi**2 * 50)
         tail = 2.0 * (0.06 - 0.06**2) - sum(
             fourier_coefficient(n, 0.06) ** 2 for n in range(1, 51)
@@ -196,7 +216,7 @@ class TestNormalization:
 
     @given(cover_ratios, st.integers(min_value=1, max_value=300))
     def test_defect_nonnegative_and_bounded(self, a, n):
-        defect = normalization_defect(a, n)
+        defect = normalization_defect(AmplitudeTable.build(a, n))
         assert defect >= -1e-15
         assert defect <= 4.0 / (math.pi**2 * n) + 1e-15
 
@@ -216,9 +236,17 @@ class TestNormalization:
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
-            normalization_defect(1.5, 10)
+            AmplitudeTable.build(1.5, 10)
         with pytest.raises(ValueError):
-            normalization_defect(0.5, 0)
+            AmplitudeTable.build(0.5, 0)
+
+    def test_defect_reads_the_table_it_is_given(self):
+        table = AmplitudeTable.build(0.3, 40)
+        r = table.r.copy()
+        r[0] += 1e-3
+        biased = AmplitudeTable(table.cover_ratio, r, table.t)
+        shift = normalization_defect(table) - normalization_defect(biased)
+        assert shift == pytest.approx(2.0 * table.r[0] * 1e-3 + 1e-6, rel=1e-9)
 
 
 def test_spec_validation():

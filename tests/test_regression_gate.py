@@ -1,0 +1,140 @@
+"""Regression gate: the shipped numbers do not drift.
+
+The digests, the verify report and the failing-check sets below were
+recorded from the package before the amplitude harmonics and the channel
+dispatch were each gathered into one function; any change in the
+reference tables, in the verify values or in the checks a perturbation
+trips fails here.  The digests equal ``REFERENCE_DIGESTS`` in
+``perfbench/workloads.py``, copied so that the tests do not import the
+benchmark.
+"""
+
+import hashlib
+import importlib
+import math
+import sys
+
+import numpy as np
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+import slitgrid
+from slitgrid.cli import main
+from slitgrid.grating import (
+    AmplitudeTable,
+    GratingSpec,
+    fourier_coefficient,
+    grid_function,
+    reflection_amplitude,
+    sin_pi,
+    transmission_amplitude,
+)
+from slitgrid.verify import run_verification
+
+REFERENCE_DIGESTS = {
+    ("coeffs", "--a", "0.06", "--order", "50"):
+        "c2d03983f5bf99aefbd67e1a1de6d6d07ece859e68884cbfd10607ab3d1f8907",
+    ("orders", "--a", "0.06", "--order", "30", "--channel", "both"):
+        "16a4f74f72daa3833b00bd66376cdf2c55ba5c7ecc1dcc7404706f6c4c257cdb",
+    ("sweep", "--points", "1001", "--channel", "t"):
+        "c76ee3ba8bb4c965efd0b955d24a4878ad5b2ea5e885719b25eea082d23a131d",
+}
+
+DEFAULT_VERIFY_REPORT = (
+    "PASS  normalization-identity   value=2.220446e-16  tolerance=1.000000e-14  max |r0^2 + t0^2 + 2(a - a^2) - 1| over 101 covering ratios\n"
+    "PASS  normalization-defect     value=1.013212e-04  tolerance=2.026424e-04  max |defect| at 2000 terms over 101 covering ratios\n"
+    "PASS  visibility-oracle        value=3.136380e-15  tolerance=1.000000e-09  max |closed - quadrature| over 101 ratios x both channels, 4096 points\n"
+    "PASS  visibility-spot          value=0.000000e+00  tolerance=1.000000e-12  |V_t(1/2) - 2/pi|\n"
+    "PASS  distinguishability-dual  value=0.000000e+00  tolerance=1.000000e-14  max |amplitude route - closed form| over 101 ratios x both channels\n"
+    "PASS  distinguishability-spot  value=5.647847e-07  tolerance=1.000000e-06  |D_t(0.06) - 0.880043|\n"
+    "PASS  duality-bound            value=1.000000e+00  tolerance=1.000000e+00  max V^2 + D^2 over 1001 covering ratios\n"
+    "PASS  duality-endpoints        value=3.066137e-01  tolerance=5.000000e-01  exactly 1 at a = 0 and a = 1, interior minimum strictly below 1/2\n"
+    "PASS  parseval-two-slit        value=1.729660e-04  tolerance=2.100000e-04  two-slit totals vs closed limits at 2000 terms, ratios (0.06, 0.25, 0.5, 0.75)\n"
+    "PASS  endpoint-degenerate      value=0.000000e+00  tolerance=0.000000e+00  a = 0 and a = 1 run through every operation\n"
+    "10/10 checks passed\n"
+)
+
+AMPLITUDE_CHECKS = ("normalization-defect", "distinguishability-dual", "parseval-two-slit")
+PERTURBED_FAILURES = {
+    "r0": {"normalization-identity", *AMPLITUDE_CHECKS},
+    "t0": {"normalization-identity", *AMPLITUDE_CHECKS},
+    "r1": set(AMPLITUDE_CHECKS),
+    "t1": set(AMPLITUDE_CHECKS),
+}
+
+MODULES = ("complementarity", "geometry", "grating", "scattering", "verify", "cli")
+
+
+def bits(value) -> bytes:
+    return np.asarray(value, dtype=float).tobytes()
+
+
+def seed_grid_function(x, cover_ratio, truncation, period):
+    """The dense profile series exactly as first written, as the reference."""
+    n = np.arange(1, truncation + 1)
+    signs = np.where(n % 2 == 1, -1.0, 1.0)
+    c = 2.0 * signs * sin_pi(cover_ratio * n) / (math.pi * n)
+    angles = (2.0 * math.pi / period) * np.multiply.outer(np.asarray(x, dtype=float), n)
+    return float(cover_ratio) + np.cos(angles) @ c
+
+
+@pytest.mark.parametrize("argv", list(REFERENCE_DIGESTS), ids=lambda argv: argv[0])
+def test_reference_csv_digest(argv, capsys):
+    assert main([*argv, "--out", "-"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == REFERENCE_DIGESTS[argv]
+
+
+def test_default_verify_report_is_unchanged(capsys):
+    assert main(["verify"]) == 0
+    assert capsys.readouterr().out == DEFAULT_VERIFY_REPORT
+
+
+@pytest.mark.parametrize("perturb", sorted(PERTURBED_FAILURES))
+def test_each_perturbation_fails_its_checks(perturb):
+    failed = {result.name for result in run_verification(perturb=perturb) if not result.passed}
+    assert failed == PERTURBED_FAILURES[perturb]
+
+
+@given(
+    st.floats(min_value=0.0, max_value=1.0),
+    st.integers(min_value=1, max_value=2000),
+    st.data(),
+)
+def test_scalar_lookups_read_the_table_bit_for_bit(a, truncation, data):
+    table = AmplitudeTable.build(a, truncation)
+    n = data.draw(st.integers(min_value=0, max_value=truncation))
+    assert bits(reflection_amplitude(n, a)) == bits(table.r[n])
+    assert bits(transmission_amplitude(n, a)) == bits(table.t[n])
+    if n == 0:
+        assert fourier_coefficient(0, a) == a
+    else:
+        assert bits(fourier_coefficient(n, a)) == bits(-2.0 * table.r[n])
+
+
+@given(
+    st.floats(min_value=0.0, max_value=1.0),
+    st.integers(min_value=1, max_value=2000),
+    st.floats(min_value=0.1, max_value=10.0),
+    st.lists(st.floats(min_value=-5.0, max_value=5.0), min_size=1, max_size=16),
+)
+@example(a=6.22901694889702e-309, truncation=48, period=1.0, xs=[-0.57])  # differs by 2 units
+def test_grid_function_matches_the_dense_reference(a, truncation, period, xs):
+    spec = GratingSpec(cover_ratio=a, period=period, truncation=truncation)
+    got = grid_function(np.array(xs), spec)
+    want = seed_grid_function(xs, a, truncation, period)
+    if a == 0.0 or a >= 4.0 * sys.float_info.min:
+        assert bits(got) == bits(want)
+        assert bits(grid_function(xs[0], spec)) == bits(seed_grid_function(xs[0], a, truncation, period))
+    else:
+        # below the normal range the harmonics are subnormal: -2*r_n rounds
+        # once at r_n and the reference once at 2*r_n, so each coefficient
+        # may differ in its last subnormal unit
+        assert np.max(np.abs(got - want)) <= 2 * truncation * math.ulp(0.0)
+
+
+@pytest.mark.parametrize("module", [None, *MODULES])
+def test_every_exported_name_resolves(module):
+    target = slitgrid if module is None else importlib.import_module(f"slitgrid.{module}")
+    assert [name for name in target.__all__ if not hasattr(target, name)] == []

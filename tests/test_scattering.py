@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from slitgrid.geometry import SetupGeometry
 from slitgrid.grating import GratingSpec, grid_function, sin_pi, transmission_amplitude
 from slitgrid.scattering import (
+    OrderSpectrum,
     TwoSlitConfig,
     detector_signal,
     interference_intensity,
@@ -16,7 +17,6 @@ from slitgrid.scattering import (
     single_slit_power_limit,
     single_slit_spectrum,
     synthesize_field,
-    sample_field,
     two_slit_power_limit,
     two_slit_spectrum,
 )
@@ -59,6 +59,14 @@ class TestInterferenceIntensity:
         with pytest.raises(ValueError):
             interference_intensity(0.0, period=0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_phase_like_the_two_slit_config(self, bad):
+        with pytest.raises(ValueError, match="delta_phi must be finite") as intensity:
+            interference_intensity(np.zeros(3), bad)
+        with pytest.raises(ValueError) as config:
+            TwoSlitConfig(GratingSpec(0.3), bad)
+        assert str(intensity.value) == str(config.value)
+
 
 class TestSingleSlitSpectrum:
     def test_reflected_zeroth_order(self):
@@ -86,6 +94,13 @@ class TestSingleSlitSpectrum:
         spectrum = single_slit_spectrum(GratingSpec(a, truncation=2000), channel)
         limit = single_slit_power_limit(a, channel)
         assert spectrum.total() == pytest.approx(limit, abs=2.0 / (math.pi**2 * 2000))
+
+
+class TestOrderSpectrum:
+    @pytest.mark.parametrize("bad", [-1e-3, math.nan])
+    def test_rejects_negative_and_nan_probabilities(self, bad):
+        with pytest.raises(ValueError, match="non-negative"):
+            OrderSpectrum("transmitted", np.array([0.0, 1.0]), np.array([0.5, bad]))
 
 
 class TestTwoSlitSpectrum:
@@ -275,8 +290,3 @@ class TestFieldSynthesis:
     def test_rejects_unknown_side(self):
         with pytest.raises(ValueError):
             synthesize_field(0.0, 0.0, GratingSpec(0.1), "both", self.setup)
-
-    def test_sample_field_carries_position(self):
-        sample = sample_field(0.25, 1.5, GratingSpec(0.0, truncation=5), "transmitted", self.setup)
-        assert (sample.x, sample.z) == (0.25, 1.5)
-        assert sample.value == synthesize_field(0.25, 1.5, GratingSpec(0.0, truncation=5), "transmitted", self.setup)
