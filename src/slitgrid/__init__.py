@@ -8,7 +8,7 @@ independent numerical oracles.
 """
 
 from .complementarity import (
-    ComplementarityRecord,
+    SweepColumns,
     VisibilityResult,
     complementarity_sweep,
     distinguishability_closed,
@@ -58,7 +58,6 @@ __all__ = [
     "CHANNELS",
     "Channel",
     "CheckResult",
-    "ComplementarityRecord",
     "DetectorSignal",
     "GratingGeometry",
     "GratingSpec",
@@ -66,6 +65,7 @@ __all__ = [
     "OrderWaveVector",
     "ParaxialWarning",
     "SetupGeometry",
+    "SweepColumns",
     "TwoSlitConfig",
     "VisibilityResult",
     "complementarity_sweep",

@@ -14,8 +14,11 @@ significant digits (lowercase scientific below 1e-4), ``\\n`` line endings,
 no timestamps: re-running a command with the same configuration rewrites
 byte-identical output.  Flags override config-file values, which override
 the built-in defaults.  Each command reads and validates only its own
-settings (the keys of ``_DEFAULTS``) and ignores the rest.  Exit codes:
-0 success, 1 usage error, 2 verification failure, 3 I/O error.
+settings (the keys of ``_DEFAULTS``) and ignores the rest.  ``--points``
+and ``--order`` are capped (``MAX_POINTS``, ``MAX_ORDER``) so that every
+accepted request finishes in bounded time and memory.  Exit codes: 0
+success, 1 usage error (a request that runs out of memory included), 2
+verification failure, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -39,6 +42,13 @@ EXIT_VERIFY = 2
 EXIT_IO = 3
 
 PATTERN_SAMPLES = 401  # over two periods each side of the axis
+
+# Largest accepted requests.  At these caps the slowest request (verify with
+# 1e6 quadrature points) takes about 13 s on a 2-core x86-64 VM, and the
+# largest (coeffs at 1e5 terms, whose profile is a dense 401 x N matrix)
+# peaks at about 0.66 GB resident.
+MAX_POINTS = 1_000_000
+MAX_ORDER = 100_000
 
 _CHANNEL_FLAGS = {"t": ("transmitted",), "r": ("reflected",), "both": ("transmitted", "reflected")}
 _CONFIG_KEYS = ("a", "order", "phase", "channel", "points", "out", "perturb")
@@ -170,8 +180,12 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         raise _UsageError(f"--a must lie in [0, 1], got {values['a']}")
     if "order" in values and values["order"] < 1:
         raise _UsageError(f"--order must be >= 1, got {values['order']}")
+    if "order" in values and values["order"] > MAX_ORDER:
+        raise _UsageError(f"--order must be <= {MAX_ORDER}, got {values['order']}")
     if args.command == "sweep" and values["points"] < 2:
         raise _UsageError(f"--points must be >= 2 for sweep, got {values['points']}")
+    if "points" in values and values["points"] > MAX_POINTS:
+        raise _UsageError(f"--points must be <= {MAX_POINTS}, got {values['points']}")
     channel = values.get("channel")
     return RunConfig(
         command=args.command,
@@ -259,10 +273,15 @@ def _cmd_sweep(config: RunConfig) -> list[str]:
             lines.append("")
         lines.append(f"# sweep {channel}: points={config.points}")
         lines.append("a,V,D,duality")
-        for record in complementarity.complementarity_sweep(grid, channel):
+        columns = complementarity.complementarity_sweep(grid, channel)
+        for a, v, d, duality in zip(
+            columns.cover_ratio.tolist(),
+            columns.visibility.tolist(),
+            columns.distinguishability.tolist(),
+            columns.duality.tolist(),
+        ):
             lines.append(
-                f"{format_number(record.cover_ratio)},{format_number(record.visibility)},"
-                f"{format_number(record.distinguishability)},{format_number(record.duality)}"
+                f"{format_number(a)},{format_number(v)},{format_number(d)},{format_number(duality)}"
             )
     return lines
 
@@ -319,6 +338,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:
+        print("error: out of memory; request fewer --points or a lower --order", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

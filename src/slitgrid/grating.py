@@ -55,29 +55,45 @@ def sin_pi(u):
 
     The argument is reduced to [0, 1/2] before multiplying by pi, so integer
     ``u`` returns exactly 0.0 and values near integers keep full precision
-    instead of inheriting the rounding error of ``pi*u``.  Accepts scalars
-    or arrays.
+    instead of inheriting the rounding error of ``pi*u``.  A numpy array
+    gives an array; any other argument is a scalar and goes through
+    ``math.sin``, with the same bits as numpy's ``sin`` on the reduced range.
     """
-    arr = np.asarray(u, dtype=float)
-    red = np.mod(arr, 2.0)
-    sign = np.where(red >= 1.0, -1.0, 1.0)
-    red = np.where(red >= 1.0, red - 1.0, red)
-    red = np.where(red > 0.5, 1.0 - red, red)
-    out = sign * np.sin(np.pi * red)
-    if arr.ndim == 0:
-        return float(out)
-    return out
+    if isinstance(u, np.ndarray):
+        red = np.mod(u.astype(float, copy=False), 2.0)
+        sign = np.where(red >= 1.0, -1.0, 1.0)
+        red = np.where(red >= 1.0, red - 1.0, red)
+        red = np.where(red > 0.5, 1.0 - red, red)
+        out = sign * np.sin(np.pi * red)
+        return float(out) if out.ndim == 0 else out
+    red = float(u) % 2.0
+    sign = 1.0
+    if red >= 1.0:
+        sign, red = -1.0, red - 1.0
+    if red > 0.5:
+        red = 1.0 - red
+    return sign * math.sin(math.pi * red)
 
 
-def sinc_pi(u: float) -> float:
-    """sin(pi*u)/(pi*u) with the limit value 1 at u = 0."""
+def sinc_pi(u):
+    """sin(pi*u)/(pi*u) with the limit value 1 at u = 0; scalar or array."""
+    if isinstance(u, np.ndarray):
+        u = u.astype(float, copy=False)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = np.where(u == 0.0, 1.0, sin_pi(u) / (np.pi * u))
+        return float(out) if out.ndim == 0 else out
     if u == 0.0:
         return 1.0
     return sin_pi(u) / (math.pi * u)
 
 
-def _check_cover_ratio(cover_ratio: float) -> None:
-    if not (0.0 <= cover_ratio <= 1.0):
+def _check_cover_ratio(cover_ratio) -> None:
+    if isinstance(cover_ratio, np.ndarray):
+        outside = ~((cover_ratio >= 0.0) & (cover_ratio <= 1.0))  # NaN is outside too
+        if np.any(outside):
+            bad = cover_ratio[outside].flat[0]
+            raise ValueError(f"cover ratio must lie in [0, 1], got {float(bad)!r}")
+    elif not (0.0 <= cover_ratio <= 1.0):
         raise ValueError(f"cover ratio must lie in [0, 1], got {cover_ratio!r}")
 
 
@@ -167,7 +183,7 @@ def transmission_amplitude(n: int, cover_ratio: float) -> float:
     return _harmonics(cover_ratio, m)
 
 
-def sampling_window(cover_ratio: float, channel: Channel) -> tuple[float, float]:
+def sampling_window(cover_ratio, channel: Channel) -> tuple:
     """``(width, sign)`` of the part of each period that feeds ``channel``.
 
     The transmitted channel sees the fringe through the open gap, width
@@ -176,13 +192,14 @@ def sampling_window(cover_ratio: float, channel: Channel) -> tuple[float, float]
     sits on the fringe maxima and the strip on the minima, and the sign
     also gives the direction the channel's light leaves in (+z
     transmitted, -z reflected).  This is the one place that tells the
-    channels apart by name.
+    channels apart by name.  An array of covering ratios gives an array
+    of widths; the sign is always a float.
     """
     _check_cover_ratio(cover_ratio)
     if channel == "transmitted":
         return 1.0 - cover_ratio, 1.0
     if channel == "reflected":
-        return float(cover_ratio), -1.0
+        return (cover_ratio if isinstance(cover_ratio, np.ndarray) else float(cover_ratio)), -1.0
     raise ValueError(f"channel must be one of {CHANNELS}, got {channel!r}")
 
 

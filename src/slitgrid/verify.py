@@ -166,8 +166,7 @@ def _check_distinguishability_spot():
 
 
 def _check_duality(sweep):
-    records = complementarity.complementarity_sweep(_cover_grid(sweep), "transmitted")
-    dualities = np.array([rec.duality for rec in records])
+    dualities = complementarity.complementarity_sweep(_cover_grid(sweep), "transmitted").duality
     worst = float(np.max(dualities))
     tol = 1.0 + 1e-12
     bound = CheckResult(

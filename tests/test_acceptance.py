@@ -134,9 +134,9 @@ def test_criterion_5_distinguishability_dual_path():
 
 def test_criterion_6_duality_sweep():
     start = time.perf_counter()
-    records = complementarity_sweep(np.arange(1001) / 1000.0, "transmitted")
+    columns = complementarity_sweep(np.arange(1001) / 1000.0, "transmitted")
     elapsed = time.perf_counter() - start
-    dualities = [rec.duality for rec in records]
+    dualities = columns.duality.tolist()
     assert max(dualities) <= 1.0 + 1e-12
     assert dualities[0] == 1.0 and dualities[-1] == 1.0
     lowest = min(dualities[1:-1])

@@ -1,8 +1,19 @@
 import math
+import tracemalloc
 
 import pytest
 
-from slitgrid.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, format_number, main
+from slitgrid import cli, complementarity
+from slitgrid.cli import (
+    EXIT_IO,
+    EXIT_OK,
+    EXIT_USAGE,
+    EXIT_VERIFY,
+    MAX_ORDER,
+    MAX_POINTS,
+    format_number,
+    main,
+)
 from slitgrid.verify import run_verification
 
 
@@ -268,6 +279,73 @@ class TestIgnoredSettings:
         config = tmp_path / "run.cfg"
         config.write_text("a = 2\n")
         assert run_cli("orders", "--config", str(config)) == EXIT_USAGE
+
+
+class TestBoundedRequests:
+    """Requests above the caps are refused before anything is computed."""
+
+    OVER_CAP = [
+        (["sweep", "--points"], MAX_POINTS),
+        (["verify", "--points"], MAX_POINTS),
+        *(([command, "--order"], MAX_ORDER) for command in ("coeffs", "pattern", "orders", "verify")),
+    ]
+
+    @pytest.mark.parametrize("argv, cap", OVER_CAP, ids=lambda value: "".join(value) if isinstance(value, list) else "")
+    def test_request_above_the_cap_is_refused_without_allocating(self, argv, cap, capsys):
+        tracemalloc.start()
+        try:
+            code = run_cli(*argv, str(cap + 1), "--out", "-")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {argv[1]} must be <= {cap}, got {cap + 1}\n"
+        # numpy reports its buffers to tracemalloc; the smallest refused
+        # computation would allocate a table of MAX_ORDER + 2 floats
+        assert peak < 8 * MAX_ORDER
+
+    def test_config_value_above_the_cap_is_refused(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"points = {MAX_POINTS + 1}\n")
+        assert run_cli("sweep", "--config", str(config)) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: --points must be <= ")
+
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (["sweep", "--points", str(MAX_POINTS)], "points"),
+            (["verify", "--points", str(MAX_POINTS)], "points"),
+            (["orders", "--order", str(MAX_ORDER)], "truncation"),
+        ],
+    )
+    def test_the_cap_itself_is_accepted(self, argv, field):
+        config = cli._resolve(cli._build_parser().parse_args(argv))
+        assert getattr(config, field) == int(argv[2])
+
+    def test_caps_sit_far_above_the_reference_sizes(self):
+        # the 100001-point reference sweep, verify's 4096 quadrature points
+        # and its 2000 terms
+        assert MAX_POINTS >= 2 * 100001 and MAX_POINTS >= 100 * 4096
+        assert MAX_ORDER >= 50 * 2000
+
+    @pytest.mark.parametrize(
+        "argv, owner, name",
+        [
+            (["sweep", "--points", "11"], complementarity, "complementarity_sweep"),
+            (["coeffs"], cli, "grid_function"),
+        ],
+    )
+    def test_memory_error_is_a_usage_error(self, argv, owner, name, monkeypatch, capsys):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(owner, name, exhausted)
+        assert run_cli(*argv, "--out", "-") == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: out of memory")
 
 
 class TestVerifySuite:

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -176,32 +177,35 @@ class TestChannelMirror:
 
 class TestComplementaritySweep:
     def test_record_values(self):
-        records = complementarity_sweep([0.0, 0.06, 0.5, 1.0], "transmitted")
-        assert [rec.cover_ratio for rec in records] == [0.0, 0.06, 0.5, 1.0]
-        assert records[0].duality == 1.0
-        assert records[3].duality == 1.0
-        assert records[1].duality == pytest.approx(DUAL_006, rel=1e-12)
-        assert records[2].duality == pytest.approx(DUAL_05, rel=1e-12)
+        columns = complementarity_sweep([0.0, 0.06, 0.5, 1.0], "transmitted")
+        assert len(columns) == 4
+        assert columns.cover_ratio.tolist() == [0.0, 0.06, 0.5, 1.0]
+        assert columns.duality[0] == 1.0
+        assert columns.duality[3] == 1.0
+        assert columns.duality[1] == pytest.approx(DUAL_006, rel=1e-12)
+        assert columns.duality[2] == pytest.approx(DUAL_05, rel=1e-12)
 
     def test_thousand_point_sweep_obeys_the_bound(self):
         grid = [i / 1000.0 for i in range(1001)]
-        records = complementarity_sweep(grid, "transmitted")
-        dualities = [rec.duality for rec in records]
+        columns = complementarity_sweep(grid, "transmitted")
+        dualities = columns.duality.tolist()
         assert max(dualities) <= 1.0 + 1e-12
         assert dualities[0] == 1.0 and dualities[-1] == 1.0
         lowest = min(dualities[1:-1])
         assert lowest < 0.5
         assert lowest == pytest.approx(SWEEP_MIN_DUALITY, abs=1e-12)
-        assert records[dualities.index(lowest)].cover_ratio == SWEEP_MIN_LOCATION
+        assert columns.cover_ratio[dualities.index(lowest)] == SWEEP_MIN_LOCATION
 
     def test_reflected_sweep_obeys_the_bound_too(self):
         grid = [i / 200.0 for i in range(201)]
-        records = complementarity_sweep(grid, "reflected")
-        assert max(rec.duality for rec in records) <= 1.0 + 1e-12
-        assert records[0].duality == 1.0 and records[-1].duality == 1.0
+        columns = complementarity_sweep(grid, "reflected")
+        assert max(columns.duality) <= 1.0 + 1e-12
+        assert columns.duality[0] == 1.0 and columns.duality[-1] == 1.0
 
     def test_rejects_invalid_entries(self):
         with pytest.raises(ValueError):
             complementarity_sweep([0.2, 1.3])
         with pytest.raises(ValueError, match="channel must be one of"):
             complementarity_sweep([], "sideways")
+        with pytest.raises(ValueError, match="one-dimensional"):
+            complementarity_sweep(np.zeros((2, 2)))

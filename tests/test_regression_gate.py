@@ -6,7 +6,13 @@ dispatch were each gathered into one function; any change in the
 reference tables, in the verify values or in the checks a perturbation
 trips fails here.  The digests equal ``REFERENCE_DIGESTS`` in
 ``perfbench/workloads.py``, copied so that the tests do not import the
-benchmark.
+benchmark.  The digest of the 100001-point sweep on both channels, the
+reference size of the sweep, was recorded from the scalar sweep loop
+before the duality kernel took arrays.
+
+Bit-level pins (the verify report, and the array kernels equal to the
+scalar ``math``/``pow`` paths) depend on the numpy build and the CPU; CI
+prints both before running the tests.
 """
 
 import hashlib
@@ -21,6 +27,11 @@ from hypothesis import strategies as st
 
 import slitgrid
 from slitgrid.cli import main
+from slitgrid.complementarity import (
+    complementarity_sweep,
+    distinguishability_closed,
+    visibility_closed,
+)
 from slitgrid.grating import (
     AmplitudeTable,
     GratingSpec,
@@ -28,6 +39,7 @@ from slitgrid.grating import (
     grid_function,
     reflection_amplitude,
     sin_pi,
+    sinc_pi,
     transmission_amplitude,
 )
 from slitgrid.verify import run_verification
@@ -40,6 +52,9 @@ REFERENCE_DIGESTS = {
     ("sweep", "--points", "1001", "--channel", "t"):
         "c76ee3ba8bb4c965efd0b955d24a4878ad5b2ea5e885719b25eea082d23a131d",
 }
+
+REFERENCE_SWEEP = ("sweep", "--points", "100001", "--channel", "both")
+REFERENCE_SWEEP_DIGEST = "93a8d1c03e041cd5d02144320dbbf79420f7bea9f9d2719d4c0f79ce121ae152"
 
 DEFAULT_VERIFY_REPORT = (
     "PASS  normalization-identity   value=2.220446e-16  tolerance=1.000000e-14  max |r0^2 + t0^2 + 2(a - a^2) - 1| over 101 covering ratios\n"
@@ -84,6 +99,12 @@ def test_reference_csv_digest(argv, capsys):
     assert main([*argv, "--out", "-"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == REFERENCE_DIGESTS[argv]
+
+
+def test_reference_size_sweep_digest(capsys):
+    assert main([*REFERENCE_SWEEP, "--out", "-"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == REFERENCE_SWEEP_DIGEST
 
 
 def test_default_verify_report_is_unchanged(capsys):
@@ -132,6 +153,59 @@ def test_grid_function_matches_the_dense_reference(a, truncation, period, xs):
         # once at r_n and the reference once at 2*r_n, so each coefficient
         # may differ in its last subnormal unit
         assert np.max(np.abs(got - want)) <= 2 * truncation * math.ulp(0.0)
+
+
+SUBNORMAL = 2.2250738585072014e-308 / 3.0
+
+
+@given(
+    st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=64),
+    st.sampled_from(["transmitted", "reflected"]),
+)
+@example(ratios=[0.0, 1.0], channel="transmitted")
+@example(ratios=[0.0, 1.0], channel="reflected")
+@example(ratios=[5e-324, SUBNORMAL, 1.0 - 2.0**-53], channel="transmitted")
+@example(ratios=[5e-324, SUBNORMAL, 1.0 - 2.0**-53], channel="reflected")
+def test_duality_kernel_arrays_equal_the_scalar_calls_bit_for_bit(ratios, channel):
+    a = np.array(ratios)
+    result = visibility_closed(a, channel)
+    scalar = [visibility_closed(x, channel) for x in ratios]
+    assert bits(result.visibility) == bits([r.visibility for r in scalar])
+    assert bits(result.i_max) == bits([r.i_max for r in scalar])
+    assert bits(result.i_min) == bits([r.i_min for r in scalar])
+    d = [distinguishability_closed(x, channel) for x in ratios]
+    assert bits(distinguishability_closed(a, channel)) == bits(d)
+    assert bits(sin_pi(a)) == bits([sin_pi(x) for x in ratios])
+    assert bits(sinc_pi(a)) == bits([sinc_pi(x) for x in ratios])
+    columns = complementarity_sweep(a, channel)
+    assert len(columns) == len(ratios)
+    dualities = [r.visibility * r.visibility + d_x * d_x for r, d_x in zip(scalar, d)]
+    assert bits(columns.duality) == bits(dualities)
+
+
+@pytest.mark.parametrize("channel", ["transmitted", "reflected"])
+def test_duality_kernel_equals_the_scalar_calls_on_a_dense_draw(channel):
+    # hypothesis favours short, simple floats; the squares where pow and
+    # w*w round apart are about 0.1 % of uniform draws, so look at many
+    ratios = np.random.default_rng(3).random(20000).tolist()
+    columns = complementarity_sweep(ratios, channel)
+    scalar = []
+    for x in ratios:
+        v = visibility_closed(x, channel).visibility
+        d = distinguishability_closed(x, channel)
+        scalar.append((v, d, v * v + d * d))
+    v, d, duality = zip(*scalar)
+    assert bits(columns.visibility) == bits(v)
+    assert bits(columns.distinguishability) == bits(d)
+    assert bits(columns.duality) == bits(duality)
+
+
+@given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=16))
+@example(us=[0.0, -0.0, 0.5, -0.5, 1.0, 1.5, 2.0, -3.0, 5e-324, -5e-324])
+def test_sin_pi_and_sinc_pi_arrays_equal_the_scalar_calls_bit_for_bit(us):
+    u = np.array(us)
+    assert bits(sin_pi(u)) == bits([sin_pi(x) for x in us])
+    assert bits(sinc_pi(u)) == bits([sinc_pi(x) for x in us])
 
 
 @pytest.mark.parametrize("module", [None, *MODULES])
