@@ -44,9 +44,9 @@ EXIT_IO = 3
 PATTERN_SAMPLES = 401  # over two periods each side of the axis
 
 # Largest accepted requests.  At these caps the slowest request (verify with
-# 1e6 quadrature points) takes about 13 s on a 2-core x86-64 VM, and the
-# largest (coeffs at 1e5 terms, whose profile is a dense 401 x N matrix)
-# peaks at about 0.66 GB resident.
+# 1e6 quadrature points) takes about 13 s on a 2-core x86-64 VM, and coeffs
+# at 1e5 terms, whose 401 x N profile is evaluated in blocks of rows, peaks
+# at about 62 MB resident.
 MAX_POINTS = 1_000_000
 MAX_ORDER = 100_000
 

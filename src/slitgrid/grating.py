@@ -144,21 +144,71 @@ def fourier_coefficient(n: int, cover_ratio: float) -> float:
     return float(-2.0 * _harmonics(cover_ratio, n))
 
 
+# An array of positions is evaluated in row blocks of about this many bytes
+# of cosines, each a multiple of _ROW_ALIGN rows (see _block_rows).
+_BLOCK_BYTES = 8 << 20
+_ROW_ALIGN = 16
+
+
+def _block_rows(terms: int) -> int:
+    """Rows of one profile block: a multiple of ``_ROW_ALIGN`` within ``_BLOCK_BYTES``.
+
+    Never fewer than ``_ROW_ALIGN`` rows, so beyond 65536 terms a block
+    outgrows the budget.
+    """
+    return max(_ROW_ALIGN, _BLOCK_BYTES // (8 * terms) // _ROW_ALIGN * _ROW_ALIGN)
+
+
+def _cosines(x, n, scale: float, out=None):
+    """``cos(scale * outer(x, n))``, computed in place in ``out`` (or a new array)."""
+    angles = np.multiply.outer(x, n, out=out)
+    angles *= scale
+    return np.cos(angles, out=angles)
+
+
 def grid_function(x, spec: GratingSpec):
     """Truncated series value of the strip profile at position ``x``.
 
     Converges (as the truncation grows) to 1 on the strips and 0 on the
     gaps, with the usual overshoot of a truncated discontinuous series
-    near the strip edges.  Accepts scalar or array ``x``.
+    near the strip edges.  Accepts scalar or array ``x``; an array keeps
+    its shape.
+
+    An array is flattened, evaluated in blocks of rows of about 8 MiB of
+    cosines and reshaped, so the memory beyond the result does not grow
+    with ``len(x)``.  Each row gets the bits of the dense formula
+    ``c0 + cos(2*pi/period * outer(x, n)) @ c`` on the flattened ``x``:
+    the blocks run the same ufuncs and the same BLAS gemv, and gemv takes
+    each row through the same kernel as in one dense call.  Its main loop
+    takes rows in groups, while trailing rows and one-row matrices each
+    take another path, so every block but the last is a multiple of 16
+    rows and a remainder shorter than 16 rows joins the last block.  An
+    input that fits one block is one gemv of the dense shape.  A 2-D ``x``
+    gets the bits of its flattened form, which may differ in the last bit
+    from a stacked matmul over its rows.
+
+    The bits depend on the BLAS thread count for large grids.  A
+    multi-threaded gemv splits the rows between threads at places that
+    depend on the matrix shape, so the dense formula already changes the
+    last bit of some rows with the thread count, and an input larger than
+    one block may differ from it in the last bit of a few rows.  Under one
+    BLAS thread every row equals the dense formula.
     """
     n = np.arange(1, spec.truncation + 1)
     coefficients = -2.0 * _harmonics(spec.cover_ratio, n)
+    scale = 2.0 * math.pi / spec.period
     arr = np.asarray(x, dtype=float)
-    angles = (2.0 * math.pi / spec.period) * np.multiply.outer(arr, n)
-    values = spec.cover_ratio + np.cos(angles) @ coefficients
     if arr.ndim == 0:
-        return float(values)
-    return values
+        return float(spec.cover_ratio + _cosines(arr, n, scale) @ coefficients)
+    flat = arr.reshape(-1)
+    rows = _block_rows(n.size)
+    last = max(flat.size - _ROW_ALIGN, 0) // rows * rows  # start of the last block
+    buffer = np.empty((max(flat.size - last, min(rows, flat.size)), n.size))
+    values = np.empty(flat.size)
+    for start in range(0, last + 1, rows):
+        stop = flat.size if start == last else start + rows
+        values[start:stop] = _cosines(flat[start:stop], n, scale, buffer[: stop - start]) @ coefficients
+    return (spec.cover_ratio + values).reshape(arr.shape)
 
 
 def reflection_amplitude(n: int, cover_ratio: float) -> float:

@@ -14,6 +14,7 @@ from slitgrid.cli import (
     format_number,
     main,
 )
+from slitgrid.grating import _BLOCK_BYTES
 from slitgrid.verify import run_verification
 
 
@@ -323,6 +324,18 @@ class TestBoundedRequests:
     def test_the_cap_itself_is_accepted(self, argv, field):
         config = cli._resolve(cli._build_parser().parse_args(argv))
         assert getattr(config, field) == int(argv[2])
+
+    def test_largest_profile_stays_within_the_block_budget(self, capsys):
+        # the profile is 401 x MAX_ORDER cosines: 320 MB evaluated at once
+        tracemalloc.start()
+        try:
+            code = run_cli("pattern", "--order", str(MAX_ORDER), "--out", "-")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        out = capsys.readouterr().out
+        assert peak < 3 * _BLOCK_BYTES + len(out)
 
     def test_caps_sit_far_above_the_reference_sizes(self):
         # the 100001-point reference sweep, verify's 4096 quadrature points

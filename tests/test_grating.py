@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from slitgrid.grating import (
+    _BLOCK_BYTES,
     AmplitudeTable,
     GratingSpec,
     fourier_coefficient,
@@ -127,6 +129,36 @@ class TestGridFunction:
         values = grid_function(xs, spec)
         assert values.shape == (3,)
         assert values[2] == grid_function(0.5, spec)
+
+    @pytest.mark.parametrize("shape, terms", [((3, 7), 50), ((40, 30), 2000)], ids=["one-block", "blocks"])
+    def test_array_keeps_its_shape_and_equals_the_flat_call(self, shape, terms):
+        spec = GratingSpec(cover_ratio=0.37, period=0.8, truncation=terms)
+        xs = np.random.default_rng(5).uniform(-2.0, 2.0, shape)
+        values = grid_function(xs, spec)
+        assert values.shape == shape
+        assert values.tobytes() == grid_function(xs.ravel(), spec).tobytes()
+
+    @pytest.mark.parametrize("shape", [(0,), (2, 0)], ids=["1-d", "2-d"])
+    def test_empty_array_gives_an_empty_array(self, shape):
+        values = grid_function(np.zeros(shape), GratingSpec(cover_ratio=0.3))
+        assert values.shape == shape and values.dtype == np.float64
+
+    def test_scalar_gives_a_float(self):
+        value = grid_function(0.5, GratingSpec(cover_ratio=0.06, truncation=50))
+        assert type(value) is float
+        assert value == pytest.approx(G50_CENTER_006, abs=1e-12)
+
+    def test_memory_stays_within_the_block_budget(self):
+        # a dense 20000 x 2000 evaluation would hold two 320 MB matrices
+        xs = np.random.default_rng(2).uniform(-3.0, 3.0, 20000)
+        spec = GratingSpec(cover_ratio=0.37, truncation=2000)
+        tracemalloc.start()
+        try:
+            values = grid_function(xs, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * _BLOCK_BYTES + values.nbytes
 
 
 class TestAmplitudes:

@@ -12,12 +12,19 @@ before the duality kernel took arrays.
 
 Bit-level pins (the verify report, and the array kernels equal to the
 scalar ``math``/``pow`` paths) depend on the numpy build and the CPU; CI
-prints both before running the tests.
+prints both before running the tests.  Large profiles also depend on the
+BLAS thread count, so the blocked ``grid_function`` is compared with the
+dense reference in a subprocess pinned to one BLAS thread, and CI runs the
+whole suite under that setting too.
 """
 
 import hashlib
 import importlib
+import inspect
+import json
 import math
+import os
+import subprocess
 import sys
 
 import numpy as np
@@ -33,6 +40,8 @@ from slitgrid.complementarity import (
     visibility_closed,
 )
 from slitgrid.grating import (
+    _ROW_ALIGN,
+    _block_rows,
     AmplitudeTable,
     GratingSpec,
     fourier_coefficient,
@@ -153,6 +162,72 @@ def test_grid_function_matches_the_dense_reference(a, truncation, period, xs):
         # once at r_n and the reference once at 2*r_n, so each coefficient
         # may differ in its last subnormal unit
         assert np.max(np.abs(got - want)) <= 2 * truncation * math.ulp(0.0)
+
+
+def block_edge_sizes(terms):
+    """Input lengths on either side of one and two profile blocks."""
+    rows = _block_rows(terms)
+    return sorted({1, 15, 16, 17, rows - 1, rows, rows + 1, 2 * rows - 1, 2 * rows + 1})
+
+
+# Every (terms, sizes) pair runs through grid_function and the dense
+# reference.  20000 positions at 2000 terms (the benchmark's large grid)
+# would take the reference 640 MB, so the many-block case there is
+# 5 * rows + 7; 100000 terms stays on at most 64 positions.
+BLOCK_CASES = [
+    (1, [*block_edge_sizes(1), 20000]),
+    (30, [*block_edge_sizes(30), 20000]),
+    (2000, [*block_edge_sizes(2000), 5 * _block_rows(2000) + 7]),
+    (2521, [*block_edge_sizes(2521), 5 * _block_rows(2521) + 7]),
+    (100000, [*block_edge_sizes(100000), 64]),
+]
+
+BLOCK_CHECK = """
+import json, math, sys
+import numpy as np
+from slitgrid.grating import GratingSpec, grid_function, sin_pi
+
+{seed}
+
+rng = np.random.default_rng(11)
+mismatches = []
+for terms, sizes in json.loads(sys.argv[1]):
+    for size in sizes:
+        a, period = rng.uniform(0.0, 1.0), rng.uniform(0.1, 10.0)
+        x = rng.uniform(-5.0, 5.0, size)
+        got = grid_function(x, GratingSpec(cover_ratio=a, period=period, truncation=terms))
+        if got.tobytes() != seed_grid_function(x, a, terms, period).tobytes():
+            mismatches.append([terms, size])
+print(json.dumps(mismatches))
+"""
+
+
+def test_blocked_grid_function_equals_the_dense_reference_under_one_blas_thread():
+    # one BLAS thread, as in the benchmark: a multi-threaded gemv splits
+    # rows between threads by matrix shape, so blocking may move last bits
+    source = BLOCK_CHECK.format(seed=inspect.getsource(seed_grid_function))
+    src = os.path.dirname(os.path.dirname(slitgrid.__file__))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", source, json.dumps(BLOCK_CASES)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert json.loads(run.stdout) == []
+
+
+@pytest.mark.parametrize("terms", [1, 30, 2000, 2521, 100000])
+def test_input_fitting_one_block_equals_the_dense_reference(terms):
+    # one block is one dense-shaped gemv, whatever the BLAS thread count
+    rng = np.random.default_rng(terms)
+    for size in sorted({1, 17, 401, _block_rows(terms) + _ROW_ALIGN - 1}):
+        if size * terms > 5_000_000:
+            continue
+        assert size < _block_rows(terms) + _ROW_ALIGN
+        a, period = rng.uniform(0.0, 1.0), rng.uniform(0.1, 10.0)
+        x = rng.uniform(-5.0, 5.0, size)
+        got = grid_function(x, GratingSpec(cover_ratio=a, period=period, truncation=terms))
+        assert bits(got) == bits(seed_grid_function(x, a, terms, period)), size
 
 
 SUBNORMAL = 2.2250738585072014e-308 / 3.0
