@@ -18,12 +18,9 @@ from .complementarity import (
 )
 from .geometry import (
     GratingGeometry,
-    OrderWaveVector,
     ParaxialWarning,
     SetupGeometry,
     derive_grating_geometry,
-    max_propagating_order,
-    order_wavevector,
 )
 from .grating import (
     CHANNELS,
@@ -62,7 +59,6 @@ __all__ = [
     "GratingGeometry",
     "GratingSpec",
     "OrderSpectrum",
-    "OrderWaveVector",
     "ParaxialWarning",
     "SetupGeometry",
     "SweepColumns",
@@ -76,9 +72,7 @@ __all__ = [
     "fourier_coefficient",
     "grid_function",
     "interference_intensity",
-    "max_propagating_order",
     "normalization_defect",
-    "order_wavevector",
     "reflection_amplitude",
     "run_verification",
     "single_slit_detector_signal",

@@ -32,7 +32,9 @@ from pathlib import Path
 import numpy as np
 
 from . import complementarity, scattering, verify
-from .grating import AmplitudeTable, GratingSpec, grid_function
+from .grating import (
+    DEFAULT_TRUNCATION, SPECTRUM_TRUNCATION, AmplitudeTable, GratingSpec, grid_function,
+)
 
 __all__ = ["main", "format_number"]
 
@@ -51,13 +53,12 @@ MAX_POINTS = 1_000_000
 MAX_ORDER = 100_000
 
 _CHANNEL_FLAGS = {"t": ("transmitted",), "r": ("reflected",), "both": ("transmitted", "reflected")}
-_CONFIG_KEYS = ("a", "order", "phase", "channel", "points", "out", "perturb")
 
 # the settings each command reads, with their defaults
 _DEFAULTS = {
-    "coeffs": {"a": 0.06, "order": 50, "phase": 0.0, "out": None},
-    "pattern": {"a": 0.06, "order": 50, "phase": 0.0, "out": None},
-    "orders": {"a": 0.06, "order": 30, "phase": 0.0, "channel": "both", "out": None},
+    "coeffs": {"a": 0.06, "order": DEFAULT_TRUNCATION, "phase": 0.0, "out": None},
+    "pattern": {"a": 0.06, "order": DEFAULT_TRUNCATION, "phase": 0.0, "out": None},
+    "orders": {"a": 0.06, "order": SPECTRUM_TRUNCATION, "phase": 0.0, "channel": "both", "out": None},
     "sweep": {"channel": "t", "points": 1001, "out": None},
     "verify": {"order": 2000, "points": 4096, "perturb": None},
 }
@@ -140,7 +141,7 @@ def _load_config_file(path: str) -> dict[str, str]:
         key, value = key.strip(), value.strip()
         if not sep or not key or not value:
             raise _UsageError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        if key not in _CONFIG_KEYS:
+        if not any(key in defaults for defaults in _DEFAULTS.values()):
             raise _UsageError(f"{path}:{lineno}: unknown key {key!r}")
         values[key] = value
     return values
@@ -199,7 +200,7 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
     )
 
 
-def _pattern_section(config: RunConfig) -> list[str]:
+def _cmd_pattern(config: RunConfig) -> list[str]:
     spec = GratingSpec(
         cover_ratio=config.cover_ratio, period=1.0, truncation=config.truncation
     )
@@ -230,12 +231,8 @@ def _cmd_coeffs(config: RunConfig) -> list[str]:
     for n, (c_n, r_n, t_n) in enumerate(zip(c, table.r, table.t)):
         lines.append(f"{n},{format_number(c_n)},{format_number(r_n)},{format_number(t_n)}")
     lines.append("")
-    lines.extend(_pattern_section(config))
+    lines.extend(_cmd_pattern(config))
     return lines
-
-
-def _cmd_pattern(config: RunConfig) -> list[str]:
-    return _pattern_section(config)
 
 
 def _cmd_orders(config: RunConfig) -> list[str]:

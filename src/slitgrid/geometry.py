@@ -1,10 +1,11 @@
-"""Interferometer geometry and diffraction-order wavevectors.
+"""Interferometer geometry: transverse wavenumber and matched grating period.
 
 The setup is treated in two dimensions: a double slit with spacing ``2*s``
 illuminated coherently, and a periodic strip grating at distance ``g``
 downstream.  In the small-angle regime the fringe spacing at the grating
 plane fixes the grating period, so the transverse wavenumber ``k_perp``
-and the period always multiply to pi.
+and the period always multiply to pi.  Order directions and the
+propagation cutoff are applied by :func:`slitgrid.scattering.synthesize_field`.
 
 All lengths are in one consistent unit chosen by the caller; nothing here
 converts units.  Every function is pure and every value immutable, so
@@ -22,10 +23,7 @@ __all__ = [
     "ParaxialWarning",
     "SetupGeometry",
     "GratingGeometry",
-    "OrderWaveVector",
     "derive_grating_geometry",
-    "order_wavevector",
-    "max_propagating_order",
 ]
 
 DEFAULT_PARAXIAL_BOUND = 0.1
@@ -90,21 +88,6 @@ class GratingGeometry:
     period: float
 
 
-@dataclass(frozen=True)
-class OrderWaveVector:
-    """Outgoing plane-wave direction for one diffraction order.
-
-    ``k_x**2 + k_z**2 == k**2`` whenever the order propagates; evanescent
-    orders (``|k_x| >= k``) are marked with ``propagating=False`` and carry
-    ``k_z = 0.0``.
-    """
-
-    order: int
-    k_x: float
-    k_z: float
-    propagating: bool
-
-
 def derive_grating_geometry(setup: SetupGeometry) -> GratingGeometry:
     """Compute ``k_perp = k*s/g`` and the matched period ``pi*g/(k*s)``.
 
@@ -123,31 +106,3 @@ def derive_grating_geometry(setup: SetupGeometry) -> GratingGeometry:
     k_perp = setup.k * setup.s / setup.g
     period = math.pi * setup.g / (setup.k * setup.s)
     return GratingGeometry(k_perp=k_perp, period=period)
-
-
-def order_wavevector(n: int, setup: SetupGeometry) -> OrderWaveVector:
-    """Wavevector components of diffraction order ``n``.
-
-    The transverse component is ``2*n*k_perp`` (the grating shifts the
-    incident wave in steps of twice ``k_perp``); the longitudinal
-    component follows from ``|k|`` being fixed.
-    """
-    geom = derive_grating_geometry(setup)
-    k_x = 2.0 * n * geom.k_perp
-    if abs(k_x) < setup.k:
-        k_z = math.sqrt(setup.k * setup.k - k_x * k_x)
-        return OrderWaveVector(order=n, k_x=k_x, k_z=k_z, propagating=True)
-    return OrderWaveVector(order=n, k_x=k_x, k_z=0.0, propagating=False)
-
-
-def max_propagating_order(setup: SetupGeometry) -> int:
-    """Largest ``n >= 0`` with ``2*n*k_perp`` strictly below ``k``.
-
-    Field synthesis sums orders up to this cutoff; the coefficient-space
-    probability calculations ignore it on purpose.
-    """
-    geom = derive_grating_geometry(setup)
-    n_max = int(math.floor(setup.k / (2.0 * geom.k_perp)))
-    while n_max > 0 and not (2.0 * n_max * geom.k_perp < setup.k):
-        n_max -= 1
-    return n_max

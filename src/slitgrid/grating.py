@@ -185,7 +185,10 @@ def grid_function(x, spec: GratingSpec):
     rows and a remainder shorter than 16 rows joins the last block.  An
     input that fits one block is one gemv of the dense shape.  A 2-D ``x``
     gets the bits of its flattened form, which may differ in the last bit
-    from a stacked matmul over its rows.
+    from a stacked matmul over its rows.  A scalar ``x`` is one dot
+    product, which BLAS rounds differently from a gemv row, so it may
+    differ in the last bit from the same ``x`` inside an array (the
+    README gives an example).
 
     The bits depend on the BLAS thread count for large grids.  A
     multi-threaded gemv splits the rows between threads at places that
@@ -255,10 +258,10 @@ def sampling_window(cover_ratio, channel: Channel) -> tuple:
 
 @dataclass(frozen=True, eq=False)
 class AmplitudeTable:
-    """Amplitudes r_0..r_N and t_0..t_N with symmetric (even) lookup.
+    """Amplitudes r_0..r_N and t_0..t_N of the non-negative orders.
 
-    Only non-negative orders are stored; ``reflection(-n) == reflection(n)``
-    holds by construction of the lookup.
+    Both families are even in the order, so only ``n >= 0`` is stored;
+    order ``n`` of either sign is entry ``abs(n)`` of ``r`` or ``t``.
     """
 
     cover_ratio: float
@@ -275,22 +278,6 @@ class AmplitudeTable:
         r.flags.writeable = False
         t.flags.writeable = False
         return cls(cover_ratio=float(cover_ratio), r=r, t=t)
-
-    @property
-    def truncation(self) -> int:
-        return len(self.r) - 1
-
-    def _index(self, n: int) -> int:
-        m = abs(int(n))
-        if m > self.truncation:
-            raise ValueError(f"order {n} beyond truncation {self.truncation}")
-        return m
-
-    def reflection(self, n: int) -> float:
-        return float(self.r[self._index(n)])
-
-    def transmission(self, n: int) -> float:
-        return float(self.t[self._index(n)])
 
     def amplitudes(self, channel: Channel) -> np.ndarray:
         """``t`` for the transmitted channel (window sign +1), ``r`` for the reflected one."""

@@ -2,16 +2,10 @@ import math
 import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from slitgrid.geometry import (
-    ParaxialWarning,
-    SetupGeometry,
-    derive_grating_geometry,
-    max_propagating_order,
-    order_wavevector,
-)
+from slitgrid.geometry import ParaxialWarning, SetupGeometry, derive_grating_geometry
 
 lengths = st.floats(min_value=1e-6, max_value=1e6, allow_nan=False, allow_infinity=False)
 paraxial_setups = st.builds(
@@ -57,64 +51,6 @@ def test_scaling_invariance(setup, factor):
     scaled = quiet_geometry(SetupGeometry(k=setup.k, s=setup.s * factor, g=setup.g * factor))
     assert scaled.k_perp == pytest.approx(geom.k_perp, rel=1e-12)
     assert scaled.period == pytest.approx(geom.period, rel=1e-12)
-
-
-def test_zeroth_order_travels_forward():
-    setup = SetupGeometry(k=3.7, s=0.01, g=1.0)
-    wv = order_wavevector(0, setup)
-    assert wv.k_x == 0.0
-    assert wv.k_z == setup.k
-    assert wv.propagating
-
-
-def test_tenth_order_components():
-    wv = order_wavevector(10, SetupGeometry(k=1.0, s=0.01, g=1.0))
-    assert wv.k_x == pytest.approx(0.2, rel=1e-15)
-    assert wv.k_z == pytest.approx(math.sqrt(0.96), rel=1e-15)
-    assert wv.propagating
-
-
-def test_cutoff_order_is_evanescent():
-    wv = order_wavevector(51, SetupGeometry(k=1.0, s=0.01, g=1.0))
-    assert wv.k_x == pytest.approx(1.02, rel=1e-15)
-    assert not wv.propagating
-    assert wv.k_z == 0.0
-
-
-@given(paraxial_setups, st.integers(min_value=-200, max_value=200))
-def test_transverse_odd_longitudinal_even(setup, n):
-    plus = order_wavevector(n, setup)
-    minus = order_wavevector(-n, setup)
-    assert minus.k_x == -plus.k_x
-    assert minus.k_z == plus.k_z
-    assert minus.propagating == plus.propagating
-
-
-@given(paraxial_setups, st.integers(min_value=-500, max_value=500))
-def test_propagating_orders_sit_on_the_k_circle(setup, n):
-    wv = order_wavevector(n, setup)
-    if wv.propagating:
-        assert wv.k_x**2 + wv.k_z**2 == pytest.approx(setup.k**2, rel=1e-12)
-    else:
-        assert abs(wv.k_x) >= setup.k
-
-
-@settings(max_examples=50)
-@given(
-    st.floats(min_value=1e-4, max_value=0.05),
-    st.floats(min_value=1.01, max_value=10.0),
-)
-def test_max_order_monotone_in_slit_ratio(ratio, widening):
-    narrow = SetupGeometry(k=1.0, s=ratio, g=1.0)
-    wide = SetupGeometry(k=1.0, s=min(ratio * widening, 0.09), g=1.0)
-    assert max_propagating_order(wide) <= max_propagating_order(narrow)
-
-
-@given(paraxial_setups)
-def test_max_order_is_the_exact_cutoff(setup):
-    n_max = max_propagating_order(setup)
-    assert order_wavevector(n_max, setup).propagating
-    assert not order_wavevector(n_max + 1, setup).propagating
 
 
 @pytest.mark.parametrize("bad", [{"k": 0.0}, {"k": -1.0}, {"s": 0.0}, {"g": -2.0}])

@@ -195,18 +195,6 @@ class TestAmplitudes:
         signs = [math.copysign(1.0, reflection_amplitude(n, 0.01)) for n in range(1, 51)]
         assert all(signs[i] == -signs[i + 1] for i in range(49))
 
-    def test_table_matches_scalar_functions(self):
-        table = AmplitudeTable.build(0.37, truncation=25)
-        for n in (0, 1, 7, 25):
-            assert table.reflection(n) == reflection_amplitude(n, 0.37)
-            assert table.transmission(n) == transmission_amplitude(n, 0.37)
-            assert table.reflection(-n) == table.reflection(n)
-
-    def test_table_rejects_orders_beyond_truncation(self):
-        table = AmplitudeTable.build(0.2, truncation=10)
-        with pytest.raises(ValueError):
-            table.reflection(11)
-
     def test_channel_families(self):
         table = AmplitudeTable.build(0.2, truncation=3)
         assert table.amplitudes("transmitted") is table.t

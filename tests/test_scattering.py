@@ -287,6 +287,29 @@ class TestFieldSynthesis:
         cut_table = synthesize_field(0.3, 2.0, GratingSpec(0.3, truncation=9), "transmitted", tight)
         assert wide_table == cut_table
 
+    @pytest.mark.filterwarnings("ignore::slitgrid.geometry.ParaxialWarning")
+    @pytest.mark.parametrize("side", ["transmitted", "reflected"])
+    @pytest.mark.parametrize("delta_phi", [0.0, 0.9])
+    def test_two_slit_bin_on_the_cutoff_is_dropped(self, side, delta_phi):
+        # k_perp = 0.2, so the bins n = 2 and n = -3 have |k_x| = 5 * 0.2 == k exactly
+        edge = SetupGeometry(k=1.0, s=0.2, g=1.0)
+
+        def field(truncation):
+            config = TwoSlitConfig(GratingSpec(0.3, truncation=truncation), delta_phi=delta_phi)
+            return synthesize_field(0.7, 1.3, config, side, edge)
+
+        assert field(3) == field(2)
+        assert field(30) == field(2)
+
+    @pytest.mark.parametrize("side", ["transmitted", "reflected"])
+    def test_single_slit_field_is_even_in_x(self, side):
+        spec = GratingSpec(0.3, truncation=50)
+        period = math.pi / 0.001
+        for u, z in ((0.13, 0.0), (0.5, 2.0), (1.2, -3.7)):
+            plus = synthesize_field(u * period, z, spec, side, self.setup)
+            minus = synthesize_field(-u * period, z, spec, side, self.setup)
+            assert abs(plus - minus) <= 1e-12
+
     def test_rejects_unknown_side(self):
         with pytest.raises(ValueError):
             synthesize_field(0.0, 0.0, GratingSpec(0.1), "both", self.setup)
