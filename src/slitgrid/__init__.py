@@ -27,11 +27,8 @@ from .grating import (
     AmplitudeTable,
     Channel,
     GratingSpec,
-    fourier_coefficient,
     grid_function,
     normalization_defect,
-    reflection_amplitude,
-    transmission_amplitude,
 )
 from .scattering import (
     DetectorSignal,
@@ -40,7 +37,6 @@ from .scattering import (
     detector_signal,
     interference_intensity,
     single_slit_detector_signal,
-    single_slit_power_limit,
     single_slit_spectrum,
     synthesize_field,
     two_slit_power_limit,
@@ -69,17 +65,13 @@ __all__ = [
     "detector_signal",
     "distinguishability_closed",
     "distinguishability_from_amplitudes",
-    "fourier_coefficient",
     "grid_function",
     "interference_intensity",
     "normalization_defect",
-    "reflection_amplitude",
     "run_verification",
     "single_slit_detector_signal",
-    "single_slit_power_limit",
     "single_slit_spectrum",
     "synthesize_field",
-    "transmission_amplitude",
     "two_slit_power_limit",
     "two_slit_spectrum",
     "visibility_closed",

@@ -60,7 +60,8 @@ _DEFAULTS = {
     "pattern": {"a": 0.06, "order": DEFAULT_TRUNCATION, "phase": 0.0, "out": None},
     "orders": {"a": 0.06, "order": SPECTRUM_TRUNCATION, "phase": 0.0, "channel": "both", "out": None},
     "sweep": {"channel": "t", "points": 1001, "out": None},
-    "verify": {"order": 2000, "points": 4096, "perturb": None},
+    "verify": {"order": verify.DEFAULT_TRUNCATION, "points": verify.DEFAULT_QUADRATURE_POINTS,
+               "perturb": None},
 }
 
 
@@ -131,7 +132,10 @@ def _build_parser() -> _Parser:
 
 
 def _load_config_file(path: str) -> dict[str, str]:
-    text = Path(path).read_text(encoding="utf-8")  # OSError maps to the I/O exit code
+    try:
+        text = Path(path).read_text(encoding="utf-8")  # OSError maps to the I/O exit code
+    except UnicodeDecodeError as exc:
+        raise _UsageError(f"{path}: {exc}") from None
     values: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -214,7 +218,7 @@ def _cmd_pattern(config: RunConfig) -> list[str]:
     # fringe zeros/maxima landing on representable positions
     positions = (np.arange(PATTERN_SAMPLES) - 200) / 100.0
     profile = grid_function(positions, spec)
-    fringe = scattering.interference_intensity(positions, config.delta_phi, 1.0)
+    fringe = scattering.interference_intensity(positions, config.delta_phi)
     for u, g, i in zip(positions, profile, fringe):
         lines.append(f"{format_number(u)},{format_number(g)},{format_number(i)}")
     return lines

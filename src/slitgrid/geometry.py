@@ -19,14 +19,17 @@ import warnings
 from dataclasses import dataclass
 
 __all__ = [
-    "DEFAULT_PARAXIAL_BOUND",
+    "PARAXIAL_BOUND",
     "ParaxialWarning",
     "SetupGeometry",
     "GratingGeometry",
     "derive_grating_geometry",
 ]
 
-DEFAULT_PARAXIAL_BOUND = 0.1
+# Largest s/g accepted without a ParaxialWarning.  The amplitude algebra
+# does not depend on it; it only flags setups where plane-wave,
+# small-angle formulas start to lose meaning.
+PARAXIAL_BOUND = 0.1
 
 
 class ParaxialWarning(UserWarning):
@@ -45,25 +48,17 @@ class SetupGeometry:
         Slit half-separation; the slit spacing is ``2*s``.
     g : float
         Distance from the double slit to the grating plane.
-    paraxial_bound : float, optional
-        Largest ``s/g`` accepted without a diagnostic warning.  The
-        amplitude algebra downstream does not depend on this bound; it
-        only flags setups where plane-wave, small-angle formulas start
-        to lose meaning.
     """
 
     k: float
     s: float
     g: float
-    paraxial_bound: float = DEFAULT_PARAXIAL_BOUND
 
     def __post_init__(self) -> None:
         for name in ("k", "s", "g"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
-        if not (math.isfinite(self.paraxial_bound) and self.paraxial_bound > 0.0):
-            raise ValueError(f"paraxial_bound must be positive, got {self.paraxial_bound!r}")
 
     @property
     def slit_ratio(self) -> float:
@@ -72,7 +67,7 @@ class SetupGeometry:
 
     @property
     def paraxial_ok(self) -> bool:
-        return self.slit_ratio <= self.paraxial_bound
+        return self.slit_ratio <= PARAXIAL_BOUND
 
 
 @dataclass(frozen=True)
@@ -91,15 +86,15 @@ class GratingGeometry:
 def derive_grating_geometry(setup: SetupGeometry) -> GratingGeometry:
     """Compute ``k_perp = k*s/g`` and the matched period ``pi*g/(k*s)``.
 
-    Emits a :class:`ParaxialWarning` (non-fatal) when ``s/g`` exceeds the
-    configured bound; that also covers the breakdown case ``k_perp >= k``
+    Emits a :class:`ParaxialWarning` (non-fatal) when ``s/g`` exceeds
+    ``PARAXIAL_BOUND``; that also covers the breakdown case ``k_perp >= k``
     (possible only for ``s >= g``), where the tilted incident waves would
     stop propagating.
     """
     if not setup.paraxial_ok:
         warnings.warn(
             f"s/g = {setup.slit_ratio:.4g} exceeds the paraxial bound "
-            f"{setup.paraxial_bound:.4g}; small-angle formulas degrade",
+            f"{PARAXIAL_BOUND:.4g}; small-angle formulas degrade",
             ParaxialWarning,
             stacklevel=2,
         )

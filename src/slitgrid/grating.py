@@ -11,9 +11,9 @@ with ``c0 = cover_ratio`` and ``c_n = 2*(-1)**n * sin(cover_ratio*pi*n)/(pi*n)``
 Reflection picks up a pi phase jump, so ``r_0 = -c0`` and ``r_n = -c_n/2``;
 transmission follows as ``t_0 = 1 + r_0`` and ``t_n = r_n`` for ``n >= 1``.
 The harmonics ``r_n`` are evaluated in one place, :func:`_harmonics`, which
-the table and the scalar lookups share; ``c_n = -2*r_n`` is read from it.
-Both families are even in the order index, which the lookup helpers apply
-structurally.  Everything here is a pure function of its inputs.
+:meth:`AmplitudeTable.build` and :func:`grid_function` share; ``c_n = -2*r_n``
+is read from it.  Both families are even in the order index, so the table
+stores only ``n >= 0``.  Everything here is a pure function of its inputs.
 """
 
 from __future__ import annotations
@@ -33,10 +33,7 @@ __all__ = [
     "AmplitudeTable",
     "sin_pi",
     "sinc_pi",
-    "fourier_coefficient",
     "grid_function",
-    "reflection_amplitude",
-    "transmission_amplitude",
     "sampling_window",
     "normalization_defect",
 ]
@@ -121,27 +118,10 @@ class GratingSpec:
         _check_truncation(self.truncation)
 
 
-def _harmonics(cover_ratio: float, n):
-    """``r_n = t_n = (-1)**(n+1) * sin(cover_ratio*pi*n)/(pi*n)`` for integer ``n >= 1``.
-
-    ``n`` is one order or an integer array of them.
-    """
+def _harmonics(cover_ratio: float, n: np.ndarray) -> np.ndarray:
+    """``r_n = t_n = (-1)**(n+1) * sin(cover_ratio*pi*n)/(pi*n)`` for an array of orders ``n >= 1``."""
     sign = 2.0 * (n % 2) - 1.0  # (-1)**(n+1)
     return sign * sin_pi(cover_ratio * n) / (math.pi * n)
-
-
-def fourier_coefficient(n: int, cover_ratio: float) -> float:
-    """Cosine-series coefficient ``c_n`` of the strip profile.
-
-    ``c_0 = cover_ratio``; for ``n >= 1``,
-    ``c_n = -2*r_n = 2*(-1)**n * sin(cover_ratio*pi*n)/(pi*n)``.
-    """
-    _check_cover_ratio(cover_ratio)
-    if not (isinstance(n, (int, np.integer)) and n >= 0):
-        raise ValueError(f"coefficient index must be a non-negative integer, got {n!r}")
-    if n == 0:
-        return float(cover_ratio)
-    return float(-2.0 * _harmonics(cover_ratio, n))
 
 
 # An array of positions is evaluated in row blocks of about this many bytes
@@ -212,28 +192,6 @@ def grid_function(x, spec: GratingSpec):
         stop = flat.size if start == last else start + rows
         values[start:stop] = _cosines(flat[start:stop], n, scale, buffer[: stop - start]) @ coefficients
     return (spec.cover_ratio + values).reshape(arr.shape)
-
-
-def reflection_amplitude(n: int, cover_ratio: float) -> float:
-    """Reflection amplitude ``r_n``; even in ``n``.
-
-    ``r_0 = -cover_ratio`` (the pi phase jump on reflection makes it
-    negative); ``r_n = (-1)**(n+1) * sin(cover_ratio*pi*n)/(pi*n)``.
-    """
-    _check_cover_ratio(cover_ratio)
-    m = abs(int(n))
-    if m == 0:
-        return -float(cover_ratio)
-    return _harmonics(cover_ratio, m)
-
-
-def transmission_amplitude(n: int, cover_ratio: float) -> float:
-    """Transmission amplitude ``t_n``: ``t_0 = 1 - cover_ratio``, else ``r_n``."""
-    _check_cover_ratio(cover_ratio)
-    m = abs(int(n))
-    if m == 0:
-        return 1.0 - float(cover_ratio)
-    return _harmonics(cover_ratio, m)
 
 
 def sampling_window(cover_ratio, channel: Channel) -> tuple:

@@ -40,7 +40,6 @@ __all__ = [
     "two_slit_spectrum",
     "detector_signal",
     "single_slit_detector_signal",
-    "single_slit_power_limit",
     "two_slit_power_limit",
     "synthesize_field",
 ]
@@ -119,18 +118,15 @@ class DetectorSignal:
         return self.p_d1 + self.p_d2 + self.p_loss
 
 
-def interference_intensity(x, delta_phi: float = 0.0, period: float = 1.0):
-    """Two-slit fringe intensity ``cos(pi*x/period + delta_phi)**2``.
+def interference_intensity(x, delta_phi: float = 0.0):
+    """Two-slit fringe intensity ``cos(pi*x + delta_phi)**2``, ``x`` in grating periods.
 
     Evaluated through the double-angle form so the zeros at half-period
     offsets come out exactly 0.0 (and the maxima exactly 1.0).  Accepts
     scalar or array ``x``; ``delta_phi`` must be finite.
     """
     _check_phase(delta_phi)
-    if not (math.isfinite(period) and period > 0.0):
-        raise ValueError(f"period must be positive, got {period!r}")
-    arr = np.asarray(x, dtype=float) / period
-    values = 0.5 * (1.0 + np.cos(2.0 * (np.pi * arr + delta_phi)))
+    values = 0.5 * (1.0 + np.cos(2.0 * (np.pi * np.asarray(x, dtype=float) + delta_phi)))
     if np.ndim(x) == 0:
         return float(values)
     return values
@@ -197,23 +193,11 @@ def single_slit_detector_signal(spec: GratingSpec) -> DetectorSignal:
     The zeroth order goes to the slit's own detector; the first order
     points at the other detector (one side only), everything else is loss.
     """
-    table = AmplitudeTable.build(spec.cover_ratio, spec.truncation)
-    probs = _mirrored(table.t) ** 2
-    p_d1 = float(table.t[0] ** 2)
-    p_d2 = float(table.t[1] ** 2)
-    p_loss = max(0.0, float(np.sum(probs)) - p_d1 - p_d2)
+    spectrum = single_slit_spectrum(spec, "transmitted")
+    p_d1 = spectrum.probability(0)
+    p_d2 = spectrum.probability(1)
+    p_loss = max(0.0, spectrum.total() - p_d1 - p_d2)
     return DetectorSignal(p_d1=p_d1, p_d2=p_d2, p_loss=p_loss)
-
-
-def single_slit_power_limit(cover_ratio: float, channel: Channel) -> float:
-    """Untruncated channel total with one slit open: the geometric split.
-
-    Transmitted power tends to the open fraction ``1 - cover_ratio``,
-    reflected power to the covered fraction ``cover_ratio``: the width of
-    the channel's sampling window.
-    """
-    width, _ = sampling_window(cover_ratio, channel)
-    return width
 
 
 def two_slit_power_limit(cover_ratio: float, channel: Channel, delta_phi: float = 0.0) -> float:

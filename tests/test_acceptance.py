@@ -22,11 +22,8 @@ from slitgrid.complementarity import (
 from slitgrid.grating import (
     AmplitudeTable,
     GratingSpec,
-    fourier_coefficient,
     grid_function,
     normalization_defect,
-    reflection_amplitude,
-    transmission_amplitude,
 )
 from slitgrid.scattering import (
     TwoSlitConfig,
@@ -97,9 +94,9 @@ def test_criterion_3_normalization():
     worst_defect = 0.0
     worst_identity = 0.0
     for a in A_GRID_101:
-        worst_defect = max(worst_defect, abs(normalization_defect(AmplitudeTable.build(a, 2000))))
-        r0 = reflection_amplitude(0, a)
-        t0 = transmission_amplitude(0, a)
+        table = AmplitudeTable.build(a, 2000)
+        worst_defect = max(worst_defect, abs(normalization_defect(table)))
+        r0, t0 = table.r[0], table.t[0]
         worst_identity = max(worst_identity, abs(r0**2 + t0**2 + 2.0 * (a - a * a) - 1.0))
     assert worst_defect <= tail_bound
     assert worst_identity <= 1e-14
@@ -167,9 +164,9 @@ def test_criterion_8_degenerate_endpoints():
         spec = GratingSpec(cover_ratio=a, truncation=30)
         table = AmplitudeTable.build(a, 30)
         values = [
-            fourier_coefficient(2, a),
-            reflection_amplitude(1, a),
-            transmission_amplitude(1, a),
+            -2.0 * table.r[2],
+            table.r[1],
+            table.t[1],
             grid_function(0.3, spec),
             normalization_defect(table),
         ]

@@ -211,6 +211,14 @@ class TestConfigFile:
         config.write_text("a = tiny\n")
         assert run_cli("pattern", "--config", str(config)) == EXIT_USAGE
 
+    def test_non_utf8_config_is_a_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_bytes(b"a=0.\xff\n")
+        assert run_cli("coeffs", "--config", str(config)) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {config}: ")
+
 
 class TestExitCodes:
     def test_unknown_command(self, capsys):
@@ -363,7 +371,7 @@ class TestBoundedRequests:
 
 class TestVerifySuite:
     def test_all_checks_pass(self):
-        results = run_verification(truncation=400, grid=21, sweep=101, points=512)
+        results = run_verification(truncation=400, points=512)
         assert all(result.passed for result in results)
         names = [result.name for result in results]
         assert names == [
@@ -382,13 +390,11 @@ class TestVerifySuite:
 
     @pytest.mark.parametrize("perturb", ["r0", "r1", "t0", "t1"])
     def test_each_perturbation_trips_the_suite(self, perturb):
-        results = run_verification(
-            perturb=perturb, truncation=400, grid=21, sweep=101, points=512
-        )
+        results = run_verification(perturb=perturb, truncation=400, points=512)
         assert any(not result.passed for result in results)
 
     def test_report_fields_carry_the_measurement(self):
-        results = run_verification(truncation=400, grid=11, sweep=51, points=512)
+        results = run_verification(truncation=400, points=512)
         for result in results:
             assert result.name and result.detail
             assert math.isfinite(result.value)

@@ -10,14 +10,11 @@ from slitgrid.grating import (
     _BLOCK_BYTES,
     AmplitudeTable,
     GratingSpec,
-    fourier_coefficient,
     grid_function,
     normalization_defect,
-    reflection_amplitude,
     sampling_window,
     sin_pi,
     sinc_pi,
-    transmission_amplitude,
 )
 
 # Reference values computed once with a 30-digit arbitrary-precision
@@ -32,13 +29,22 @@ G50_ZERO_006 = -0.000601661529935158
 cover_ratios = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
 
+def brute_coefficient(n, cover_ratio):
+    """``c_n`` for ``n >= 1`` by the plain defining formula, with ``math.sin``."""
+    return 2.0 * (-1.0) ** n * math.sin(cover_ratio * math.pi * n) / (math.pi * n)
+
+
 def brute_series(x, cover_ratio, terms, period=1.0):
     """Plain-loop partial sum, independent of the vectorized library path."""
     total = cover_ratio
     for n in range(1, terms + 1):
-        c = 2.0 * (-1.0) ** n * math.sin(cover_ratio * math.pi * n) / (math.pi * n)
-        total += c * math.cos(2.0 * math.pi * x * n / period)
+        total += brute_coefficient(n, cover_ratio) * math.cos(2.0 * math.pi * x * n / period)
     return total
+
+
+def coefficients(cover_ratio, truncation):
+    """``c_1..c_N`` read from the amplitude table as ``-2*r_n``."""
+    return -2.0 * AmplitudeTable.build(cover_ratio, truncation).r[1:]
 
 
 def simpson(f, lo, hi, n=4096):
@@ -71,13 +77,15 @@ class TestSinPi:
 
 class TestFourierCoefficient:
     def test_mean_value_is_cover_ratio(self):
-        assert fourier_coefficient(0, 0.06) == 0.06
+        # 100 samples of a period average every harmonic below the 100th to zero
+        profile = grid_function(np.arange(100) / 100.0, GratingSpec(0.06, truncation=50))
+        assert profile.mean() == pytest.approx(0.06, abs=1e-14)
 
     def test_empty_grating_has_no_harmonics(self):
-        assert fourier_coefficient(1, 0.0) == 0.0
+        assert np.all(coefficients(0.0, 10) == 0.0)
 
     def test_first_harmonic(self):
-        assert fourier_coefficient(1, 0.06) == pytest.approx(C1_006, rel=1e-12)
+        assert coefficients(0.06, 1)[0] == pytest.approx(C1_006, rel=1e-12)
 
     @pytest.mark.parametrize("a", [0.06, 0.3, 0.77])
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
@@ -87,16 +95,12 @@ class TestFourierCoefficient:
         integral = 2.0 * simpson(
             lambda x: np.cos(2.0 * math.pi * n * x), (1.0 - a) / 2.0, (1.0 + a) / 2.0, n=16384
         )
-        assert fourier_coefficient(n, a) == pytest.approx(integral, abs=1e-11)
+        assert coefficients(a, n)[n - 1] == pytest.approx(integral, abs=1e-11)
 
     @pytest.mark.parametrize("bad", [-0.1, 1.1, math.nan])
     def test_rejects_bad_cover_ratio(self, bad):
         with pytest.raises(ValueError):
-            fourier_coefficient(1, bad)
-
-    def test_rejects_negative_index(self):
-        with pytest.raises(ValueError):
-            fourier_coefficient(-1, 0.5)
+            AmplitudeTable.build(bad, 1)
 
 
 class TestGridFunction:
@@ -163,37 +167,34 @@ class TestGridFunction:
 
 class TestAmplitudes:
     def test_zeroth_order(self):
-        assert reflection_amplitude(0, 0.06) == -0.06
-        assert transmission_amplitude(0, 0.06) == pytest.approx(0.94, rel=1e-15)
-        assert transmission_amplitude(0, 1.0) == 0.0
+        assert AmplitudeTable.build(0.06, 1).r[0] == -0.06
+        assert AmplitudeTable.build(0.06, 1).t[0] == pytest.approx(0.94, rel=1e-15)
+        assert AmplitudeTable.build(1.0, 1).t[0] == 0.0
 
     def test_reference_values(self):
-        assert reflection_amplitude(1, 0.06) == pytest.approx(R1_006, rel=1e-12)
-        assert reflection_amplitude(2, 0.06) == pytest.approx(R2_006, rel=1e-12)
-        assert transmission_amplitude(3, 0.5) == pytest.approx(T3_05, rel=1e-12)
-        assert transmission_amplitude(3, 0.5) == pytest.approx(-1.0 / (3.0 * math.pi), rel=1e-14)
+        table = AmplitudeTable.build(0.06, 2)
+        assert table.r[1] == pytest.approx(R1_006, rel=1e-12)
+        assert table.r[2] == pytest.approx(R2_006, rel=1e-12)
+        t3 = AmplitudeTable.build(0.5, 3).t[3]
+        assert t3 == pytest.approx(T3_05, rel=1e-12)
+        assert t3 == pytest.approx(-1.0 / (3.0 * math.pi), rel=1e-14)
 
     def test_harmonics_are_half_the_coefficient(self):
+        table = AmplitudeTable.build(0.31, 7)
         for n in range(1, 8):
-            assert reflection_amplitude(n, 0.31) == pytest.approx(
-                -fourier_coefficient(n, 0.31) / 2.0, rel=1e-14
-            )
-
-    @given(cover_ratios, st.integers(min_value=-40, max_value=40))
-    def test_symmetric_in_the_order(self, a, n):
-        assert reflection_amplitude(-n, a) == reflection_amplitude(n, a)
-        assert transmission_amplitude(-n, a) == transmission_amplitude(n, a)
+            assert table.r[n] == pytest.approx(-brute_coefficient(n, 0.31) / 2.0, rel=1e-14)
+            assert table.t[n] == table.r[n]
 
     @given(cover_ratios, st.integers(min_value=1, max_value=60))
     def test_amplitude_bounds(self, a, n):
-        r = reflection_amplitude(n, a)
+        r = AmplitudeTable.build(a, n).r[n]
         assert abs(r) <= a + 1e-12
         assert abs(r) <= 1.0 / (math.pi * n) + 1e-15
 
     def test_alternating_signs_for_sparse_grating(self):
         # a < 1/N keeps sin(a*pi*n) positive for every tabulated n
-        signs = [math.copysign(1.0, reflection_amplitude(n, 0.01)) for n in range(1, 51)]
-        assert all(signs[i] == -signs[i + 1] for i in range(49))
+        signs = np.sign(AmplitudeTable.build(0.01, 50).r[1:])
+        assert np.all(signs[:-1] == -signs[1:])
 
     def test_channel_families(self):
         table = AmplitudeTable.build(0.2, truncation=3)
@@ -218,8 +219,8 @@ class TestSamplingWindow:
 class TestNormalization:
     @given(cover_ratios)
     def test_exact_power_identity(self, a):
-        r0 = reflection_amplitude(0, a)
-        t0 = transmission_amplitude(0, a)
+        table = AmplitudeTable.build(a, 1)
+        r0, t0 = table.r[0], table.t[0]
         assert abs(r0**2 + t0**2 + 2.0 * (a - a * a) - 1.0) <= 1e-14
 
     def test_degenerate_gratings_have_zero_defect(self):
@@ -229,9 +230,7 @@ class TestNormalization:
     def test_defect_matches_tail_identity(self):
         defect = normalization_defect(AmplitudeTable.build(0.06, 50))
         assert 0.0 < defect <= 4.0 / (math.pi**2 * 50)
-        tail = 2.0 * (0.06 - 0.06**2) - sum(
-            fourier_coefficient(n, 0.06) ** 2 for n in range(1, 51)
-        )
+        tail = 2.0 * (0.06 - 0.06**2) - sum(c**2 for c in coefficients(0.06, 50).tolist())
         assert defect == pytest.approx(tail, abs=1e-15)
 
     @given(cover_ratios, st.integers(min_value=1, max_value=300))
@@ -242,7 +241,7 @@ class TestNormalization:
 
     @given(cover_ratios)
     def test_parseval_partial_sum_bound(self, a):
-        coeffs_sq = sum(fourier_coefficient(n, a) ** 2 for n in range(1, 201))
+        coeffs_sq = sum(c**2 for c in coefficients(a, 200).tolist())
         assert coeffs_sq <= 2.0 * (a - a * a) + 1e-12
 
     @pytest.mark.parametrize("a", [0.06, 0.5])

@@ -1,5 +1,8 @@
 import re
+import shlex
 from pathlib import Path
+
+from slitgrid.cli import EXIT_OK, EXIT_VERIFY, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -11,3 +14,23 @@ def test_readme_python_example_runs(capsys):
     for block in blocks:
         exec(compile(block, str(README), "exec"), {})
     assert capsys.readouterr().out
+
+
+def test_readme_command_lines_run(tmp_path, capsys):
+    # a README command line that drifts from the CLI's flags or exit codes fails here
+    section = README.read_text(encoding="utf-8").split("\n## Command line\n", 1)[1]
+    block = re.search(r"^```sh\n(.*?)^```", section, re.M | re.S).group(1)
+    lines = [shlex.split(line, comments=True) for line in block.splitlines() if line.strip()]
+    assert all(words[0] == "slitgrid" for words in lines)
+    commands = [words[1:] for words in lines]
+    assert ["verify"] in commands and ["verify", "--perturb", "r0"] in commands
+    for argv in commands:
+        outputs = []
+        for i in range(1, len(argv)):
+            if argv[i - 1] == "--out":
+                argv[i] = str(tmp_path / argv[i])
+                outputs.append(Path(argv[i]))
+        expected = EXIT_VERIFY if "--perturb" in argv else EXIT_OK
+        assert main(argv) == expected, argv
+        assert all(path.stat().st_size for path in outputs), argv
+    capsys.readouterr()

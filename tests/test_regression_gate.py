@@ -42,14 +42,10 @@ from slitgrid.complementarity import (
 from slitgrid.grating import (
     _ROW_ALIGN,
     _block_rows,
-    AmplitudeTable,
     GratingSpec,
-    fourier_coefficient,
     grid_function,
-    reflection_amplitude,
     sin_pi,
     sinc_pi,
-    transmission_amplitude,
 )
 from slitgrid.verify import run_verification
 
@@ -125,22 +121,6 @@ def test_default_verify_report_is_unchanged(capsys):
 def test_each_perturbation_fails_its_checks(perturb):
     failed = {result.name for result in run_verification(perturb=perturb) if not result.passed}
     assert failed == PERTURBED_FAILURES[perturb]
-
-
-@given(
-    st.floats(min_value=0.0, max_value=1.0),
-    st.integers(min_value=1, max_value=2000),
-    st.data(),
-)
-def test_scalar_lookups_read_the_table_bit_for_bit(a, truncation, data):
-    table = AmplitudeTable.build(a, truncation)
-    n = data.draw(st.integers(min_value=0, max_value=truncation))
-    assert bits(reflection_amplitude(n, a)) == bits(table.r[n])
-    assert bits(transmission_amplitude(n, a)) == bits(table.t[n])
-    if n == 0:
-        assert fourier_coefficient(0, a) == a
-    else:
-        assert bits(fourier_coefficient(n, a)) == bits(-2.0 * table.r[n])
 
 
 @given(
