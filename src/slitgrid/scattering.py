@@ -22,6 +22,7 @@ detector one collects the ``m = +1/2`` bin and detector two the
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -106,7 +107,7 @@ class DetectorSignal:
     """Power reaching each slit-image detector plus everything else.
 
     ``p_loss`` is the power in all other diffraction orders; the three
-    parts sum to the channel's tabulated total exactly.
+    parts sum to the channel's tabulated total to within rounding.
     """
 
     p_d1: float
@@ -234,29 +235,68 @@ def synthesize_field(
 
     At ``z = 0`` the single-slit transmitted field reproduces
     ``1 - grid_function(x)`` up to the propagation cutoff.
+
+    The plane-wave decomposition (amplitudes, ``k_x`` and signed ``k_z`` of
+    the propagating orders) depends only on the configuration, so it is
+    memoised for the last 8 configurations: arrays of at most
+    ``8 * (4N + 2)`` complex128 values, ``N`` the largest truncation in
+    use.  The ``functools.lru_cache`` that holds them is thread-safe and
+    the arrays are read-only, so results can still be shared freely across
+    threads.  Each call still checks ``side`` and derives the geometry (one
+    :class:`ParaxialWarning` per call outside the small-angle regime), and
+    returns the same bits as rebuilding the decomposition every time.
     """
     spec = config.spec if isinstance(config, TwoSlitConfig) else config
-    _, z_sign = sampling_window(spec.cover_ratio, side)
+    sampling_window(spec.cover_ratio, side)  # rejects an unknown side before any warning
     geom = derive_grating_geometry(setup)
-    table = AmplitudeTable.build(spec.cover_ratio, spec.truncation)
-    full = _mirrored(table.amplitudes(side))
-
-    if isinstance(config, TwoSlitConfig):
-        # half-order bins: transverse (2n+1)*k_perp, amplitude mixing the
-        # adjacent orders of the two slits
-        n = np.arange(-spec.truncation, spec.truncation)
-        k_x = (2.0 * n + 1.0) * geom.k_perp
-        phase_2 = np.exp(1j * config.delta_phi)
-        amps = (full[:-1] + phase_2 * full[1:]) / math.sqrt(2.0)
-    else:
-        n = np.arange(-spec.truncation, spec.truncation + 1)
-        k_x = 2.0 * n * geom.k_perp
-        amps = full.astype(complex)
-
-    propagating = np.abs(k_x) < setup.k
-    k_x = k_x[propagating]
-    amps = amps[propagating]
-    k_z = np.sqrt(setup.k * setup.k - k_x * k_x)
-    phases = np.exp(1j * (z_sign * k_z * z + k_x * x))
+    amps, k_x, k_z = _plane_waves(
+        _hashable(spec.cover_ratio),
+        spec.truncation,
+        config.delta_phi if isinstance(config, TwoSlitConfig) else None,
+        side,
+        geom.k_perp,
+        _hashable(setup.k),
+    )
+    phases = np.exp(1j * (k_z * z + k_x * x))
     return complex(np.sum(amps * phases))
 
+
+def _hashable(value):
+    """A 0-d array as its numpy scalar, which every operation here treats alike."""
+    return value[()] if isinstance(value, np.ndarray) else value
+
+
+# typed: values that compare equal but differ in type get entries of their
+# own, since a float32 cover ratio or wavenumber rounds 1 - a or k*k in float32.
+# 0.0 and -0.0 share one: they differ only in the sign of r_0 = -a, and at
+# a = 0 every reflected amplitude is zero, a field that np.sum returns as +0j.
+@functools.lru_cache(maxsize=8, typed=True)
+def _plane_waves(cover_ratio, truncation, delta_phi, side, k_perp, k):
+    """``(amps, k_x, z_sign * k_z)`` of the propagating orders, read-only.
+
+    ``delta_phi`` is None for a single slit and the reduced slit phase for
+    two slits.
+    """
+    _, z_sign = sampling_window(cover_ratio, side)
+    table = AmplitudeTable.build(cover_ratio, truncation)
+    full = _mirrored(table.amplitudes(side))
+
+    if delta_phi is not None:
+        # half-order bins: transverse (2n+1)*k_perp, amplitude mixing the
+        # adjacent orders of the two slits
+        n = np.arange(-truncation, truncation)
+        k_x = (2.0 * n + 1.0) * k_perp
+        phase_2 = np.exp(1j * delta_phi)
+        amps = (full[:-1] + phase_2 * full[1:]) / math.sqrt(2.0)
+    else:
+        n = np.arange(-truncation, truncation + 1)
+        k_x = 2.0 * n * k_perp
+        amps = full.astype(complex)
+
+    propagating = np.abs(k_x) < k
+    k_x = k_x[propagating]
+    amps = amps[propagating]
+    k_z = z_sign * np.sqrt(k * k - k_x * k_x)
+    for array in (amps, k_x, k_z):
+        array.flags.writeable = False
+    return amps, k_x, k_z

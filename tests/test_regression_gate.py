@@ -8,7 +8,9 @@ trips fails here.  The digests equal ``REFERENCE_DIGESTS`` in
 ``perfbench/workloads.py``, copied so that the tests do not import the
 benchmark.  The digest of the 100001-point sweep on both channels, the
 reference size of the sweep, was recorded from the scalar sweep loop
-before the duality kernel took arrays.
+before the duality kernel took arrays.  The field digest was recorded
+before ``synthesize_field`` memoised its plane-wave decomposition, and
+``seed_synthesize_field`` keeps that formula as the bit-level reference.
 
 Bit-level pins (the verify report, and the array kernels equal to the
 scalar ``math``/``pow`` paths) depend on the numpy build and the CPU; CI
@@ -24,8 +26,10 @@ import inspect
 import json
 import math
 import os
+import random
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -39,14 +43,19 @@ from slitgrid.complementarity import (
     distinguishability_closed,
     visibility_closed,
 )
+from slitgrid.geometry import ParaxialWarning, SetupGeometry, derive_grating_geometry
 from slitgrid.grating import (
     _ROW_ALIGN,
+    CHANNELS,
+    AmplitudeTable,
     _block_rows,
     GratingSpec,
     grid_function,
+    sampling_window,
     sin_pi,
     sinc_pi,
 )
+from slitgrid.scattering import TwoSlitConfig, _mirrored, _plane_waves, synthesize_field
 from slitgrid.verify import run_verification
 
 REFERENCE_DIGESTS = {
@@ -83,6 +92,10 @@ PERTURBED_FAILURES = {
     "t1": set(AMPLITUDE_CHECKS),
 }
 
+# SHA-256 over the float.hex of synthesize_field on field_digest_cases(),
+# recorded before the plane-wave decomposition was memoised
+FIELD_DIGEST = "468ce6c89038dac08261bfbf4228deab912878f8fbb737870ba87239c7af7cd8"
+
 MODULES = ("complementarity", "geometry", "grating", "scattering", "verify", "cli")
 
 
@@ -97,6 +110,40 @@ def seed_grid_function(x, cover_ratio, truncation, period):
     c = 2.0 * signs * sin_pi(cover_ratio * n) / (math.pi * n)
     angles = (2.0 * math.pi / period) * np.multiply.outer(np.asarray(x, dtype=float), n)
     return float(cover_ratio) + np.cos(angles) @ c
+
+
+def seed_synthesize_field(x, z, config, side, setup):
+    """synthesize_field as it was before its decomposition was memoised, as the reference."""
+    spec = config.spec if isinstance(config, TwoSlitConfig) else config
+    _, z_sign = sampling_window(spec.cover_ratio, side)
+    geom = derive_grating_geometry(setup)
+    table = AmplitudeTable.build(spec.cover_ratio, spec.truncation)
+    full = _mirrored(table.amplitudes(side))
+    if isinstance(config, TwoSlitConfig):
+        n = np.arange(-spec.truncation, spec.truncation)
+        k_x = (2.0 * n + 1.0) * geom.k_perp
+        phase_2 = np.exp(1j * config.delta_phi)
+        amps = (full[:-1] + phase_2 * full[1:]) / math.sqrt(2.0)
+    else:
+        n = np.arange(-spec.truncation, spec.truncation + 1)
+        k_x = 2.0 * n * geom.k_perp
+        amps = full.astype(complex)
+    propagating = np.abs(k_x) < setup.k
+    k_x = k_x[propagating]
+    amps = amps[propagating]
+    k_z = np.sqrt(setup.k * setup.k - k_x * k_x)
+    phases = np.exp(1j * (z_sign * k_z * z + k_x * x))
+    return complex(np.sum(amps * phases))
+
+
+def field_bits(value: complex) -> tuple[str, str]:
+    """The exact bits of both parts; equal bits imply ``==`` on each part."""
+    return value.real.hex(), value.imag.hex()
+
+
+def field_config(cover_ratio, truncation, delta_phi):
+    spec = GratingSpec(cover_ratio, truncation=truncation)
+    return spec if delta_phi is None else TwoSlitConfig(spec, delta_phi)
 
 
 @pytest.mark.parametrize("argv", list(REFERENCE_DIGESTS), ids=lambda argv: argv[0])
@@ -261,6 +308,95 @@ def test_sin_pi_and_sinc_pi_arrays_equal_the_scalar_calls_bit_for_bit(us):
     u = np.array(us)
     assert bits(sin_pi(u)) == bits([sin_pi(x) for x in us])
     assert bits(sinc_pi(u)) == bits([sinc_pi(x) for x in us])
+
+
+@pytest.mark.filterwarnings("ignore::slitgrid.geometry.ParaxialWarning")
+@given(
+    st.floats(min_value=0.0, max_value=1.0),
+    st.integers(min_value=1, max_value=200),
+    st.one_of(st.none(), st.floats(min_value=-10.0, max_value=10.0)),
+    st.sampled_from(CHANNELS),
+    st.floats(min_value=0.5, max_value=2000.0),
+    st.floats(min_value=1e-4, max_value=1.5),  # s/g, paraxial up to past k_perp = k
+    st.lists(st.tuples(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0)), min_size=1, max_size=4),
+)
+@example(a=0.3, truncation=3, delta_phi=0.9, side="reflected", k=1.0, ratio=0.2, points=[(0.7, 1.3)])
+def test_synthesize_field_equals_the_unmemoised_formula_bit_for_bit(
+    a, truncation, delta_phi, side, k, ratio, points
+):
+    # delta_phi None is one slit; the first call fills a cleared cache, the
+    # rest (the same point again, then the other points) read it
+    config = field_config(a, truncation, delta_phi)
+    setup = SetupGeometry(k=k, s=ratio, g=1.0)
+    _plane_waves.cache_clear()
+    for x, z in [points[0], *points]:
+        want = seed_synthesize_field(x, z, config, side, setup)
+        assert field_bits(synthesize_field(x, z, config, side, setup)) == field_bits(want)
+
+
+# values that compare equal but differ in type or in the sign of zero, in
+# the order they are called; the phase exists only with both slits open.
+# A float32 cover ratio or wavenumber rounds 1 - a or k*k in float32.
+EQUAL_KEYS = [
+    ("cover_ratio", (0, 0.0, -0.0, 0), "cover 0, 0.0, -0.0"),
+    ("cover_ratio", (-0.0, 0.0, 0), "cover -0.0, 0.0, 0"),
+    ("cover_ratio", (0.3, np.float64(0.3), np.array(0.3)), "cover float, numpy"),
+    ("cover_ratio", (np.float32(0.1), float(np.float32(0.1)), np.array(0.1, np.float32)), "cover float32"),
+    ("cover_ratio", (1, 1.0), "cover 1, 1.0"),
+    ("truncation", (7, np.int64(7)), "truncation int, int64"),
+    ("delta_phi", (0, 2.0 * math.pi, 0.0), "phase 0, 2pi"),
+    ("k", (np.float32(1234.567), float(np.float32(1234.567)), np.array(1234.567, np.float32)), "k float32"),
+]
+
+
+@pytest.mark.filterwarnings("ignore::slitgrid.geometry.ParaxialWarning")
+@pytest.mark.parametrize(
+    "field, values, two_slit",
+    [
+        pytest.param(field, values, two_slit, id=f"{name}, {'two' if two_slit else 'one'} slit")
+        for field, values, name in EQUAL_KEYS
+        for two_slit in ((True,) if field == "delta_phi" else (False, True))
+    ],
+)
+@pytest.mark.parametrize("side", CHANNELS)
+@pytest.mark.parametrize("ratio", [0.005, 0.6], ids=["paraxial", "zeroth order only"])
+def test_equal_keys_of_another_type_or_zero_sign_keep_their_bits(field, values, two_slit, side, ratio):
+    # back to back, so each value after the first may read the entry of an
+    # equal one; at s/g = 0.6 a single slit passes only the zeroth order
+    _plane_waves.cache_clear()
+    for value in values:
+        settings = {"cover_ratio": 0.3, "truncation": 7, "delta_phi": 0.9 if two_slit else None, "k": 1000.0}
+        settings[field] = value
+        setup = SetupGeometry(k=settings.pop("k"), s=ratio, g=1.0)
+        config = field_config(**settings)
+        for x, z in ((0.0, 0.0), (0.1, -0.2), (-1.7, 3.1)):
+            want = seed_synthesize_field(x, z, config, side, setup)
+            assert field_bits(synthesize_field(x, z, config, side, setup)) == field_bits(want)
+
+
+def field_digest_cases():
+    """Seeded (x, z, config, side, setup) points: one and two slits, both sides,
+    truncations 1 to 200, paraxial and not, eight points per configuration."""
+    rng = random.Random(2005)
+    for two_slit in (False, True):
+        for side in CHANNELS:
+            for truncation in (1, 7, 30, 200):
+                for ratio in (0.005, 0.3):
+                    spec = GratingSpec(rng.uniform(0.0, 1.0), truncation=truncation)
+                    config = TwoSlitConfig(spec, rng.uniform(0.0, 7.0)) if two_slit else spec
+                    setup = SetupGeometry(k=rng.uniform(1.0, 2000.0), s=ratio, g=1.0)
+                    for _ in range(8):
+                        yield rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0), config, side, setup
+
+
+def test_field_digest_is_unchanged():
+    digest = hashlib.sha256()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ParaxialWarning)
+        for case in field_digest_cases():
+            real, imag = field_bits(synthesize_field(*case))
+            digest.update(f"{real} {imag}\n".encode())
+    assert digest.hexdigest() == FIELD_DIGEST
 
 
 @pytest.mark.parametrize("module", [None, *MODULES])

@@ -1,14 +1,23 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from slitgrid.geometry import SetupGeometry
-from slitgrid.grating import AmplitudeTable, GratingSpec, grid_function, sampling_window, sin_pi
+from slitgrid.geometry import ParaxialWarning, SetupGeometry
+from slitgrid.grating import (
+    CHANNELS,
+    AmplitudeTable,
+    GratingSpec,
+    grid_function,
+    sampling_window,
+    sin_pi,
+)
 from slitgrid.scattering import (
+    _plane_waves,
     OrderSpectrum,
     TwoSlitConfig,
     detector_signal,
@@ -194,6 +203,19 @@ class TestDetectorSignals:
         assert signal.p_d2 == signal.p_d1
         assert signal.total == pytest.approx(spectrum.total(), abs=1e-15)
 
+    @given(
+        cover_ratios,
+        phases,
+        st.integers(min_value=1, max_value=200),
+        st.sampled_from(CHANNELS),
+    )
+    def test_parts_sum_to_the_tabulated_total_within_rounding(self, a, dphi, truncation, channel):
+        # p_loss is total - p_d1 - p_d2 rounded, so adding the parts back
+        # need not give the total exactly
+        spectrum = two_slit_spectrum(TwoSlitConfig(GratingSpec(a, truncation=truncation), dphi), channel)
+        signal = detector_signal(spectrum)
+        assert abs(signal.total - spectrum.total()) <= 4.0 * math.ulp(spectrum.total())
+
     def test_rejects_single_slit_spectra(self):
         with pytest.raises(ValueError):
             detector_signal(single_slit_spectrum(GratingSpec(0.06, truncation=10), "transmitted"))
@@ -300,3 +322,36 @@ class TestFieldSynthesis:
     def test_rejects_unknown_side(self):
         with pytest.raises(ValueError):
             synthesize_field(0.0, 0.0, GratingSpec(0.1), "both", self.setup)
+
+
+class TestFieldSynthesisPerCall:
+    """The memoised decomposition leaves warnings and validation to each call."""
+
+    wide = SetupGeometry(k=1.0, s=0.3, g=1.0)  # s/g above the paraxial bound
+    spec = GratingSpec(0.3, truncation=10)
+
+    def test_each_call_on_a_warm_cache_warns_once(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for x in (0.0, 0.1, 0.2, 0.3):
+                synthesize_field(x, 1.0, self.spec, "transmitted", self.wide)
+        assert [w.category for w in caught] == [ParaxialWarning] * 4
+
+    def test_unknown_side_after_a_valid_call_raises_before_any_warning(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            synthesize_field(0.1, 1.0, self.spec, "transmitted", self.wide)
+            before = _plane_waves.cache_info()
+            with pytest.raises(ValueError):
+                synthesize_field(0.1, 1.0, self.spec, "both", self.wide)
+        assert len(caught) == 1
+        assert _plane_waves.cache_info() == before  # nothing looked up, nothing stored
+
+    @pytest.mark.parametrize("delta_phi", [None, 0.9])
+    def test_cached_arrays_are_read_only(self, delta_phi):
+        arrays = _plane_waves(0.3, 10, delta_phi, "reflected", 0.01, 1.0)  # k_perp, k
+        assert len(arrays) == 3
+        for array in arrays:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.0
