@@ -48,6 +48,9 @@ class SetupGeometry:
         Slit half-separation; the slit spacing is ``2*s``.
     g : float
         Distance from the double slit to the grating plane.
+
+    All three are stored as Python floats, so a float32 value is widened
+    before ``k*k`` or ``k*s/g`` round in float32.
     """
 
     k: float
@@ -59,6 +62,7 @@ class SetupGeometry:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
+            object.__setattr__(self, name, float(value))
 
     @property
     def slit_ratio(self) -> float:

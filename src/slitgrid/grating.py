@@ -19,6 +19,8 @@ stores only ``n >= 0``.  Everything here is a pure function of its inputs.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import Literal
 
@@ -104,7 +106,9 @@ class GratingSpec:
     """Strip grating: covering ratio, period, and series truncation order.
 
     ``cover_ratio = 0`` is no grating at all, ``cover_ratio = 1`` a full
-    mirror; both degenerate cases are accepted.
+    mirror; both degenerate cases are accepted.  The cover ratio and the
+    period are stored as Python floats, so a float32 value is widened
+    before any arithmetic rounds in float32.
     """
 
     cover_ratio: float
@@ -116,6 +120,8 @@ class GratingSpec:
         if not (math.isfinite(self.period) and self.period > 0.0):
             raise ValueError(f"period must be positive, got {self.period!r}")
         _check_truncation(self.truncation)
+        object.__setattr__(self, "cover_ratio", float(self.cover_ratio))
+        object.__setattr__(self, "period", float(self.period))
 
 
 def _harmonics(cover_ratio: float, n: np.ndarray) -> np.ndarray:
@@ -125,9 +131,11 @@ def _harmonics(cover_ratio: float, n: np.ndarray) -> np.ndarray:
 
 
 # An array of positions is evaluated in row blocks of about this many bytes
-# of cosines, each a multiple of _ROW_ALIGN rows (see _block_rows).
+# of cosines, each a multiple of _ROW_ALIGN rows (see _block_rows).  An
+# input larger than one block is split between _WORKERS threads.
 _BLOCK_BYTES = 8 << 20
 _ROW_ALIGN = 16
+_WORKERS = 2
 
 
 def _block_rows(terms: int) -> int:
@@ -139,11 +147,62 @@ def _block_rows(terms: int) -> int:
     return max(_ROW_ALIGN, _BLOCK_BYTES // (8 * terms) // _ROW_ALIGN * _ROW_ALIGN)
 
 
+def _row_blocks(size: int, rows: int) -> list:
+    """``(start, stop)`` of blocks of ``rows`` rows; a remainder under ``_ROW_ALIGN`` rows joins the last."""
+    last = max(size - _ROW_ALIGN, 0) // rows * rows
+    return [(start, size if start == last else start + rows) for start in range(0, last + 1, rows)]
+
+
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _cosines(x, n, scale: float, out=None):
     """``cos(scale * outer(x, n))``, computed in place in ``out`` (or a new array)."""
     angles = np.multiply.outer(x, n, out=out)
     angles *= scale
     return np.cos(angles, out=angles)
+
+
+def _fill(values, x, n, scale: float, coefficients, blocks, failed=()) -> None:
+    """``values[i] = cos(scale * x[i] * n) @ coefficients``, one gemv per block in one buffer.
+
+    Stops before the next block once ``failed`` is non-empty.
+    """
+    buffer = np.empty((max(stop - start for start, stop in blocks), n.size))
+    for start, stop in blocks:
+        if failed:
+            return
+        values[start:stop] = _cosines(x[start:stop], n, scale, buffer[: stop - start]) @ coefficients
+
+
+def _fill_split(values, x, n, scale: float, coefficients, blocks, workers: int) -> None:
+    """:func:`_fill` with the blocks dealt out in turn to ``workers`` threads, the caller one of them.
+
+    The first error stops every worker before its next block and is
+    raised once all of them have returned.
+    """
+    failed: list = []
+
+    def work(share):
+        try:
+            _fill(values, x, n, scale, coefficients, share, failed)
+        except BaseException as error:
+            failed.append(error)
+
+    threads = [threading.Thread(target=work, args=(blocks[i::workers],)) for i in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    try:
+        work(blocks[::workers])
+    finally:
+        for thread in threads:
+            thread.join()
+    if failed:
+        raise failed[0]
 
 
 def grid_function(x, spec: GratingSpec):
@@ -154,28 +213,40 @@ def grid_function(x, spec: GratingSpec):
     near the strip edges.  Accepts scalar or array ``x``; an array keeps
     its shape.
 
-    An array is flattened, evaluated in blocks of rows of about 8 MiB of
-    cosines and reshaped, so the memory beyond the result does not grow
-    with ``len(x)``.  Each row gets the bits of the dense formula
+    An array is flattened, evaluated in blocks of rows and reshaped, with
+    at most about 8 MiB of cosines in flight, so the memory beyond the
+    result does not grow with ``len(x)``.  An input that fits one block of
+    8 MiB is one gemv of the dense shape on the calling thread.  A larger
+    one is cut into blocks of half that size, which two threads (the
+    caller and one helper) take in turn, each with its own buffer; numpy's
+    ``cos`` and BLAS release the GIL, so two blocks run on two cores at
+    once.  With fewer than 16 rows to a half block (beyond 32768 terms),
+    or in a process that may run on only one CPU, the full-size blocks run
+    one after another on the calling thread.
+
+    Each row gets the bits of the dense formula
     ``c0 + cos(2*pi/period * outer(x, n)) @ c`` on the flattened ``x``:
     the blocks run the same ufuncs and the same BLAS gemv, and gemv takes
     each row through the same kernel as in one dense call.  Its main loop
     takes rows in groups, while trailing rows and one-row matrices each
     take another path, so every block but the last is a multiple of 16
-    rows and a remainder shorter than 16 rows joins the last block.  An
-    input that fits one block is one gemv of the dense shape.  A 2-D ``x``
-    gets the bits of its flattened form, which may differ in the last bit
-    from a stacked matmul over its rows.  A scalar ``x`` is one dot
-    product, which BLAS rounds differently from a gemv row, so it may
-    differ in the last bit from the same ``x`` inside an array (the
-    README gives an example).
+    rows and a remainder shorter than 16 rows joins the last block.  Which
+    rows form a block depends only on the input's size, the number of
+    terms and the CPU count, never on timing.  A 2-D ``x`` gets the bits
+    of its flattened form, which may differ in the last bit from a stacked
+    matmul over its rows.  A scalar ``x`` is one dot product, which BLAS
+    rounds differently from a gemv row, so it may differ in the last bit
+    from the same ``x`` inside an array (the README gives an example).
 
     The bits depend on the BLAS thread count for large grids.  A
     multi-threaded gemv splits the rows between threads at places that
     depend on the matrix shape, so the dense formula already changes the
     last bit of some rows with the thread count, and an input larger than
-    one block may differ from it in the last bit of a few rows.  Under one
-    BLAS thread every row equals the dense formula.
+    one block may differ from it, and between one CPU and several, in the
+    last bit of a few rows.  Under one BLAS thread every row equals the
+    dense formula, whatever the CPU count.  A multi-threaded OpenBLAS
+    already keeps the second core busy, so there the two threads gain
+    about nothing (and lose nothing measurable).
     """
     n = np.arange(1, spec.truncation + 1)
     coefficients = -2.0 * _harmonics(spec.cover_ratio, n)
@@ -184,13 +255,14 @@ def grid_function(x, spec: GratingSpec):
     if arr.ndim == 0:
         return float(spec.cover_ratio + _cosines(arr, n, scale) @ coefficients)
     flat = arr.reshape(-1)
-    rows = _block_rows(n.size)
-    last = max(flat.size - _ROW_ALIGN, 0) // rows * rows  # start of the last block
-    buffer = np.empty((max(flat.size - last, min(rows, flat.size)), n.size))
     values = np.empty(flat.size)
-    for start in range(0, last + 1, rows):
-        stop = flat.size if start == last else start + rows
-        values[start:stop] = _cosines(flat[start:stop], n, scale, buffer[: stop - start]) @ coefficients
+    rows = _block_rows(n.size)
+    half = rows // 2 // _ROW_ALIGN * _ROW_ALIGN
+    workers = min(_WORKERS, _cpu_count())
+    if flat.size < rows + _ROW_ALIGN or half < _ROW_ALIGN or workers < 2:
+        _fill(values, flat, n, scale, coefficients, _row_blocks(flat.size, rows))
+    else:
+        _fill_split(values, flat, n, scale, coefficients, _row_blocks(flat.size, half), workers)
     return (spec.cover_ratio + values).reshape(arr.shape)
 
 
@@ -228,14 +300,16 @@ class AmplitudeTable:
 
     @classmethod
     def build(cls, cover_ratio: float, truncation: int = DEFAULT_TRUNCATION) -> "AmplitudeTable":
+        """The table at ``cover_ratio``, widened to a Python float first (``1 - a`` rounds in float64)."""
         _check_cover_ratio(cover_ratio)
         _check_truncation(truncation)
+        cover_ratio = float(cover_ratio)
         harmonics = _harmonics(cover_ratio, np.arange(1, truncation + 1))
         r = np.concatenate(([-cover_ratio], harmonics))
         t = np.concatenate(([1.0 - cover_ratio], harmonics))
         r.flags.writeable = False
         t.flags.writeable = False
-        return cls(cover_ratio=float(cover_ratio), r=r, t=t)
+        return cls(cover_ratio=cover_ratio, r=r, t=t)
 
     def amplitudes(self, channel: Channel) -> np.ndarray:
         """``t`` for the transmitted channel (window sign +1), ``r`` for the reflected one."""

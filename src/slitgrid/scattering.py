@@ -56,7 +56,8 @@ class TwoSlitConfig:
     """Both slits open, equal illumination, relative phase ``delta_phi``.
 
     ``delta_phi = 0`` puts the grating strips on the interference minima
-    (the intended operating point); the phase is reduced to [0, 2*pi).
+    (the intended operating point); the phase is widened to a Python float
+    and reduced to [0, 2*pi).
     """
 
     spec: GratingSpec
@@ -64,7 +65,7 @@ class TwoSlitConfig:
 
     def __post_init__(self) -> None:
         _check_phase(self.delta_phi)
-        object.__setattr__(self, "delta_phi", self.delta_phi % math.tau)
+        object.__setattr__(self, "delta_phi", float(self.delta_phi) % math.tau)
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,27 +251,22 @@ def synthesize_field(
     sampling_window(spec.cover_ratio, side)  # rejects an unknown side before any warning
     geom = derive_grating_geometry(setup)
     amps, k_x, k_z = _plane_waves(
-        _hashable(spec.cover_ratio),
+        spec.cover_ratio,
         spec.truncation,
         config.delta_phi if isinstance(config, TwoSlitConfig) else None,
         side,
         geom.k_perp,
-        _hashable(setup.k),
+        setup.k,
     )
     phases = np.exp(1j * (k_z * z + k_x * x))
     return complex(np.sum(amps * phases))
 
 
-def _hashable(value):
-    """A 0-d array as its numpy scalar, which every operation here treats alike."""
-    return value[()] if isinstance(value, np.ndarray) else value
-
-
-# typed: values that compare equal but differ in type get entries of their
-# own, since a float32 cover ratio or wavenumber rounds 1 - a or k*k in float32.
-# 0.0 and -0.0 share one: they differ only in the sign of r_0 = -a, and at
-# a = 0 every reflected amplitude is zero, a field that np.sum returns as +0j.
-@functools.lru_cache(maxsize=8, typed=True)
+# The configuration classes store every real number as a Python float, so
+# keys that compare equal compute alike and share an entry.  So do 0.0 and
+# -0.0: they differ only in the sign of r_0 = -a, and at a = 0 every
+# reflected amplitude is zero, a field that np.sum returns as +0j.
+@functools.lru_cache(maxsize=8)
 def _plane_waves(cover_ratio, truncation, delta_phi, side, k_perp, k):
     """``(amps, k_x, z_sign * k_z)`` of the propagating orders, read-only.
 

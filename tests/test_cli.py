@@ -1,9 +1,11 @@
+import itertools
 import math
+import threading
 import tracemalloc
 
 import pytest
 
-from slitgrid import cli, complementarity
+from slitgrid import cli, complementarity, grating
 from slitgrid.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -364,6 +366,26 @@ class TestBoundedRequests:
 
         monkeypatch.setattr(owner, name, exhausted)
         assert run_cli(*argv, "--out", "-") == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: out of memory")
+
+    def test_memory_error_in_a_split_profile_is_a_usage_error(self, monkeypatch, capsys):
+        # at 20000 terms the 401 profile rows split into 16-row blocks that
+        # two threads take in turn; the third block runs out of memory
+        calls = itertools.count(1)
+        cosines = grating._cosines
+
+        def exhausted_on_the_third(*args, **kwargs):
+            if next(calls) == 3:
+                raise MemoryError
+            return cosines(*args, **kwargs)
+
+        monkeypatch.setattr(grating, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(grating, "_cosines", exhausted_on_the_third)
+        before = threading.active_count()
+        assert run_cli("pattern", "--order", "20000", "--out", "-") == EXIT_USAGE
+        assert threading.active_count() == before
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: out of memory")

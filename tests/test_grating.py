@@ -1,4 +1,7 @@
 import math
+import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -6,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from slitgrid import grating
 from slitgrid.grating import (
     _BLOCK_BYTES,
     AmplitudeTable,
@@ -163,6 +167,116 @@ class TestGridFunction:
         finally:
             tracemalloc.stop()
         assert peak < 3 * _BLOCK_BYTES + values.nbytes
+
+    def test_a_split_call_keeps_one_block_of_cosines_in_flight(self, monkeypatch):
+        # two threads, each with a buffer of half a block
+        monkeypatch.setattr(grating, "_cpu_count", lambda: 2)
+        xs = np.random.default_rng(2).uniform(-3.0, 3.0, 20000)
+        values, peak = traced_peak(grid_function, xs, GratingSpec(cover_ratio=0.37, truncation=2000))
+        assert peak <= _BLOCK_BYTES + values.nbytes + (1 << 20)
+
+    def test_the_serial_fallback_keeps_one_buffer(self, monkeypatch):
+        # beyond 32768 terms a half block would be under 16 rows: one
+        # 16-row buffer (12.8 MB), plus the orders and the coefficients
+        monkeypatch.setattr(grating, "_cpu_count", lambda: 2)
+        terms = 100000
+        xs = np.random.default_rng(2).uniform(-3.0, 3.0, 64)
+        _, peak = traced_peak(grid_function, xs, GratingSpec(cover_ratio=0.37, truncation=terms))
+        assert peak <= (16 + 2) * terms * 8 + (1 << 20)
+
+
+def traced_peak(function, *args):
+    """``(result, peak traced bytes)`` of one call."""
+    tracemalloc.start()
+    try:
+        result = function(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def log_blocks(monkeypatch, failing_start=None):
+    """Log ``(thread, start, stop)`` of each block; the block at ``failing_start`` raises MemoryError.
+
+    The positions must be ``0, 1, 2, ...``, so that a block's first
+    position is its first row.
+    """
+    log = []
+    cosines = grating._cosines
+
+    def logged(x, *args, **kwargs):
+        start = int(x[0])
+        log.append((threading.get_ident(), start, start + len(x)))
+        if start == failing_start:
+            raise MemoryError
+        return cosines(x, *args, **kwargs)
+
+    monkeypatch.setattr(grating, "_cosines", logged)
+    return log
+
+
+class TestSplitBlocks:
+    spec = GratingSpec(cover_ratio=0.37, truncation=2000)
+
+    @pytest.mark.parametrize("terms, half", [(2000, 256), (2521, 192)])
+    def test_two_threads_take_half_size_blocks_in_turn(self, terms, half, monkeypatch):
+        # 2500 rows (field-map's grid): half a block rounded down to a
+        # multiple of 16 rows (a block is 512 rows at 2000 terms, 400 at
+        # 2521), the last block 196 rows; the caller takes the even ones
+        monkeypatch.setattr(grating, "_cpu_count", lambda: 2)
+        log = log_blocks(monkeypatch)
+        grid_function(np.arange(2500.0), GratingSpec(cover_ratio=0.37, truncation=terms))
+        caller = threading.get_ident()
+        blocks = [(start, start + half) for start in range(0, 2304, half)] + [(2304, 2500)]
+        assert [(start, stop) for thread, start, stop in log if thread == caller] == blocks[::2]
+        helper = [entry for entry in log if entry[0] != caller]
+        assert len({thread for thread, _, _ in helper}) == 1
+        assert [(start, stop) for _, start, stop in helper] == blocks[1::2]
+
+    @pytest.mark.parametrize(
+        "cpus, workers, size, terms",
+        [(1, 2, 2500, 2000), (2, 1, 2500, 2000), (2, 2, 527, 2000), (2, 2, 64, 100000)],
+        ids=["one CPU", "one worker", "one block", "half block under 16 rows"],
+    )
+    def test_full_size_blocks_run_on_the_calling_thread(self, cpus, workers, size, terms, monkeypatch):
+        monkeypatch.setattr(grating, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(grating, "_WORKERS", workers)
+        log = log_blocks(monkeypatch)
+        grid_function(np.arange(float(size)), GratingSpec(cover_ratio=0.37, truncation=terms))
+        assert {thread for thread, _, _ in log} == {threading.get_ident()}
+        assert [(start, stop) for _, start, stop in log] == grating._row_blocks(size, grating._block_rows(terms))
+
+    @pytest.mark.parametrize("failing", [1, 2], ids=["the helper's first block", "the third block"])
+    def test_an_error_stops_both_workers_and_is_raised(self, failing, monkeypatch):
+        monkeypatch.setattr(grating, "_cpu_count", lambda: 2)
+        log = log_blocks(monkeypatch, failing_start=256 * failing)
+        before = threading.active_count()
+        with pytest.raises(MemoryError):
+            grid_function(np.arange(20000.0), self.spec)
+        assert threading.active_count() == before
+        # each worker stops before its next block: far fewer than 79 blocks ran
+        assert len(log) < 20
+
+    def test_more_workers_than_cores_under_fast_switching_fill_every_row(self, monkeypatch):
+        # ten blocks dealt to four threads that switch every few microseconds;
+        # a skipped or doubled block would leave np.empty's garbage or move
+        # rows.  Under a multi-threaded BLAS the last bits may differ.
+        monkeypatch.setattr(grating, "_cpu_count", lambda: 4)
+        xs = np.random.default_rng(7).uniform(-3.0, 3.0, 2500)
+        monkeypatch.setattr(grating, "_WORKERS", 1)
+        want = grid_function(xs, self.spec)
+        monkeypatch.setattr(grating, "_WORKERS", 4)
+        before, interval = threading.active_count(), sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                assert np.max(np.abs(grid_function(xs, self.spec) - want)) <= 1e-12
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == before
+
+    def test_the_cpus_are_those_the_process_may_run_on(self):
+        assert 1 <= grating._cpu_count() <= (os.cpu_count() or 1)
 
 
 class TestAmplitudes:

@@ -16,8 +16,9 @@ Bit-level pins (the verify report, and the array kernels equal to the
 scalar ``math``/``pow`` paths) depend on the numpy build and the CPU; CI
 prints both before running the tests.  Large profiles also depend on the
 BLAS thread count, so the blocked ``grid_function`` is compared with the
-dense reference in a subprocess pinned to one BLAS thread, and CI runs the
-whole suite under that setting too.
+dense reference in a subprocess pinned to one BLAS thread, with its blocks
+split between two threads and on one, and CI runs the whole suite under
+that setting too.
 """
 
 import hashlib
@@ -49,6 +50,7 @@ from slitgrid.grating import (
     CHANNELS,
     AmplitudeTable,
     _block_rows,
+    _row_blocks,
     GratingSpec,
     grid_function,
     sampling_window,
@@ -197,36 +199,64 @@ def block_edge_sizes(terms):
     return sorted({1, 15, 16, 17, rows - 1, rows, rows + 1, 2 * rows - 1, 2 * rows + 1})
 
 
-# Every (terms, sizes) pair runs through grid_function and the dense
-# reference.  20000 positions at 2000 terms (the benchmark's large grid)
-# would take the reference 640 MB, so the many-block case there is
-# 5 * rows + 7; 100000 terms stays on at most 64 positions.
+def half_rows(terms):
+    """Rows of the half-size blocks an input larger than one block is split into."""
+    return _block_rows(terms) // 2 // _ROW_ALIGN * _ROW_ALIGN
+
+
+def split_sizes(terms):
+    """Input lengths that split into 3, 4, 5 and 7 half-size blocks.
+
+    The first is the smallest input that splits, a block and 16 rows: two
+    half blocks and at least 16 rows more, so no input splits into 2.
+    """
+    rows, half = _block_rows(terms), half_rows(terms)
+    return [rows + _ROW_ALIGN, 4 * half, 5 * half + _ROW_ALIGN - 1, 7 * half + 3]
+
+
+# Every (terms, sizes) pair runs through grid_function, split between two
+# threads and on one, and through the dense reference.  20000 positions at
+# 2000 terms (the benchmark's large grid) would take the reference 640 MB,
+# so the many-block cases there are 2500 rows (the benchmark's other grid)
+# and 5 * rows + 7; 100000 terms stays on at most 64 positions.
 BLOCK_CASES = [
     (1, [*block_edge_sizes(1), 20000]),
-    (30, [*block_edge_sizes(30), 20000]),
-    (2000, [*block_edge_sizes(2000), 5 * _block_rows(2000) + 7]),
-    (2521, [*block_edge_sizes(2521), 5 * _block_rows(2521) + 7]),
+    (30, [*block_edge_sizes(30), *split_sizes(30), 20000]),
+    (2000, [*block_edge_sizes(2000), *split_sizes(2000), 2500, 5 * _block_rows(2000) + 7]),
+    (2521, [*block_edge_sizes(2521), *split_sizes(2521), 5 * _block_rows(2521) + 7]),
     (100000, [*block_edge_sizes(100000), 64]),
 ]
 
+# each input split between two threads, whatever the CPU count, and on one
 BLOCK_CHECK = """
 import json, math, sys
 import numpy as np
+from slitgrid import grating
 from slitgrid.grating import GratingSpec, grid_function, sin_pi
 
 {seed}
 
+grating._cpu_count = lambda: 2
 rng = np.random.default_rng(11)
 mismatches = []
 for terms, sizes in json.loads(sys.argv[1]):
     for size in sizes:
         a, period = rng.uniform(0.0, 1.0), rng.uniform(0.1, 10.0)
         x = rng.uniform(-5.0, 5.0, size)
-        got = grid_function(x, GratingSpec(cover_ratio=a, period=period, truncation=terms))
-        if got.tobytes() != seed_grid_function(x, a, terms, period).tobytes():
-            mismatches.append([terms, size])
+        spec = GratingSpec(cover_ratio=a, period=period, truncation=terms)
+        want = seed_grid_function(x, a, terms, period).tobytes()
+        for workers in (2, 1):
+            grating._WORKERS = workers
+            if grid_function(x, spec).tobytes() != want:
+                mismatches.append([terms, size, workers])
 print(json.dumps(mismatches))
 """
+
+
+def test_split_sizes_split_into_the_block_counts_they_claim():
+    for terms in (30, 2000, 2521):
+        assert [len(_row_blocks(size, half_rows(terms))) for size in split_sizes(terms)] == [3, 4, 5, 7]
+    assert len(_row_blocks(2500, half_rows(2000))) == 10
 
 
 def test_blocked_grid_function_equals_the_dense_reference_under_one_blas_thread():
@@ -336,7 +366,8 @@ def test_synthesize_field_equals_the_unmemoised_formula_bit_for_bit(
 
 # values that compare equal but differ in type or in the sign of zero, in
 # the order they are called; the phase exists only with both slits open.
-# A float32 cover ratio or wavenumber rounds 1 - a or k*k in float32.
+# The configuration classes widen float32 values to float64, so a float32
+# cover ratio or wavenumber no longer rounds 1 - a or k*k in float32.
 EQUAL_KEYS = [
     ("cover_ratio", (0, 0.0, -0.0, 0), "cover 0, 0.0, -0.0"),
     ("cover_ratio", (-0.0, 0.0, 0), "cover -0.0, 0.0, 0"),
@@ -372,6 +403,25 @@ def test_equal_keys_of_another_type_or_zero_sign_keep_their_bits(field, values, 
         for x, z in ((0.0, 0.0), (0.1, -0.2), (-1.7, 3.1)):
             want = seed_synthesize_field(x, z, config, side, setup)
             assert field_bits(synthesize_field(x, z, config, side, setup)) == field_bits(want)
+
+
+def test_float32_inputs_are_widened_to_float64():
+    # one float32 value of each configuration class: stored as the float
+    # it equals, so nothing rounds in float32 afterwards
+    a, k, phase = np.float32(0.1), np.float32(1234.567), np.float32(0.9)
+    spec = GratingSpec(a, period=np.float32(0.7))
+    setup = SetupGeometry(k=k, s=np.float32(0.005), g=np.float32(1.0))
+    config = TwoSlitConfig(spec, phase)
+    values = (spec.cover_ratio, spec.period, setup.k, setup.s, setup.g, config.delta_phi)
+    assert [type(value) for value in values] == [float] * 6
+    assert AmplitudeTable.build(a, 3).t[0] == 1.0 - float(a) == 0.8999999985098839
+    # with k rounding k*k in float32 this was -0x1.3aa8f127bcbe3p-2, a
+    # relative error of 7.5e-6; now the bits of k = float(k)
+    spec = GratingSpec(0.3, truncation=7)
+    field = synthesize_field(0.1, 0.2, spec, "transmitted", SetupGeometry(k=k, s=0.005, g=1.0))
+    assert field.real.hex() == "-0x1.3aa855d6d5924p-2"
+    wide = SetupGeometry(k=float(k), s=0.005, g=1.0)
+    assert field_bits(field) == field_bits(seed_synthesize_field(0.1, 0.2, spec, "transmitted", wide))
 
 
 def field_digest_cases():
