@@ -48,7 +48,7 @@ PATTERN_SAMPLES = 401  # over two periods each side of the axis
 # Largest accepted requests.  At these caps the slowest request (verify with
 # 1e6 quadrature points) takes about 13 s on a 2-core x86-64 VM, and coeffs
 # at 1e5 terms, whose 401 x N profile is evaluated in blocks of rows (on one
-# thread: a half block would be under 16 rows), takes 1.1-1.5 s and peaks
+# thread: a half block would be under 16 rows), takes 1.2-1.5 s and peaks
 # at about 62 MB resident.
 MAX_POINTS = 1_000_000
 MAX_ORDER = 100_000

@@ -19,7 +19,6 @@ stores only ``n >= 0``.  Everything here is a pure function of its inputs.
 from __future__ import annotations
 
 import math
-import os
 import threading
 from dataclasses import dataclass
 from typing import Literal
@@ -132,10 +131,9 @@ def _harmonics(cover_ratio: float, n: np.ndarray) -> np.ndarray:
 
 # An array of positions is evaluated in row blocks of about this many bytes
 # of cosines, each a multiple of _ROW_ALIGN rows (see _block_rows).  An
-# input larger than one block is split between _WORKERS threads.
+# input larger than one block is split between two threads.
 _BLOCK_BYTES = 8 << 20
 _ROW_ALIGN = 16
-_WORKERS = 2
 
 
 def _block_rows(terms: int) -> int:
@@ -151,13 +149,6 @@ def _row_blocks(size: int, rows: int) -> list:
     """``(start, stop)`` of blocks of ``rows`` rows; a remainder under ``_ROW_ALIGN`` rows joins the last."""
     last = max(size - _ROW_ALIGN, 0) // rows * rows
     return [(start, size if start == last else start + rows) for start in range(0, last + 1, rows)]
-
-
-def _cpu_count() -> int:
-    """The number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _cosines(x, n, scale: float, out=None):
@@ -179,11 +170,11 @@ def _fill(values, x, n, scale: float, coefficients, blocks, failed=()) -> None:
         values[start:stop] = _cosines(x[start:stop], n, scale, buffer[: stop - start]) @ coefficients
 
 
-def _fill_split(values, x, n, scale: float, coefficients, blocks, workers: int) -> None:
-    """:func:`_fill` with the blocks dealt out in turn to ``workers`` threads, the caller one of them.
+def _fill_split(values, x, n, scale: float, coefficients, blocks) -> None:
+    """:func:`_fill` with the blocks dealt out in turn to the caller and one helper thread.
 
-    The first error stops every worker before its next block and is
-    raised once all of them have returned.
+    The first error stops both before their next block and is raised once
+    the helper has returned.
     """
     failed: list = []
 
@@ -193,14 +184,12 @@ def _fill_split(values, x, n, scale: float, coefficients, blocks, workers: int) 
         except BaseException as error:
             failed.append(error)
 
-    threads = [threading.Thread(target=work, args=(blocks[i::workers],)) for i in range(1, workers)]
-    for thread in threads:
-        thread.start()
+    helper = threading.Thread(target=work, args=(blocks[1::2],))
+    helper.start()
     try:
-        work(blocks[::workers])
+        work(blocks[::2])
     finally:
-        for thread in threads:
-            thread.join()
+        helper.join()
     if failed:
         raise failed[0]
 
@@ -221,8 +210,7 @@ def grid_function(x, spec: GratingSpec):
     caller and one helper) take in turn, each with its own buffer; numpy's
     ``cos`` and BLAS release the GIL, so two blocks run on two cores at
     once.  With fewer than 16 rows to a half block (beyond 32768 terms),
-    or in a process that may run on only one CPU, the full-size blocks run
-    one after another on the calling thread.
+    the full-size blocks run one after another on the calling thread.
 
     Each row gets the bits of the dense formula
     ``c0 + cos(2*pi/period * outer(x, n)) @ c`` on the flattened ``x``:
@@ -231,8 +219,8 @@ def grid_function(x, spec: GratingSpec):
     takes rows in groups, while trailing rows and one-row matrices each
     take another path, so every block but the last is a multiple of 16
     rows and a remainder shorter than 16 rows joins the last block.  Which
-    rows form a block depends only on the input's size, the number of
-    terms and the CPU count, never on timing.  A 2-D ``x`` gets the bits
+    rows form a block depends only on the input's size and the number of
+    terms, never on timing or on the CPU count.  A 2-D ``x`` gets the bits
     of its flattened form, which may differ in the last bit from a stacked
     matmul over its rows.  A scalar ``x`` is one dot product, which BLAS
     rounds differently from a gemv row, so it may differ in the last bit
@@ -242,11 +230,10 @@ def grid_function(x, spec: GratingSpec):
     multi-threaded gemv splits the rows between threads at places that
     depend on the matrix shape, so the dense formula already changes the
     last bit of some rows with the thread count, and an input larger than
-    one block may differ from it, and between one CPU and several, in the
-    last bit of a few rows.  Under one BLAS thread every row equals the
-    dense formula, whatever the CPU count.  A multi-threaded OpenBLAS
-    already keeps the second core busy, so there the two threads gain
-    about nothing (and lose nothing measurable).
+    one block may differ from it in the last bit of a few rows.  Under one
+    BLAS thread every row equals the dense formula.  A multi-threaded
+    OpenBLAS already keeps the second core busy, so there the two threads
+    gain about nothing (and lose nothing measurable).
     """
     n = np.arange(1, spec.truncation + 1)
     coefficients = -2.0 * _harmonics(spec.cover_ratio, n)
@@ -258,11 +245,10 @@ def grid_function(x, spec: GratingSpec):
     values = np.empty(flat.size)
     rows = _block_rows(n.size)
     half = rows // 2 // _ROW_ALIGN * _ROW_ALIGN
-    workers = min(_WORKERS, _cpu_count())
-    if flat.size < rows + _ROW_ALIGN or half < _ROW_ALIGN or workers < 2:
+    if flat.size < rows + _ROW_ALIGN or half < _ROW_ALIGN:
         _fill(values, flat, n, scale, coefficients, _row_blocks(flat.size, rows))
     else:
-        _fill_split(values, flat, n, scale, coefficients, _row_blocks(flat.size, half), workers)
+        _fill_split(values, flat, n, scale, coefficients, _row_blocks(flat.size, half))
     return (spec.cover_ratio + values).reshape(arr.shape)
 
 

@@ -381,7 +381,6 @@ class TestBoundedRequests:
                 raise MemoryError
             return cosines(*args, **kwargs)
 
-        monkeypatch.setattr(grating, "_cpu_count", lambda: 2)
         monkeypatch.setattr(grating, "_cosines", exhausted_on_the_third)
         before = threading.active_count()
         assert run_cli("pattern", "--order", "20000", "--out", "-") == EXIT_USAGE

@@ -227,7 +227,8 @@ BLOCK_CASES = [
     (100000, [*block_edge_sizes(100000), 64]),
 ]
 
-# each input split between two threads, whatever the CPU count, and on one
+# each input split between two threads, and the same blocks filled one
+# after another on the calling thread by _fill in place of _fill_split
 BLOCK_CHECK = """
 import json, math, sys
 import numpy as np
@@ -236,7 +237,7 @@ from slitgrid.grating import GratingSpec, grid_function, sin_pi
 
 {seed}
 
-grating._cpu_count = lambda: 2
+fills = {{"two threads": grating._fill_split, "one thread": grating._fill}}
 rng = np.random.default_rng(11)
 mismatches = []
 for terms, sizes in json.loads(sys.argv[1]):
@@ -245,10 +246,10 @@ for terms, sizes in json.loads(sys.argv[1]):
         x = rng.uniform(-5.0, 5.0, size)
         spec = GratingSpec(cover_ratio=a, period=period, truncation=terms)
         want = seed_grid_function(x, a, terms, period).tobytes()
-        for workers in (2, 1):
-            grating._WORKERS = workers
+        for threads, fill in fills.items():
+            grating._fill_split = fill
             if grid_function(x, spec).tobytes() != want:
-                mismatches.append([terms, size, workers])
+                mismatches.append([terms, size, threads])
 print(json.dumps(mismatches))
 """
 
