@@ -13,8 +13,10 @@ Output is CSV with one header row per section, values printed with 12
 significant digits (lowercase scientific below 1e-4), ``\\n`` line endings,
 no timestamps: re-running a command with the same configuration rewrites
 byte-identical output.  Flags override config-file values, which override
-the built-in defaults.  Each command reads and validates only its own
-settings (the keys of ``_DEFAULTS``) and ignores the rest.  ``--points``
+the built-in defaults.  Config-file values are parsed and checked exactly
+like the flags of the same name, and an error in one names the file.
+Each command reads and validates only its own settings (the keys of
+``_DEFAULTS``) and ignores the rest.  ``--points``
 and ``--order`` are capped (``MAX_POINTS``, ``MAX_ORDER``) so that every
 accepted request finishes in bounded time and memory.  Exit codes: 0
 success, 1 usage error (a request that runs out of memory included), 2
@@ -26,7 +28,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -88,20 +89,6 @@ def format_number(value: float) -> str:
     return f"{value:.12g}"
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved settings; those the command does not read stay None."""
-
-    command: str
-    cover_ratio: float | None = None
-    truncation: int | None = None
-    delta_phi: float | None = None
-    channels: tuple[str, ...] | None = None
-    points: int | None = None
-    out: str | None = None
-    perturb: str | None = None
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="slitgrid", description="Strip-grating two-slit diffraction tables")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -152,66 +139,51 @@ def _load_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def _coerce(key: str, value: str):
-    try:
-        if key in ("a", "phase"):
-            return float(value)
-        if key in ("order", "points"):
-            return int(value)
-    except ValueError:
-        raise _UsageError(f"config value for {key!r} is not numeric: {value!r}") from None
-    if key == "channel" and value not in _CHANNEL_FLAGS:
-        raise _UsageError(f"config channel must be one of {sorted(_CHANNEL_FLAGS)}, got {value!r}")
-    if key == "perturb" and value not in verify.PERTURBATIONS:
-        raise _UsageError(f"config perturb must be one of {verify.PERTURBATIONS}, got {value!r}")
-    return value
-
-
-def _resolve(args: argparse.Namespace) -> RunConfig:
+def _resolve(parser: _Parser, args: argparse.Namespace) -> argparse.Namespace:
     """Merge flags over config-file values over per-command defaults.
 
-    Only the settings the command reads are resolved and validated.
+    Only the settings the command reads are resolved and validated.  File
+    values are parsed as ``--key=value`` flags by ``parser``, so they get
+    the same type and choice checks; the result holds ``command`` and the
+    command's settings under their flag names.
     """
-    file_values = _load_config_file(args.config) if args.config else {}
-    values = {}
-    for key, default in _DEFAULTS[args.command].items():
-        flag = getattr(args, key)
-        if flag is not None:
-            values[key] = flag
-        elif key in file_values:
-            values[key] = _coerce(key, file_values[key])
-        else:
-            values[key] = default
-    if "a" in values and not (0.0 <= values["a"] <= 1.0):
-        raise _UsageError(f"--a must lie in [0, 1], got {values['a']}")
-    if "order" in values and values["order"] < 1:
-        raise _UsageError(f"--order must be >= 1, got {values['order']}")
-    if "order" in values and values["order"] > MAX_ORDER:
-        raise _UsageError(f"--order must be <= {MAX_ORDER}, got {values['order']}")
-    if args.command == "sweep" and values["points"] < 2:
-        raise _UsageError(f"--points must be >= 2 for sweep, got {values['points']}")
-    if "points" in values and values["points"] > MAX_POINTS:
-        raise _UsageError(f"--points must be <= {MAX_POINTS}, got {values['points']}")
-    channel = values.get("channel")
-    return RunConfig(
-        command=args.command,
-        cover_ratio=values.get("a"),
-        truncation=values.get("order"),
-        delta_phi=values.get("phase"),
-        channels=_CHANNEL_FLAGS[channel] if channel else None,
-        points=values.get("points"),
-        out=values.get("out"),
-        perturb=values.get("perturb"),
-    )
+    defaults = _DEFAULTS[args.command]
+    from_file = argparse.Namespace()
+    if args.config:
+        tokens = [
+            f"--{key}={value}"
+            for key, value in _load_config_file(args.config).items()
+            if key in defaults and getattr(args, key) is None
+        ]
+        if tokens:
+            try:
+                from_file = parser.parse_args([args.command, *tokens])
+            except _UsageError as exc:
+                raise _UsageError(f"{args.config}: {exc}") from None
+    config = argparse.Namespace(command=args.command)
+    for key, default in defaults.items():
+        value = getattr(args, key)
+        if value is None:
+            value = getattr(from_file, key, None)
+        setattr(config, key, default if value is None else value)
+    if "a" in defaults and not (0.0 <= config.a <= 1.0):
+        raise _UsageError(f"--a must lie in [0, 1], got {config.a}")
+    if "order" in defaults and config.order < 1:
+        raise _UsageError(f"--order must be >= 1, got {config.order}")
+    if "order" in defaults and config.order > MAX_ORDER:
+        raise _UsageError(f"--order must be <= {MAX_ORDER}, got {config.order}")
+    if args.command == "sweep" and config.points < 2:
+        raise _UsageError(f"--points must be >= 2 for sweep, got {config.points}")
+    if "points" in defaults and config.points > MAX_POINTS:
+        raise _UsageError(f"--points must be <= {MAX_POINTS}, got {config.points}")
+    return config
 
 
-def _cmd_pattern(config: RunConfig) -> list[str]:
-    spec = GratingSpec(
-        cover_ratio=config.cover_ratio, period=1.0, truncation=config.truncation
-    )
+def _cmd_pattern(config: argparse.Namespace) -> list[str]:
+    spec = GratingSpec(cover_ratio=config.a, period=1.0, truncation=config.order)
     lines = [
-        f"# pattern: a={format_number(config.cover_ratio)}"
-        f" order={config.truncation} phase={format_number(config.delta_phi)}"
+        f"# pattern: a={format_number(config.a)}"
+        f" order={config.order} phase={format_number(config.phase)}"
         f" samples={PATTERN_SAMPLES}",
         "x_over_Lambda,G,I",
     ]
@@ -219,20 +191,20 @@ def _cmd_pattern(config: RunConfig) -> list[str]:
     # fringe zeros/maxima landing on representable positions
     positions = (np.arange(PATTERN_SAMPLES) - 200) / 100.0
     profile = grid_function(positions, spec)
-    fringe = scattering.interference_intensity(positions, config.delta_phi)
+    fringe = scattering.interference_intensity(positions, config.phase)
     for u, g, i in zip(positions, profile, fringe):
         lines.append(f"{format_number(u)},{format_number(g)},{format_number(i)}")
     return lines
 
 
-def _cmd_coeffs(config: RunConfig) -> list[str]:
-    table = AmplitudeTable.build(config.cover_ratio, config.truncation)
+def _cmd_coeffs(config: argparse.Namespace) -> list[str]:
+    table = AmplitudeTable.build(config.a, config.order)
     lines = [
-        f"# coefficients: a={format_number(config.cover_ratio)} order={config.truncation}",
+        f"# coefficients: a={format_number(config.a)} order={config.order}",
         "n,c_n,r_n,t_n",
     ]
     # c_0 = a and c_n = -2*r_n
-    c = np.concatenate(([config.cover_ratio], -2.0 * table.r[1:]))
+    c = np.concatenate(([config.a], -2.0 * table.r[1:]))
     for n, (c_n, r_n, t_n) in enumerate(zip(c, table.r, table.t)):
         lines.append(f"{n},{format_number(c_n)},{format_number(r_n)},{format_number(t_n)}")
     lines.append("")
@@ -240,26 +212,23 @@ def _cmd_coeffs(config: RunConfig) -> list[str]:
     return lines
 
 
-def _cmd_orders(config: RunConfig) -> list[str]:
-    spec = GratingSpec(cover_ratio=config.cover_ratio, truncation=config.truncation)
-    two_slit = scattering.TwoSlitConfig(spec=spec, delta_phi=config.delta_phi)
+def _cmd_orders(config: argparse.Namespace) -> list[str]:
+    spec = GratingSpec(cover_ratio=config.a, truncation=config.order)
+    two_slit = scattering.TwoSlitConfig(spec=spec, delta_phi=config.phase)
     lines: list[str] = []
-    for channel in config.channels:
+    for channel in _CHANNEL_FLAGS[config.channel]:
         if lines:
             lines.append("")
         single = scattering.single_slit_spectrum(spec, channel)
-        lines.append(
-            f"# single-slit {channel}: a={format_number(config.cover_ratio)}"
-            f" order={config.truncation}"
-        )
+        lines.append(f"# single-slit {channel}: a={format_number(config.a)} order={config.order}")
         lines.append("n,P")
         for order, p in zip(single.orders, single.probabilities):
             lines.append(f"{int(order)},{format_number(p)}")
         lines.append("")
         paired = scattering.two_slit_spectrum(two_slit, channel)
         lines.append(
-            f"# two-slit {channel}: a={format_number(config.cover_ratio)}"
-            f" order={config.truncation} phase={format_number(config.delta_phi)}"
+            f"# two-slit {channel}: a={format_number(config.a)}"
+            f" order={config.order} phase={format_number(config.phase)}"
         )
         lines.append("m,P")
         for order, p in zip(paired.orders, paired.probabilities):
@@ -267,10 +236,10 @@ def _cmd_orders(config: RunConfig) -> list[str]:
     return lines
 
 
-def _cmd_sweep(config: RunConfig) -> list[str]:
+def _cmd_sweep(config: argparse.Namespace) -> list[str]:
     grid = np.arange(config.points) / (config.points - 1)
     lines: list[str] = []
-    for channel in config.channels:
+    for channel in _CHANNEL_FLAGS[config.channel]:
         if lines:
             lines.append("")
         lines.append(f"# sweep {channel}: points={config.points}")
@@ -288,10 +257,10 @@ def _cmd_sweep(config: RunConfig) -> list[str]:
     return lines
 
 
-def _cmd_verify(config: RunConfig) -> int:
+def _cmd_verify(config: argparse.Namespace) -> int:
     results = verify.run_verification(
         perturb=config.perturb,
-        truncation=config.truncation,
+        truncation=config.order,
         points=config.points,
     )
     width = max(len(result.name) for result in results)
@@ -319,7 +288,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        config = _resolve(args)
+        config = _resolve(parser, args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

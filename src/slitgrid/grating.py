@@ -96,7 +96,8 @@ def _check_cover_ratio(cover_ratio) -> None:
 
 
 def _check_truncation(truncation: int) -> None:
-    if not (isinstance(truncation, (int, np.integer)) and truncation >= 1):
+    is_integer = isinstance(truncation, (int, np.integer)) and not isinstance(truncation, bool)
+    if not (is_integer and truncation >= 1):
         raise ValueError(f"truncation order must be an integer >= 1, got {truncation!r}")
 
 

@@ -52,6 +52,11 @@ class CheckResult:
     detail: str = ""
 
 
+def _bounded(name: str, value: float, tolerance: float, detail: str) -> CheckResult:
+    """A check that passes when ``value <= tolerance``."""
+    return CheckResult(name, value <= tolerance, value, tolerance, detail)
+
+
 def _table(cover_ratio, truncation, perturb):
     """Amplitude table 0..N, with one amplitude biased when ``perturb`` names it."""
     table = AmplitudeTable.build(cover_ratio, truncation)
@@ -71,13 +76,9 @@ def _check_normalization_identity(grid, perturb):
     for a in _cover_grid(grid):
         table = _table(a, 1, perturb)
         worst = max(worst, abs(table.r[0] ** 2 + table.t[0] ** 2 + 2.0 * (a - a * a) - 1.0))
-    tol = 1e-14
-    return CheckResult(
-        name="normalization-identity",
-        passed=worst <= tol,
-        value=worst,
-        tolerance=tol,
-        detail=f"max |r0^2 + t0^2 + 2(a - a^2) - 1| over {grid} covering ratios",
+    return _bounded(
+        "normalization-identity", worst, 1e-14,
+        f"max |r0^2 + t0^2 + 2(a - a^2) - 1| over {grid} covering ratios",
     )
 
 
@@ -85,13 +86,9 @@ def _check_normalization_defect(grid, truncation, perturb):
     worst = 0.0
     for a in _cover_grid(grid):
         worst = max(worst, abs(normalization_defect(_table(a, truncation, perturb))))
-    tol = 4.0 / (math.pi**2 * truncation)
-    return CheckResult(
-        name="normalization-defect",
-        passed=worst <= tol,
-        value=worst,
-        tolerance=tol,
-        detail=f"max |defect| at {truncation} terms over {grid} covering ratios",
+    return _bounded(
+        "normalization-defect", worst, 4.0 / (math.pi**2 * truncation),
+        f"max |defect| at {truncation} terms over {grid} covering ratios",
     )
 
 
@@ -102,13 +99,9 @@ def _check_visibility_oracle(grid, points):
             closed = complementarity.visibility_closed(a, channel).visibility
             quad = complementarity.visibility_quadrature(a, channel, points=points).visibility
             worst = max(worst, abs(closed - quad))
-    tol = 1e-9
-    return CheckResult(
-        name="visibility-oracle",
-        passed=worst <= tol,
-        value=worst,
-        tolerance=tol,
-        detail=f"max |closed - quadrature| over {grid} ratios x both channels, {points} points",
+    return _bounded(
+        "visibility-oracle", worst, 1e-9,
+        f"max |closed - quadrature| over {grid} ratios x both channels, {points} points",
     )
 
 
@@ -116,14 +109,7 @@ def _check_visibility_spot():
     deviation = abs(
         complementarity.visibility_closed(0.5, "transmitted").visibility - 2.0 / math.pi
     )
-    tol = 1e-12
-    return CheckResult(
-        name="visibility-spot",
-        passed=deviation <= tol,
-        value=deviation,
-        tolerance=tol,
-        detail="|V_t(1/2) - 2/pi|",
-    )
+    return _bounded("visibility-spot", deviation, 1e-12, "|V_t(1/2) - 2/pi|")
 
 
 def _check_distinguishability_dual(grid, perturb):
@@ -134,38 +120,22 @@ def _check_distinguishability_dual(grid, perturb):
             amp_route = complementarity.distinguishability_from_amplitudes(table, channel)
             closed = complementarity.distinguishability_closed(a, channel)
             worst = max(worst, abs(amp_route - closed))
-    tol = 1e-14
-    return CheckResult(
-        name="distinguishability-dual",
-        passed=worst <= tol,
-        value=worst,
-        tolerance=tol,
-        detail=f"max |amplitude route - closed form| over {grid} ratios x both channels",
+    return _bounded(
+        "distinguishability-dual", worst, 1e-14,
+        f"max |amplitude route - closed form| over {grid} ratios x both channels",
     )
 
 
 def _check_distinguishability_spot():
     deviation = abs(complementarity.distinguishability_closed(0.06, "transmitted") - 0.880043)
-    tol = 1e-6
-    return CheckResult(
-        name="distinguishability-spot",
-        passed=deviation <= tol,
-        value=deviation,
-        tolerance=tol,
-        detail="|D_t(0.06) - 0.880043|",
-    )
+    return _bounded("distinguishability-spot", deviation, 1e-6, "|D_t(0.06) - 0.880043|")
 
 
 def _check_duality(sweep):
     dualities = complementarity.complementarity_sweep(_cover_grid(sweep), "transmitted").duality
     worst = float(np.max(dualities))
-    tol = 1.0 + 1e-12
-    bound = CheckResult(
-        name="duality-bound",
-        passed=worst <= tol,
-        value=worst,
-        tolerance=tol,
-        detail=f"max V^2 + D^2 over {sweep} covering ratios",
+    bound = _bounded(
+        "duality-bound", worst, 1.0 + 1e-12, f"max V^2 + D^2 over {sweep} covering ratios"
     )
     interior_min = float(np.min(dualities[1:-1]))
     endpoints_ok = dualities[0] == 1.0 and dualities[-1] == 1.0
@@ -191,12 +161,9 @@ def _check_parseval(truncation, perturb):
             worst = max(worst, abs(totals[-1] - closed))
         worst = max(worst, abs(sum(totals) - 1.0))
     tol = 0.42 / truncation  # 2.1e-4 at the default 2000 terms, scaling with the tail
-    return CheckResult(
-        name="parseval-two-slit",
-        passed=worst <= tol,
-        value=worst,
-        tolerance=tol,
-        detail=f"two-slit totals vs closed limits at {truncation} terms, "
+    return _bounded(
+        "parseval-two-slit", worst, tol,
+        f"two-slit totals vs closed limits at {truncation} terms, "
         f"ratios {PARSEVAL_COVER_RATIOS}",
     )
 
@@ -235,12 +202,11 @@ def _check_endpoints(points):
         failures.append("quadrature V_t(1) != 1")
     if complementarity.visibility_quadrature(0.0, "reflected").visibility != 1.0:
         failures.append("quadrature V_r(0) != 1")
-    return CheckResult(
-        name="endpoint-degenerate",
-        passed=not failures,
-        value=float(len(failures)),
-        tolerance=0.0,
-        detail="; ".join(failures) if failures else "a = 0 and a = 1 run through every operation",
+    return _bounded(
+        "endpoint-degenerate",
+        float(len(failures)),
+        0.0,
+        "; ".join(failures) if failures else "a = 0 and a = 1 run through every operation",
     )
 
 

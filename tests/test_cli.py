@@ -221,6 +221,71 @@ class TestConfigFile:
         assert captured.out == ""
         assert captured.err.startswith(f"error: {config}: ")
 
+    # (command, setting, value, other flags): the value differs from the default
+    FILE_AS_FLAG = [
+        ("coeffs", "a", "0.3", ["--order", "5"]),
+        ("coeffs", "order", "7", []),
+        ("coeffs", "phase", "0.7", ["--order", "5"]),
+        ("orders", "channel", "r", ["--order", "5"]),
+        ("sweep", "points", "11", []),
+        ("sweep", "channel", "both", ["--points", "11"]),
+        ("verify", "order", "400", []),
+        ("verify", "points", "64", ["--order", "400"]),
+        ("verify", "perturb", "t1", ["--order", "400"]),
+    ]
+
+    @pytest.mark.parametrize(
+        "command, key, value, argv", FILE_AS_FLAG, ids=[f"{c}-{k}" for c, k, _, _ in FILE_AS_FLAG]
+    )
+    def test_file_value_acts_like_the_flag(self, tmp_path, capsys, command, key, value, argv):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{key} = {value}\n")
+        outputs = []
+        for extra in ([], [f"--{key}", value], ["--config", str(config)]):
+            code = run_cli(command, *argv, *extra, "--out", "-")  # verify ignores --out
+            outputs.append((code, *capsys.readouterr()))
+        plain, from_flag, from_file = outputs
+        assert from_file == from_flag
+        assert from_flag != plain
+        assert from_flag[2] == ""
+
+    def test_flag_overrides_a_bad_file_value(self, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("a = tiny\n")
+        argv = ["pattern", "--config", str(config), "--a", "0.5", "--order", "3", "--out", "-"]
+        assert run_cli(*argv) == EXIT_OK
+
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [
+            ("pattern", "a", "tiny"),
+            ("coeffs", "order", "2.5"),
+            ("orders", "channel", "all"),
+            ("sweep", "points", "1e3"),
+            ("verify", "perturb", "q7"),
+        ],
+    )
+    def test_bad_file_value_names_file_and_flag(self, tmp_path, capsys, command, key, value):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{key} = {value}\n")
+        assert run_cli(command, "--config", str(config)) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {config}: argument --{key}")
+
+    @pytest.mark.parametrize("command", sorted(cli._DEFAULTS))
+    @pytest.mark.parametrize("with_file", [False, True], ids=["flags", "file"])
+    def test_config_holds_only_the_command_settings(self, tmp_path, command, with_file):
+        config = tmp_path / "run.cfg"
+        config.write_text(
+            "a = 0.5\norder = 5\nphase = 0.1\nchannel = t\npoints = 11\nout = -\nperturb = r0\n"
+        )
+        parser = cli._build_parser()
+        argv = [command, "--config", str(config)] if with_file else [command]
+        resolved = cli._resolve(parser, parser.parse_args(argv))
+        assert set(vars(resolved)) == {"command", *cli._DEFAULTS[command]}
+        assert resolved.command == command
+
 
 class TestExitCodes:
     def test_unknown_command(self, capsys):
@@ -280,7 +345,7 @@ class TestIgnoredSettings:
 
     def test_config_value_is_ignored(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
-        config.write_text("a = 2\norder = 0\nphase = nan\n")
+        config.write_text("a = 2\norder = zero\nphase = nan\nperturb = q7\n")
         assert run_cli("sweep", "--points", "11") == EXIT_OK
         plain = capsys.readouterr()
         assert run_cli("sweep", "--points", "11", "--config", str(config)) == EXIT_OK
@@ -328,11 +393,12 @@ class TestBoundedRequests:
         [
             (["sweep", "--points", str(MAX_POINTS)], "points"),
             (["verify", "--points", str(MAX_POINTS)], "points"),
-            (["orders", "--order", str(MAX_ORDER)], "truncation"),
+            (["orders", "--order", str(MAX_ORDER)], "order"),
         ],
     )
     def test_the_cap_itself_is_accepted(self, argv, field):
-        config = cli._resolve(cli._build_parser().parse_args(argv))
+        parser = cli._build_parser()
+        config = cli._resolve(parser, parser.parse_args(argv))
         assert getattr(config, field) == int(argv[2])
 
     def test_largest_profile_stays_within_the_block_budget(self, capsys):

@@ -19,6 +19,7 @@ from slitgrid.grating import (
     sin_pi,
     sinc_pi,
 )
+from slitgrid.verify import run_verification
 
 # Reference values computed once with a 30-digit arbitrary-precision
 # evaluation of the defining formulas.
@@ -375,3 +376,10 @@ def test_spec_validation():
         GratingSpec(cover_ratio=0.5, period=0.0)
     with pytest.raises(ValueError):
         GratingSpec(cover_ratio=0.5, truncation=0)
+    # bool subclasses int, but True is not a truncation order
+    with pytest.raises(ValueError):
+        GratingSpec(cover_ratio=0.3, truncation=True)
+    with pytest.raises(ValueError):
+        AmplitudeTable.build(0.3, True)
+    with pytest.raises(ValueError):
+        run_verification(truncation=True)
