@@ -15,6 +15,9 @@ no timestamps: re-running a command with the same configuration rewrites
 byte-identical output.  Flags override config-file values, which override
 the built-in defaults.  Config-file values are parsed and checked exactly
 like the flags of the same name, and an error in one names the file.
+``main`` builds its argument parser once per process, on its first call,
+and keeps no per-request state: each call parses into a fresh namespace,
+so calls may follow one another or run on several threads at once.
 Each command reads and validates only its own settings (the keys of
 ``_DEFAULTS``) and ignores the rest.  ``--points``
 and ``--order`` are capped (``MAX_POINTS``, ``MAX_ORDER``) so that every
@@ -26,7 +29,7 @@ verification failure, 3 I/O error.
 from __future__ import annotations
 
 import argparse
-import math
+import functools
 import sys
 from pathlib import Path
 
@@ -89,6 +92,7 @@ def format_number(value: float) -> str:
     return f"{value:.12g}"
 
 
+@functools.cache  # parse_args leaves the parser unchanged, so every call shares it
 def _build_parser() -> _Parser:
     parser = _Parser(prog="slitgrid", description="Strip-grating two-slit diffraction tables")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -192,7 +196,8 @@ def _cmd_pattern(config: argparse.Namespace) -> list[str]:
     positions = (np.arange(PATTERN_SAMPLES) - 200) / 100.0
     profile = grid_function(positions, spec)
     fringe = scattering.interference_intensity(positions, config.phase)
-    for u, g, i in zip(positions, profile, fringe):
+    # Python floats format faster than numpy scalars, to the same text
+    for u, g, i in zip(positions.tolist(), profile.tolist(), fringe.tolist()):
         lines.append(f"{format_number(u)},{format_number(g)},{format_number(i)}")
     return lines
 
@@ -205,7 +210,7 @@ def _cmd_coeffs(config: argparse.Namespace) -> list[str]:
     ]
     # c_0 = a and c_n = -2*r_n
     c = np.concatenate(([config.a], -2.0 * table.r[1:]))
-    for n, (c_n, r_n, t_n) in enumerate(zip(c, table.r, table.t)):
+    for n, (c_n, r_n, t_n) in enumerate(zip(c.tolist(), table.r.tolist(), table.t.tolist())):
         lines.append(f"{n},{format_number(c_n)},{format_number(r_n)},{format_number(t_n)}")
     lines.append("")
     lines.extend(_cmd_pattern(config))
@@ -222,7 +227,7 @@ def _cmd_orders(config: argparse.Namespace) -> list[str]:
         single = scattering.single_slit_spectrum(spec, channel)
         lines.append(f"# single-slit {channel}: a={format_number(config.a)} order={config.order}")
         lines.append("n,P")
-        for order, p in zip(single.orders, single.probabilities):
+        for order, p in zip(single.orders.tolist(), single.probabilities.tolist()):
             lines.append(f"{int(order)},{format_number(p)}")
         lines.append("")
         paired = scattering.two_slit_spectrum(two_slit, channel)
@@ -231,7 +236,7 @@ def _cmd_orders(config: argparse.Namespace) -> list[str]:
             f" order={config.order} phase={format_number(config.phase)}"
         )
         lines.append("m,P")
-        for order, p in zip(paired.orders, paired.probabilities):
+        for order, p in zip(paired.orders.tolist(), paired.probabilities.tolist()):
             lines.append(f"{format_number(order)},{format_number(p)}")
     return lines
 

@@ -1,9 +1,15 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 import threading
 import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from slitgrid import cli, complementarity, grating
 from slitgrid.cli import (
@@ -52,6 +58,41 @@ class TestFormatNumber:
 
     def test_twelve_significant_digits(self):
         assert format_number(0.4996453878159577) == "0.499645387816"
+
+    # the commands hand format_number Python floats; numpy scalars must
+    # give the same text, at the zero test, at the 1e-4 switch to
+    # scientific notation and where %g switches at 12 digits
+    EDGES = [
+        0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3.0, 2.225073858507201e-308,
+        *(sign * value for sign in (1.0, -1.0)
+          for value in (np.nextafter(1e-4, 0.0), 1e-4, np.nextafter(1e-4, 1.0))),
+        1e12 - 1.0, 1e12, 1e16, np.nextafter(1e16, math.inf), 1e17, -1e16, 1e22, 1.7976931348623157e308,
+    ]
+
+    @pytest.mark.parametrize("value", EDGES, ids=lambda value: float(value).hex())
+    def test_numpy_scalar_formats_like_a_python_float_at_the_edges(self, value):
+        assert format_number(np.float64(value)) == format_number(float(value))
+
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_numpy_scalar_formats_like_a_python_float(self, value):
+        assert format_number(np.float64(value)) == format_number(value)
+
+
+class TestSharedParser:
+    def test_main_builds_its_parser_once(self, capsys):
+        cli._build_parser.cache_clear()
+        for argv in (["coeffs", "--order", "3"], ["orders", "--order", "3"], ["sweep", "--points", "3"]):
+            assert run_cli(*argv, "--out", "-") == EXIT_OK
+        info = cli._build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+
+    def test_importing_the_cli_builds_no_parser(self):
+        # the parser is built on the first call of main, not at import
+        code = "import slitgrid.cli as cli; print(cli._build_parser.cache_info().currsize)"
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert run.stdout == "0\n"
 
 
 class TestCoeffsCommand:

@@ -8,7 +8,10 @@ trips fails here.  The digests equal ``REFERENCE_DIGESTS`` in
 ``perfbench/workloads.py``, copied so that the tests do not import the
 benchmark.  The digest of the 100001-point sweep on both channels, the
 reference size of the sweep, was recorded from the scalar sweep loop
-before the duality kernel took arrays.  The field digest was recorded
+before the duality kernel took arrays.  The digest of a non-default
+``orders`` request, at a non-zero phase, was recorded before the commands
+handed ``format_number`` Python floats instead of numpy scalars and before
+``main`` shared one parser between calls.  The field digest was recorded
 before ``synthesize_field`` memoised its plane-wave decomposition, and
 ``seed_synthesize_field`` keeps that formula as the bit-level reference.
 
@@ -30,6 +33,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -38,6 +42,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import slitgrid
+from slitgrid import cli
 from slitgrid.cli import main
 from slitgrid.complementarity import (
     complementarity_sweep,
@@ -71,6 +76,12 @@ REFERENCE_DIGESTS = {
 
 REFERENCE_SWEEP = ("sweep", "--points", "100001", "--channel", "both")
 REFERENCE_SWEEP_DIGEST = "93a8d1c03e041cd5d02144320dbbf79420f7bea9f9d2719d4c0f79ce121ae152"
+
+# both spectra loops of orders at a non-zero phase; orders has no fringe column
+PHASE_ORDERS = ("orders", "--a", "0.3127", "--order", "245", "--phase", "1.2345", "--channel", "both")
+PHASE_ORDERS_DIGEST = "f100e4ba070b345ee731436c15bf09e400bc20986c421500e1349f360a03ba78"
+
+REFERENCE_COEFFS = ("coeffs", "--a", "0.06", "--order", "50")
 
 DEFAULT_VERIFY_REPORT = (
     "PASS  normalization-identity   value=2.220446e-16  tolerance=1.000000e-14  max |r0^2 + t0^2 + 2(a - a^2) - 1| over 101 covering ratios\n"
@@ -159,6 +170,67 @@ def test_reference_size_sweep_digest(capsys):
     assert main([*REFERENCE_SWEEP, "--out", "-"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == REFERENCE_SWEEP_DIGEST
+
+
+def digest_of(argv, capsys) -> str:
+    assert main([*argv, "--out", "-"]) == 0
+    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
+def test_non_default_orders_digest(capsys):
+    assert digest_of(PHASE_ORDERS, capsys) == PHASE_ORDERS_DIGEST
+
+
+def test_a_request_leaves_no_settings_to_the_next(capsys):
+    # main shares one parser between calls; every setting comes from the call
+    digest_of(("coeffs", "--a", "0.5", "--order", "7", "--phase", "1"), capsys)
+    assert digest_of(REFERENCE_COEFFS, capsys) == REFERENCE_DIGESTS[REFERENCE_COEFFS]
+
+
+def test_a_bad_config_file_leaves_no_settings_to_the_next(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("a = tiny\norder = 50\n")
+    assert main(["coeffs", "--config", str(bad), "--out", "-"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {bad}: argument --a: invalid float value: 'tiny'")
+    good = tmp_path / "run.cfg"
+    good.write_text("a = 0.06\norder = 50\n")
+    assert digest_of(("coeffs", "--config", str(good)), capsys) == REFERENCE_DIGESTS[REFERENCE_COEFFS]
+
+
+def test_two_threads_at_once_get_the_bytes_of_each_request_alone(tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text("a = 0.06\norder = 50\n")
+    requests = [["coeffs", "--config", str(config)], list(PHASE_ORDERS)]
+    alone = []
+    for index, argv in enumerate(requests):
+        path = tmp_path / f"alone-{index}.csv"
+        assert main([*argv, "--out", str(path)]) == 0
+        alone.append(path.read_bytes())
+    assert hashlib.sha256(alone[0]).hexdigest() == REFERENCE_DIGESTS[REFERENCE_COEFFS]
+    assert hashlib.sha256(alone[1]).hexdigest() == PHASE_ORDERS_DIGEST
+
+    def request(index, barrier, codes):
+        barrier.wait()
+        codes[index] = main([*requests[index], "--out", str(tmp_path / f"thread-{index}.csv")])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            cli._build_parser.cache_clear()  # both threads may race to build it
+            barrier, codes = threading.Barrier(2, timeout=60), [None, None]
+            threads = [threading.Thread(target=request, args=(index, barrier, codes)) for index in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert codes == [0, 0]
+            assert [(tmp_path / f"thread-{index}.csv").read_bytes() for index in range(2)] == alone
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_default_verify_report_is_unchanged(capsys):
