@@ -49,11 +49,11 @@ EXIT_IO = 3
 
 PATTERN_SAMPLES = 401  # over two periods each side of the axis
 
-# Largest accepted requests.  At these caps the slowest request (verify with
-# 1e6 quadrature points) takes about 13 s on a 2-core x86-64 VM, and coeffs
-# at 1e5 terms, whose 401 x N profile is evaluated in blocks of rows (on one
-# thread: a half block would be under 16 rows), takes 1.2-1.5 s and peaks
-# at about 62 MB resident.
+# Largest accepted requests.  At these caps the slowest request (sweep of
+# 1e6 points on both channels) takes 8.7-10 s and peaks at about 500 MB
+# resident on a 2-core x86-64 VM, and coeffs at 1e5 terms, whose 401 x N
+# profile is evaluated in blocks of rows (on one thread: a half block would
+# be under 16 rows), takes 1.8-2.4 s and peaks at about 67 MB resident.
 MAX_POINTS = 1_000_000
 MAX_ORDER = 100_000
 
@@ -65,8 +65,7 @@ _DEFAULTS = {
     "pattern": {"a": 0.06, "order": DEFAULT_TRUNCATION, "phase": 0.0, "out": None},
     "orders": {"a": 0.06, "order": SPECTRUM_TRUNCATION, "phase": 0.0, "channel": "both", "out": None},
     "sweep": {"channel": "t", "points": 1001, "out": None},
-    "verify": {"order": verify.DEFAULT_TRUNCATION, "points": verify.DEFAULT_QUADRATURE_POINTS,
-               "perturb": None},
+    "verify": {"order": verify.DEFAULT_TRUNCATION, "perturb": None},
 }
 
 
@@ -108,9 +107,7 @@ def _build_parser() -> _Parser:
         cmd.add_argument("--order", type=int, default=None, help="series truncation order")
         cmd.add_argument("--phase", type=float, default=None, help="relative slit phase (radians)")
         cmd.add_argument("--channel", choices=sorted(_CHANNEL_FLAGS), default=None)
-        cmd.add_argument(
-            "--points", type=int, default=None, help="sweep grid size / quadrature points"
-        )
+        cmd.add_argument("--points", type=int, default=None, help="sweep grid size")
         cmd.add_argument("--out", default=None, help="output path ('-' for stdout)")
         cmd.add_argument("--config", default=None, help="key=value config file")
         if name == "verify":
@@ -176,8 +173,8 @@ def _resolve(parser: _Parser, args: argparse.Namespace) -> argparse.Namespace:
         raise _UsageError(f"--order must be >= 1, got {config.order}")
     if "order" in defaults and config.order > MAX_ORDER:
         raise _UsageError(f"--order must be <= {MAX_ORDER}, got {config.order}")
-    if args.command == "sweep" and config.points < 2:
-        raise _UsageError(f"--points must be >= 2 for sweep, got {config.points}")
+    if "points" in defaults and config.points < 2:
+        raise _UsageError(f"--points must be >= 2, got {config.points}")
     if "points" in defaults and config.points > MAX_POINTS:
         raise _UsageError(f"--points must be <= {MAX_POINTS}, got {config.points}")
     return config
@@ -263,11 +260,7 @@ def _cmd_sweep(config: argparse.Namespace) -> list[str]:
 
 
 def _cmd_verify(config: argparse.Namespace) -> int:
-    results = verify.run_verification(
-        perturb=config.perturb,
-        truncation=config.order,
-        points=config.points,
-    )
+    results = verify.run_verification(perturb=config.perturb, truncation=config.order)
     width = max(len(result.name) for result in results)
     for result in results:
         status = "PASS" if result.passed else "FAIL"

@@ -5,7 +5,7 @@ compares it against a fixed tolerance:
 
   normalization-identity   r0**2 + t0**2 + 2*(a - a**2) = 1      <= 1e-14
   normalization-defect     truncated power balance, N terms      <= 4/(pi**2*N)
-  visibility-oracle        closed form vs Simpson quadrature     <= 1e-9
+  visibility-oracle        closed form vs Gauss-Legendre rule    <= 1e-13
   visibility-spot          V_t(1/2) = 2/pi                       <= 1e-12
   distinguishability-dual  amplitude route vs closed form        <= 1e-14
   distinguishability-spot  D_t(0.06)                             <= 1e-6
@@ -39,7 +39,6 @@ _PERTURB_OFFSET = 1e-3
 DEFAULT_TRUNCATION = 2000
 DEFAULT_GRID = 101
 DEFAULT_SWEEP = 1001
-DEFAULT_QUADRATURE_POINTS = 4096
 PARSEVAL_COVER_RATIOS = (0.06, 0.25, 0.5, 0.75)
 
 
@@ -92,16 +91,35 @@ def _check_normalization_defect(grid, truncation, perturb):
     )
 
 
-def _check_visibility_oracle(grid, points):
+def _check_visibility_oracle(grid):
+    """Closed-form V against the 16-node Gauss-Legendre oracle.
+
+    The tolerance 1e-13 is a bound at every window width w in [0, 1].
+    ``V = (i_max - i_min)/(i_max + i_min)`` with ``i_max + i_min = w``, so
+    errors e in the integrals move V by at most ``2 (|e_max| + |e_min|)/w``.
+    Quadrature: on ``x = (w/2) s`` each ``i/w`` is half the integral over
+    [-1, 1] of ``cos**2`` or ``sin**2`` of ``pi w s/2``, entire and bounded
+    by ``M = cosh(pi w (rho - 1/rho)/4)**2`` on the Bernstein ellipse E_rho.
+    The 16-node error is at most ``64 M/(15 (rho**2 - 1) rho**32)``
+    (Trefethen, Approximation Theory and Approximation Practice, Thm 19.3):
+    5.1e-26 at rho = 8 and w = 1, its largest, so each ``i/w`` is within
+    2.6e-26 and V within 1.1e-25.  Rounding, with u = 2**-53: each node
+    value carries about 7u (scaled node, times pi, cos or sin, square),
+    nodes and weights a few u, and the dot product with positive weights
+    summing to 2 adds Higham's gamma_16 ~ 16u, so each ``i/w`` is within
+    30u.  With 3u for the quotient and 4u for ``sinc_pi`` in the closed
+    form, V is within 130u = 1.44e-14; 1e-13 leaves a factor of 7 for the
+    loose constants.
+    """
     worst = 0.0
     for channel in CHANNELS:
         for a in _cover_grid(grid):
             closed = complementarity.visibility_closed(a, channel).visibility
-            quad = complementarity.visibility_quadrature(a, channel, points=points).visibility
+            quad = complementarity.visibility_quadrature(a, channel).visibility
             worst = max(worst, abs(closed - quad))
     return _bounded(
-        "visibility-oracle", worst, 1e-9,
-        f"max |closed - quadrature| over {grid} ratios x both channels, {points} points",
+        "visibility-oracle", worst, 1e-13,
+        f"max |closed - quadrature| over {grid} ratios x both channels, 16-node Gauss-Legendre",
     )
 
 
@@ -168,7 +186,7 @@ def _check_parseval(truncation, perturb):
     )
 
 
-def _check_endpoints(points):
+def _check_endpoints():
     """Run every operation at the degenerate gratings a = 0 and a = 1."""
     failures = []
     for a in (0.0, 1.0):
@@ -183,9 +201,7 @@ def _check_endpoints(points):
                 signal = scattering.detector_signal(two)
                 values.extend((signal.p_d1, signal.p_d2, signal.p_loss))
                 values.append(complementarity.visibility_closed(a, channel).visibility)
-                values.append(
-                    complementarity.visibility_quadrature(a, channel, points=points).visibility
-                )
+                values.append(complementarity.visibility_quadrature(a, channel).visibility)
                 values.append(complementarity.distinguishability_closed(a, channel))
                 values.append(complementarity.distinguishability_from_amplitudes(table, channel))
             single = scattering.single_slit_detector_signal(spec)
@@ -211,9 +227,7 @@ def _check_endpoints(points):
 
 
 def run_verification(
-    perturb: str | None = None,
-    truncation: int = DEFAULT_TRUNCATION,
-    points: int = DEFAULT_QUADRATURE_POINTS,
+    perturb: str | None = None, truncation: int = DEFAULT_TRUNCATION
 ) -> list[CheckResult]:
     """Run the full invariant suite; returns one result per check.
 
@@ -227,12 +241,12 @@ def run_verification(
     results = [
         _check_normalization_identity(DEFAULT_GRID, perturb),
         _check_normalization_defect(DEFAULT_GRID, truncation, perturb),
-        _check_visibility_oracle(DEFAULT_GRID, points),
+        _check_visibility_oracle(DEFAULT_GRID),
         _check_visibility_spot(),
         _check_distinguishability_dual(DEFAULT_GRID, perturb),
         _check_distinguishability_spot(),
     ]
     results.extend(_check_duality(DEFAULT_SWEEP))
     results.append(_check_parseval(truncation, perturb))
-    results.append(_check_endpoints(points))
+    results.append(_check_endpoints())
     return results

@@ -107,7 +107,7 @@ def test_criterion_4_visibility_oracle():
     worst = 0.0
     for a in A_GRID_101:
         closed = visibility_closed(a, "transmitted").visibility
-        quad = visibility_quadrature(a, "transmitted", points=4096).visibility
+        quad = visibility_quadrature(a, "transmitted").visibility
         worst = max(worst, abs(closed - quad))
     assert worst <= 1e-9
     assert visibility_closed(0.5).visibility == pytest.approx(2.0 / math.pi, abs=1e-12)

@@ -271,7 +271,6 @@ class TestConfigFile:
         ("sweep", "points", "11", []),
         ("sweep", "channel", "both", ["--points", "11"]),
         ("verify", "order", "400", []),
-        ("verify", "points", "64", ["--order", "400"]),
         ("verify", "perturb", "t1", ["--order", "400"]),
     ]
 
@@ -403,7 +402,6 @@ class TestBoundedRequests:
 
     OVER_CAP = [
         (["sweep", "--points"], MAX_POINTS),
-        (["verify", "--points"], MAX_POINTS),
         *(([command, "--order"], MAX_ORDER) for command in ("coeffs", "pattern", "orders", "verify")),
     ]
 
@@ -433,7 +431,6 @@ class TestBoundedRequests:
         "argv, field",
         [
             (["sweep", "--points", str(MAX_POINTS)], "points"),
-            (["verify", "--points", str(MAX_POINTS)], "points"),
             (["orders", "--order", str(MAX_ORDER)], "order"),
         ],
     )
@@ -455,9 +452,8 @@ class TestBoundedRequests:
         assert peak < 3 * _BLOCK_BYTES + len(out)
 
     def test_caps_sit_far_above_the_reference_sizes(self):
-        # the 100001-point reference sweep, verify's 4096 quadrature points
-        # and its 2000 terms
-        assert MAX_POINTS >= 2 * 100001 and MAX_POINTS >= 100 * 4096
+        # the 100001-point reference sweep and verify's 2000 terms
+        assert MAX_POINTS >= 2 * 100001
         assert MAX_ORDER >= 50 * 2000
 
     @pytest.mark.parametrize(
@@ -499,7 +495,7 @@ class TestBoundedRequests:
 
 class TestVerifySuite:
     def test_all_checks_pass(self):
-        results = run_verification(truncation=400, points=512)
+        results = run_verification(truncation=400)
         assert all(result.passed for result in results)
         names = [result.name for result in results]
         assert names == [
@@ -518,11 +514,11 @@ class TestVerifySuite:
 
     @pytest.mark.parametrize("perturb", ["r0", "r1", "t0", "t1"])
     def test_each_perturbation_trips_the_suite(self, perturb):
-        results = run_verification(perturb=perturb, truncation=400, points=512)
+        results = run_verification(perturb=perturb, truncation=400)
         assert any(not result.passed for result in results)
 
     def test_report_fields_carry_the_measurement(self):
-        results = run_verification(truncation=400, points=512)
+        results = run_verification(truncation=400)
         for result in results:
             assert result.name and result.detail
             assert math.isfinite(result.value)

@@ -12,7 +12,7 @@ from slitgrid.complementarity import (
     visibility_closed,
     visibility_quadrature,
 )
-from slitgrid.grating import AmplitudeTable
+from slitgrid.grating import AmplitudeTable, sampling_window
 
 # 30-digit reference evaluations of the closed forms
 V_T_006 = 0.0634524733178203
@@ -81,7 +81,7 @@ class TestVisibilityClosed:
 
 class TestVisibilityQuadrature:
     def test_half_covered_matches_closed_form(self):
-        assert visibility_quadrature(0.5, points=4096).visibility == pytest.approx(
+        assert visibility_quadrature(0.5).visibility == pytest.approx(
             2.0 / math.pi, abs=1e-10
         )
 
@@ -100,17 +100,32 @@ class TestVisibilityQuadrature:
         for i in range(21):
             a = i / 20.0
             closed = visibility_closed(a, channel).visibility
-            quad = visibility_quadrature(a, channel, points=4096).visibility
+            quad = visibility_quadrature(a, channel).visibility
             assert quad == pytest.approx(closed, abs=1e-9)
 
     def test_sparse_grating_oracle(self):
-        assert visibility_quadrature(0.06, points=4096).visibility == pytest.approx(
+        assert visibility_quadrature(0.06).visibility == pytest.approx(
             visibility_closed(0.06).visibility, abs=1e-10
         )
 
-    def test_rejects_too_few_points(self):
-        with pytest.raises(ValueError):
-            visibility_quadrature(0.5, points=8)
+    @pytest.mark.parametrize("channel", ["transmitted", "reflected"])
+    @pytest.mark.parametrize("a", [0.0, 0.01, 0.25, 0.5, 0.99, 1.0])
+    def test_integrals_match_mpmath_within_the_bound(self, a, channel):
+        # window widths 1, 0.99, 0.75, 0.5, 0.01 and 0 in each channel
+        mpmath = pytest.importorskip("mpmath")
+        width, _ = sampling_window(a, channel)
+        result = visibility_quadrature(a, channel)
+        # the visibility-oracle derivation: each integral over the width is
+        # within 2.6e-26 of the exact one (Bernstein) plus 30u of rounding
+        bound = width * (2.6e-26 + 30 * 2.0**-53)
+        with mpmath.workdps(30):
+            half = mpmath.mpf(width) / 2
+            for integrand, value in (
+                (lambda x: mpmath.cos(mpmath.pi * x) ** 2, result.i_max),
+                (lambda x: mpmath.sin(mpmath.pi * x) ** 2, result.i_min),
+            ):
+                exact = mpmath.quad(integrand, [-half, half])
+                assert abs(mpmath.mpf(value) - exact) <= bound
 
 
 class TestDistinguishability:

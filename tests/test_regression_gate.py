@@ -86,7 +86,7 @@ REFERENCE_COEFFS = ("coeffs", "--a", "0.06", "--order", "50")
 DEFAULT_VERIFY_REPORT = (
     "PASS  normalization-identity   value=2.220446e-16  tolerance=1.000000e-14  max |r0^2 + t0^2 + 2(a - a^2) - 1| over 101 covering ratios\n"
     "PASS  normalization-defect     value=1.013212e-04  tolerance=2.026424e-04  max |defect| at 2000 terms over 101 covering ratios\n"
-    "PASS  visibility-oracle        value=3.136380e-15  tolerance=1.000000e-09  max |closed - quadrature| over 101 ratios x both channels, 4096 points\n"
+    "PASS  visibility-oracle        value=7.771561e-16  tolerance=1.000000e-13  max |closed - quadrature| over 101 ratios x both channels, 16-node Gauss-Legendre\n"
     "PASS  visibility-spot          value=0.000000e+00  tolerance=1.000000e-12  |V_t(1/2) - 2/pi|\n"
     "PASS  distinguishability-dual  value=0.000000e+00  tolerance=1.000000e-14  max |amplitude route - closed form| over 101 ratios x both channels\n"
     "PASS  distinguishability-spot  value=5.647847e-07  tolerance=1.000000e-06  |D_t(0.06) - 0.880043|\n"
@@ -235,6 +235,13 @@ def test_two_threads_at_once_get_the_bytes_of_each_request_alone(tmp_path):
 
 def test_default_verify_report_is_unchanged(capsys):
     assert main(["verify"]) == 0
+    assert capsys.readouterr().out == DEFAULT_VERIFY_REPORT
+
+
+@pytest.mark.parametrize("points", ["16", "64"])
+def test_verify_ignores_the_points_flag(points, capsys):
+    # verify reads no --points, so any count leaves the report as it is
+    assert main(["verify", "--points", points]) == 0
     assert capsys.readouterr().out == DEFAULT_VERIFY_REPORT
 
 
