@@ -52,8 +52,8 @@ PATTERN_SAMPLES = 401  # over two periods each side of the axis
 # Largest accepted requests.  At these caps the slowest request (sweep of
 # 1e6 points on both channels) takes 8.7-10 s and peaks at about 500 MB
 # resident on a 2-core x86-64 VM, and coeffs at 1e5 terms, whose 401 x N
-# profile is evaluated in blocks of rows (on one thread: a half block would
-# be under 16 rows), takes 1.8-2.4 s and peaks at about 67 MB resident.
+# profile is grid_function's factored sum on one thread, takes 0.64-0.71 s
+# and peaks at about 63 MB resident.
 MAX_POINTS = 1_000_000
 MAX_ORDER = 100_000
 

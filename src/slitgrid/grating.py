@@ -19,7 +19,6 @@ stores only ``n >= 0``.  Everything here is a pure function of its inputs.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import Literal
 
@@ -130,9 +129,9 @@ def _harmonics(cover_ratio: float, n: np.ndarray) -> np.ndarray:
     return sign * sin_pi(cover_ratio * n) / (math.pi * n)
 
 
-# An array of positions is evaluated in row blocks of about this many bytes
-# of cosines, each a multiple of _ROW_ALIGN rows (see _block_rows).  An
-# input larger than one block is split between two threads.
+# An array of positions that fits one block of about this many bytes of
+# cosines (see _block_rows) is one dense gemv; a larger one takes the
+# factored sum, in row blocks of about this many bytes of temporaries.
 _BLOCK_BYTES = 8 << 20
 _ROW_ALIGN = 16
 
@@ -146,53 +145,63 @@ def _block_rows(terms: int) -> int:
     return max(_ROW_ALIGN, _BLOCK_BYTES // (8 * terms) // _ROW_ALIGN * _ROW_ALIGN)
 
 
-def _row_blocks(size: int, rows: int) -> list:
-    """``(start, stop)`` of blocks of ``rows`` rows; a remainder under ``_ROW_ALIGN`` rows joins the last."""
-    last = max(size - _ROW_ALIGN, 0) // rows * rows
-    return [(start, size if start == last else start + rows) for start in range(0, last + 1, rows)]
-
-
-def _cosines(x, n, scale: float, out=None):
-    """``cos(scale * outer(x, n))``, computed in place in ``out`` (or a new array)."""
-    angles = np.multiply.outer(x, n, out=out)
+def _cosines(x, n, scale: float):
+    """``cos(scale * outer(x, n))``, computed in place in one new array."""
+    angles = np.multiply.outer(x, n)
     angles *= scale
     return np.cos(angles, out=angles)
 
 
-def _fill(values, x, n, scale: float, coefficients, blocks, failed=()) -> None:
-    """``values[i] = cos(scale * x[i] * n) @ coefficients``, one gemv per block in one buffer.
+def _turns(t, steps):
+    """``outer(t, steps)`` less its nearest integers, for ``|t| <= 1/2`` and integer ``steps``.
 
-    Stops before the next block once ``failed`` is non-empty.
+    ``t`` is split into a multiple of 2**-32, whose products with steps
+    below 2**22 are exact and are reduced exactly, and a remainder, whose
+    products (under 2**-11) are added after the reduction.
     """
-    buffer = np.empty((max(stop - start for start, stop in blocks), n.size))
-    for start, stop in blocks:
-        if failed:
-            return
-        values[start:stop] = _cosines(x[start:stop], n, scale, buffer[: stop - start]) @ coefficients
+    high = np.round(t * 2.0**32) / 2.0**32
+    turns = np.multiply.outer(high, steps)
+    turns -= np.round(turns)
+    turns += np.multiply.outer(t - high, steps)
+    return turns
 
 
-def _fill_split(values, x, n, scale: float, coefficients, blocks) -> None:
-    """:func:`_fill` with the blocks dealt out in turn to the caller and one helper thread.
+def _factored(x, period: float, coefficients):
+    """``sum_n coefficients[n-1] * cos(2*pi*n*x/period)`` as a baby-step/giant-step sum.
 
-    The first error stops both before their next block and is raised once
-    the helper has returned.
+    With ``t = x/period`` reduced to [-1/2, 1/2] and ``n = q*B + r`` for
+    ``B = isqrt(N)`` and ``q < Q = N//B + 1``, ``cos(2*pi*n*t)`` splits
+    into giant steps ``cos/sin(2*pi*q*B*t)`` and baby steps
+    ``cos/sin(2*pi*r*t)`` (Paterson and Stockmeyer, SIAM J. Comput. 2, 60
+    (1973)), so a row needs about ``4*sqrt(N)`` cosines and sines in
+    place of ``N`` cosines.  The phases are reduced by :func:`_turns`.
+    The sums over ``r`` and ``q`` are ``np.einsum`` calls, numpy's own
+    loops with no BLAS.  The rows go in blocks with about
+    ``_BLOCK_BYTES`` of temporaries, a few arrays of ``B`` or ``Q``
+    values per row.
     """
-    failed: list = []
-
-    def work(share):
-        try:
-            _fill(values, x, n, scale, coefficients, share, failed)
-        except BaseException as error:
-            failed.append(error)
-
-    helper = threading.Thread(target=work, args=(blocks[1::2],))
-    helper.start()
-    try:
-        work(blocks[::2])
-    finally:
-        helper.join()
-    if failed:
-        raise failed[0]
+    terms = coefficients.size
+    baby = math.isqrt(terms)
+    giant = terms // baby + 1  # orders 0..terms as q*baby + r
+    table = np.zeros(giant * baby)
+    table[1 : terms + 1] = coefficients
+    table = table.reshape(giant, baby)
+    values = np.empty(x.size)
+    rows = _block_rows(4 * (baby + giant))
+    for start in range(0, x.size, rows):
+        # the remainder of x by the period is exact, and one division rounds it
+        block = np.fmod(x[start : start + rows], period) / period
+        block -= np.round(block)
+        angles = _turns(block, np.arange(baby))
+        angles *= 2.0 * math.pi
+        cosines = np.einsum("ir,qr->iq", np.cos(angles), table)
+        sines = np.einsum("ir,qr->iq", np.sin(angles), table)
+        angles = _turns(block, baby * np.arange(giant))
+        angles *= 2.0 * math.pi
+        cosines *= np.cos(angles)
+        sines *= np.sin(angles)
+        values[start : start + rows] = np.einsum("iq->i", cosines) - np.einsum("iq->i", sines)
+    return values
 
 
 def grid_function(x, spec: GratingSpec):
@@ -201,40 +210,29 @@ def grid_function(x, spec: GratingSpec):
     Converges (as the truncation grows) to 1 on the strips and 0 on the
     gaps, with the usual overshoot of a truncated discontinuous series
     near the strip edges.  Accepts scalar or array ``x``; an array keeps
-    its shape.
+    its shape and is evaluated flattened, on the calling thread.
 
-    An array is flattened, evaluated in blocks of rows and reshaped, with
-    at most about 8 MiB of cosines in flight, so the memory beyond the
-    result does not grow with ``len(x)``.  An input that fits one block of
-    8 MiB is one gemv of the dense shape on the calling thread.  A larger
-    one is cut into blocks of half that size, which two threads (the
-    caller and one helper) take in turn, each with its own buffer; numpy's
-    ``cos`` and BLAS release the GIL, so two blocks run on two cores at
-    once.  With fewer than 16 rows to a half block (beyond 32768 terms),
-    the full-size blocks run one after another on the calling thread.
+    A scalar, or an array that fits one block of about 8 MiB of cosines
+    (fewer than ``_block_rows(N) + 16`` positions), is the dense formula
+    ``c0 + cos(2*pi/period * outer(x, n)) @ c``, bit for bit: one BLAS
+    dot product or gemv.  A 2-D ``x`` gets the bits of its flattened
+    form, which may differ in the last bit from a stacked matmul over its
+    rows.  A scalar is one dot product, which BLAS rounds differently
+    from a gemv row, so it may differ in the last bit from the same ``x``
+    inside an array (the README gives an example).  A multi-threaded gemv
+    splits the rows between threads at places set by the matrix shape, so
+    under several BLAS threads a dense row may change in its last bit.
 
-    Each row gets the bits of the dense formula
-    ``c0 + cos(2*pi/period * outer(x, n)) @ c`` on the flattened ``x``:
-    the blocks run the same ufuncs and the same BLAS gemv, and gemv takes
-    each row through the same kernel as in one dense call.  Its main loop
-    takes rows in groups, while trailing rows and one-row matrices each
-    take another path, so every block but the last is a multiple of 16
-    rows and a remainder shorter than 16 rows joins the last block.  Which
-    rows form a block depends only on the input's size and the number of
-    terms, never on timing or on the CPU count.  A 2-D ``x`` gets the bits
-    of its flattened form, which may differ in the last bit from a stacked
-    matmul over its rows.  A scalar ``x`` is one dot product, which BLAS
-    rounds differently from a gemv row, so it may differ in the last bit
-    from the same ``x`` inside an array (the README gives an example).
-
-    The bits depend on the BLAS thread count for large grids.  A
-    multi-threaded gemv splits the rows between threads at places that
-    depend on the matrix shape, so the dense formula already changes the
-    last bit of some rows with the thread count, and an input larger than
-    one block may differ from it in the last bit of a few rows.  Under one
-    BLAS thread every row equals the dense formula.  A multi-threaded
-    OpenBLAS already keeps the second core busy, so there the two threads
-    gain about nothing (and lose nothing measurable).
+    A larger array is the factored sum of :func:`_factored`: the position
+    is reduced to a fraction of a period, and each row needs about
+    ``4*sqrt(N)`` cosines and sines and ``2*N`` multiply-adds in
+    ``np.einsum`` instead of ``N`` cosines.  It calls no BLAS, so its
+    bits do not depend on the BLAS thread count, and its phases are
+    reduced to a fraction of a turn before any rounding grows with the
+    order, so it is as close to the exact sum as the dense formula or
+    closer.  Its rows are evaluated in blocks, so the memory
+    beyond the result does not grow with ``len(x)``.  A non-finite
+    position gives a NaN row on either path.
     """
     n = np.arange(1, spec.truncation + 1)
     coefficients = -2.0 * _harmonics(spec.cover_ratio, n)
@@ -243,13 +241,10 @@ def grid_function(x, spec: GratingSpec):
     if arr.ndim == 0:
         return float(spec.cover_ratio + _cosines(arr, n, scale) @ coefficients)
     flat = arr.reshape(-1)
-    values = np.empty(flat.size)
-    rows = _block_rows(n.size)
-    half = rows // 2 // _ROW_ALIGN * _ROW_ALIGN
-    if flat.size < rows + _ROW_ALIGN or half < _ROW_ALIGN:
-        _fill(values, flat, n, scale, coefficients, _row_blocks(flat.size, rows))
+    if flat.size < _block_rows(n.size) + _ROW_ALIGN:
+        values = _cosines(flat, n, scale) @ coefficients
     else:
-        _fill_split(values, flat, n, scale, coefficients, _row_blocks(flat.size, half))
+        values = _factored(flat, spec.period, coefficients)
     return (spec.cover_ratio + values).reshape(arr.shape)
 
 

@@ -3,7 +3,6 @@ import math
 import os
 import subprocess
 import sys
-import threading
 import tracemalloc
 
 import numpy as np
@@ -473,21 +472,21 @@ class TestBoundedRequests:
         assert captured.out == ""
         assert captured.err.startswith("error: out of memory")
 
-    def test_memory_error_in_a_split_profile_is_a_usage_error(self, monkeypatch, capsys):
-        # at 20000 terms the 401 profile rows split into 16-row blocks that
-        # two threads take in turn; the third block runs out of memory
+    def test_memory_error_in_the_factored_profile_is_a_usage_error(self, monkeypatch, capsys):
+        # at 20000 terms the 401 profile rows take the factored sum, which
+        # runs out of memory at its giant steps, after the inner sums, and
+        # stops there
         calls = itertools.count(1)
-        cosines = grating._cosines
+        turns = grating._turns
 
-        def exhausted_on_the_third(*args, **kwargs):
-            if next(calls) == 3:
+        def exhausted_on_the_second(*args):
+            if next(calls) == 2:
                 raise MemoryError
-            return cosines(*args, **kwargs)
+            return turns(*args)
 
-        monkeypatch.setattr(grating, "_cosines", exhausted_on_the_third)
-        before = threading.active_count()
+        monkeypatch.setattr(grating, "_turns", exhausted_on_the_second)
         assert run_cli("pattern", "--order", "20000", "--out", "-") == EXIT_USAGE
-        assert threading.active_count() == before
+        assert next(calls) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: out of memory")

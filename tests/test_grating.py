@@ -1,5 +1,4 @@
 import math
-import sys
 import threading
 import tracemalloc
 
@@ -8,7 +7,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from slitgrid import grating
 from slitgrid.grating import (
     _BLOCK_BYTES,
     AmplitudeTable,
@@ -168,19 +166,48 @@ class TestGridFunction:
             tracemalloc.stop()
         assert peak < 3 * _BLOCK_BYTES + values.nbytes
 
-    def test_a_split_call_keeps_one_block_of_cosines_in_flight(self):
-        # two threads, each with a buffer of half a block
+    def test_a_factored_call_keeps_under_one_block_in_flight(self):
+        # a few arrays of about sqrt(N) values per row, in blocks of rows
         xs = np.random.default_rng(2).uniform(-3.0, 3.0, 20000)
         values, peak = traced_peak(grid_function, xs, GratingSpec(cover_ratio=0.37, truncation=2000))
         assert peak <= _BLOCK_BYTES + values.nbytes + (1 << 20)
 
     def test_the_serial_fallback_keeps_one_buffer(self):
-        # beyond 32768 terms a half block would be under 16 rows: one
-        # 16-row buffer (12.8 MB), plus the orders and the coefficients
+        # 64 positions at 100000 terms take the factored sum, a few arrays
+        # of about sqrt(N) values per row; the bound is one 16-row block of
+        # cosines (12.8 MB) plus the orders and the coefficients
         terms = 100000
         xs = np.random.default_rng(2).uniform(-3.0, 3.0, 64)
         _, peak = traced_peak(grid_function, xs, GratingSpec(cover_ratio=0.37, truncation=terms))
         assert peak <= (16 + 2) * terms * 8 + (1 << 20)
+
+    def test_factored_blocks_fill_every_row(self):
+        # 7000 positions at 2000 terms are three row blocks of the factored
+        # sum, each 1000-position chunk one; a row's bits do not depend on
+        # its block, so a skipped, doubled or moved block shows
+        spec = GratingSpec(cover_ratio=0.37, truncation=2000)
+        xs = np.random.default_rng(7).uniform(-3.0, 3.0, 7000)
+        want = np.concatenate([grid_function(chunk, spec) for chunk in np.split(xs, 7)])
+        assert grid_function(xs, spec).tobytes() == want.tobytes()
+
+    def test_starts_no_thread(self, monkeypatch):
+        def refuse(thread):
+            raise AssertionError("grid_function started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        xs = np.random.default_rng(3).uniform(-3.0, 3.0, 2500)
+        values = grid_function(xs, GratingSpec(cover_ratio=0.37, truncation=2000))
+        assert values.shape == (2500,) and np.all(np.isfinite(values))
+
+    @pytest.mark.parametrize("terms", [30, 2000], ids=["one block", "factored"])
+    def test_non_finite_positions_give_nan_rows(self, terms):
+        xs = np.random.default_rng(4).uniform(-3.0, 3.0, 600)
+        bad = [0, 17, 599]
+        xs[bad] = [math.nan, math.inf, -math.inf]
+        with np.errstate(invalid="ignore"):
+            values = grid_function(xs, GratingSpec(cover_ratio=0.37, truncation=terms))
+        assert np.all(np.isnan(values[bad]))
+        assert np.all(np.isfinite(np.delete(values, bad)))
 
 
 def traced_peak(function, *args):
@@ -191,79 +218,6 @@ def traced_peak(function, *args):
         return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-
-
-def log_blocks(monkeypatch, failing_start=None):
-    """Log ``(thread, start, stop)`` of each block; the block at ``failing_start`` raises MemoryError.
-
-    The positions must be ``0, 1, 2, ...``, so that a block's first
-    position is its first row.
-    """
-    log = []
-    cosines = grating._cosines
-
-    def logged(x, *args, **kwargs):
-        start = int(x[0])
-        log.append((threading.get_ident(), start, start + len(x)))
-        if start == failing_start:
-            raise MemoryError
-        return cosines(x, *args, **kwargs)
-
-    monkeypatch.setattr(grating, "_cosines", logged)
-    return log
-
-
-class TestSplitBlocks:
-    spec = GratingSpec(cover_ratio=0.37, truncation=2000)
-
-    @pytest.mark.parametrize("terms, half", [(2000, 256), (2521, 192)])
-    def test_two_threads_take_half_size_blocks_in_turn(self, terms, half, monkeypatch):
-        # 2500 rows (field-map's grid): half a block rounded down to a
-        # multiple of 16 rows (a block is 512 rows at 2000 terms, 400 at
-        # 2521), the last block 196 rows; the caller takes the even ones
-        log = log_blocks(monkeypatch)
-        grid_function(np.arange(2500.0), GratingSpec(cover_ratio=0.37, truncation=terms))
-        caller = threading.get_ident()
-        blocks = [(start, start + half) for start in range(0, 2304, half)] + [(2304, 2500)]
-        assert [(start, stop) for thread, start, stop in log if thread == caller] == blocks[::2]
-        helper = [entry for entry in log if entry[0] != caller]
-        assert len({thread for thread, _, _ in helper}) == 1
-        assert [(start, stop) for _, start, stop in helper] == blocks[1::2]
-
-    @pytest.mark.parametrize(
-        "size, terms", [(527, 2000), (64, 100000)], ids=["one block", "half block under 16 rows"]
-    )
-    def test_full_size_blocks_run_on_the_calling_thread(self, size, terms, monkeypatch):
-        log = log_blocks(monkeypatch)
-        grid_function(np.arange(float(size)), GratingSpec(cover_ratio=0.37, truncation=terms))
-        assert {thread for thread, _, _ in log} == {threading.get_ident()}
-        assert [(start, stop) for _, start, stop in log] == grating._row_blocks(size, grating._block_rows(terms))
-
-    @pytest.mark.parametrize("failing", [1, 2], ids=["the helper's first block", "the third block"])
-    def test_an_error_stops_both_workers_and_is_raised(self, failing, monkeypatch):
-        log = log_blocks(monkeypatch, failing_start=256 * failing)
-        before = threading.active_count()
-        with pytest.raises(MemoryError):
-            grid_function(np.arange(20000.0), self.spec)
-        assert threading.active_count() == before
-        # each worker stops before its next block: far fewer than 79 blocks ran
-        assert len(log) < 20
-
-    def test_two_threads_under_fast_switching_fill_every_row(self):
-        # ten blocks dealt to two threads that switch every few microseconds;
-        # a skipped or doubled block would leave np.empty's garbage or move
-        # rows.  The reference evaluates five 500-row chunks, each one block
-        # on the calling thread; a multi-threaded BLAS may move last bits.
-        xs = np.random.default_rng(7).uniform(-3.0, 3.0, 2500)
-        want = np.concatenate([grid_function(chunk, self.spec) for chunk in np.split(xs, 5)])
-        before, interval = threading.active_count(), sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(5):
-                assert np.max(np.abs(grid_function(xs, self.spec) - want)) <= 1e-12
-        finally:
-            sys.setswitchinterval(interval)
-        assert threading.active_count() == before
 
 
 class TestAmplitudes:

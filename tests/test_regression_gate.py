@@ -17,16 +17,16 @@ before ``synthesize_field`` memoised its plane-wave decomposition, and
 
 Bit-level pins (the verify report, and the array kernels equal to the
 scalar ``math``/``pow`` paths) depend on the numpy build and the CPU; CI
-prints both before running the tests.  Large profiles also depend on the
-BLAS thread count, so the blocked ``grid_function`` is compared with the
-dense reference in a subprocess pinned to one BLAS thread, with its blocks
-split between two threads and on one, and CI runs the whole suite under
-that setting too.
+prints both before running the tests.  An input that fits one block stays
+bit for bit the dense reference.  A larger one takes the factored sum,
+which calls no BLAS: a subprocess test checks that its bytes are the same
+under one and two BLAS threads, and an mpmath test (``tests/oracle.py``)
+bounds its distance from the exact series.  CI runs the whole suite under
+one BLAS thread as well as under the runner's default.
 """
 
 import hashlib
 import importlib
-import inspect
 import json
 import math
 import os
@@ -41,6 +41,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import oracle
 import slitgrid
 from slitgrid import cli
 from slitgrid.cli import main
@@ -55,7 +56,7 @@ from slitgrid.grating import (
     CHANNELS,
     AmplitudeTable,
     _block_rows,
-    _row_blocks,
+    _factored,
     GratingSpec,
     grid_function,
     sampling_window,
@@ -272,85 +273,90 @@ def test_grid_function_matches_the_dense_reference(a, truncation, period, xs):
         assert np.max(np.abs(got - want)) <= 2 * truncation * math.ulp(0.0)
 
 
-def block_edge_sizes(terms):
-    """Input lengths on either side of one and two profile blocks."""
-    rows = _block_rows(terms)
-    return sorted({1, 15, 16, 17, rows - 1, rows, rows + 1, 2 * rows - 1, 2 * rows + 1})
+def factored_bound(coefficients, period):
+    """How far the factored sum may lie from the exact series.
 
-
-def half_rows(terms):
-    """Rows of the half-size blocks an input larger than one block is split into."""
-    return _block_rows(terms) // 2 // _ROW_ALIGN * _ROW_ALIGN
-
-
-def split_sizes(terms):
-    """Input lengths that split into 3, 4, 5 and 7 half-size blocks.
-
-    The first is the smallest input that splits, a block and 16 rows: two
-    half blocks and at least 16 rows more, so no input splits into 2.
+    In units u = 2**-53: each coefficient, phase, cosine, sine and product
+    adds a few u of |c_n| (64 u in all is generous), and the sums over r
+    and q add at most 2*sqrt(N) roundings of a value within 1 + sum |c_n|.
+    The reduced position is within u of x/period mod 1, which moves the
+    sum by at most 2*pi*sum(n*|c_n|) u; at period 1 it is exact.
     """
-    rows, half = _block_rows(terms), half_rows(terms)
-    return [rows + _ROW_ALIGN, 4 * half, 5 * half + _ROW_ALIGN - 1, 7 * half + 3]
+    terms = coefficients.size
+    bound = (2.0 * math.sqrt(terms) + 64.0) * (1.0 + np.sum(np.abs(coefficients)))
+    if period != 1.0:
+        bound += 2.0 * math.pi * np.sum(np.arange(1, terms + 1) * np.abs(coefficients))
+    return 2.0**-53 * bound
 
 
-# Every (terms, sizes) pair runs through grid_function, split between two
-# threads and on one, and through the dense reference.  20000 positions at
-# 2000 terms (the benchmark's large grid) would take the reference 640 MB,
-# so the many-block cases there are 2500 rows (the benchmark's other grid)
-# and 5 * rows + 7; 100000 terms stays on at most 64 positions.
-BLOCK_CASES = [
-    (1, [*block_edge_sizes(1), 20000]),
-    (30, [*block_edge_sizes(30), *split_sizes(30), 20000]),
-    (2000, [*block_edge_sizes(2000), *split_sizes(2000), 2500, 5 * _block_rows(2000) + 7]),
-    (2521, [*block_edge_sizes(2521), *split_sizes(2521), 5 * _block_rows(2521) + 7]),
-    (100000, [*block_edge_sizes(100000), 64]),
-]
+def check_factored_rows(x, a, terms, period):
+    """Each row of the factored sum within its bound of the 30-digit series, and within 1e-14 of the dense error."""
+    coefficients = -2.0 * AmplitudeTable.build(a, terms).r[1:]
+    got = a + _factored(x, period, coefficients)
+    dense = seed_grid_function(x, a, terms, period)
+    bound = factored_bound(coefficients, period)
+    for row, want in enumerate(oracle.grid_profile(x, a, terms, period)):
+        assert abs(got[row] - want) <= bound, (a, period, x[row])
+        assert abs(got[row] - want) <= abs(dense[row] - want) + 1e-14, (a, period, x[row])
 
-# each input split between two threads, and the same blocks filled one
-# after another on the calling thread by _fill in place of _fill_split
-BLOCK_CHECK = """
-import json, math, sys
-import numpy as np
-from slitgrid import grating
-from slitgrid.grating import GratingSpec, grid_function, sin_pi
 
-{seed}
-
-fills = {{"two threads": grating._fill_split, "one thread": grating._fill}}
-rng = np.random.default_rng(11)
-mismatches = []
-for terms, sizes in json.loads(sys.argv[1]):
-    for size in sizes:
+@pytest.mark.parametrize("terms", [1, 30, 2000, 2521])
+def test_factored_profile_is_within_its_bound_of_the_exact_sum(terms):
+    # seeded rows of the factored sum, which grid_function takes for an
+    # input larger than one block: three at random, one at a strip edge,
+    # where the profile is steepest
+    rng = np.random.default_rng(terms)
+    for _ in range(4):
         a, period = rng.uniform(0.0, 1.0), rng.uniform(0.1, 10.0)
-        x = rng.uniform(-5.0, 5.0, size)
-        spec = GratingSpec(cover_ratio=a, period=period, truncation=terms)
-        want = seed_grid_function(x, a, terms, period).tobytes()
-        for threads, fill in fills.items():
-            grating._fill_split = fill
-            if grid_function(x, spec).tobytes() != want:
-                mismatches.append([terms, size, threads])
-print(json.dumps(mismatches))
+        edge = period * (round(4.0 / period) + (1.0 - a) / 2.0)
+        check_factored_rows(np.append(rng.uniform(-5.0, 5.0, 3), edge), a, terms, period)
+
+
+def test_factored_profile_is_within_its_bound_on_the_cli_grid():
+    # pattern --order 20000 at its rows x = -1.47 and 1.53, where the
+    # dense series is off by 2.3e-12 and 2.4e-12
+    check_factored_rows(np.array([-1.47, 1.53]), 0.06, 20000, 1.0)
+
+
+def test_multi_block_input_takes_the_factored_sum():
+    spec = GratingSpec(cover_ratio=0.37, period=0.8, truncation=2000)
+    x = np.random.default_rng(4).uniform(-5.0, 5.0, _block_rows(2000) + _ROW_ALIGN)
+    coefficients = -2.0 * AmplitudeTable.build(0.37, 2000).r[1:]
+    assert bits(grid_function(x, spec)) == bits(0.37 + _factored(x, 0.8, coefficients))
+
+
+# SHA-256 of grid_function's bytes on field-map's two grid shapes (the
+# larger at 30 terms, where it fits one block) and on coeffs' 401 CLI
+# positions at the largest order the CLI accepts
+THREAD_CHECK = """
+import hashlib, json
+import numpy as np
+from slitgrid.grating import GratingSpec, grid_function
+
+rng = np.random.default_rng(13)
+digests = []
+for x, terms in [
+    (rng.uniform(-3.0, 3.0, 2500), 2000),
+    (rng.uniform(-3.0, 3.0, 20000), 30),
+    ((np.arange(401) - 200) / 100.0, 100000),
+]:
+    values = grid_function(x, GratingSpec(cover_ratio=rng.uniform(0.02, 0.98), truncation=terms))
+    digests.append(hashlib.sha256(values.tobytes()).hexdigest())
+print(json.dumps(digests))
 """
 
 
-def test_split_sizes_split_into_the_block_counts_they_claim():
-    for terms in (30, 2000, 2521):
-        assert [len(_row_blocks(size, half_rows(terms))) for size in split_sizes(terms)] == [3, 4, 5, 7]
-    assert len(_row_blocks(2500, half_rows(2000))) == 10
-
-
-def test_blocked_grid_function_equals_the_dense_reference_under_one_blas_thread():
-    # one BLAS thread, as in the benchmark: a multi-threaded gemv splits
-    # rows between threads by matrix shape, so blocking may move last bits
-    source = BLOCK_CHECK.format(seed=inspect.getsource(seed_grid_function))
+def test_profile_bits_do_not_depend_on_the_blas_thread_count():
     src = os.path.dirname(os.path.dirname(slitgrid.__file__))
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    run = subprocess.run(
-        [sys.executable, "-c", source, json.dumps(BLOCK_CASES)],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    assert json.loads(run.stdout) == []
+    runs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-c", THREAD_CHECK], env=env, capture_output=True, text=True, check=True
+        )
+        runs.append(json.loads(run.stdout))
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("terms", [1, 30, 2000, 2521, 100000])
