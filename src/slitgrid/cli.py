@@ -9,17 +9,16 @@ Commands
   sweep     covering-ratio sweep of (V, D, V**2 + D**2)
   verify    run the invariant suite and report each check
 
-Output is CSV with one header row per section, values printed with 12
-significant digits (lowercase scientific below 1e-4), ``\\n`` line endings,
-no timestamps: re-running a command with the same configuration rewrites
-byte-identical output.  Flags override config-file values, which override
-the built-in defaults.  Config-file values are parsed and checked exactly
-like the flags of the same name, and an error in one names the file.
-``main`` builds its argument parser once per process, on its first call,
-and keeps no per-request state: each call parses into a fresh namespace,
-so calls may follow one another or run on several threads at once.
-Each command reads and validates only its own settings (the keys of
-``_DEFAULTS``) and ignores the rest.  ``--points``
+Each CSV command returns its tables, and ``_write_output`` (which
+describes the format) writes them: re-running a command with the same
+configuration rewrites byte-identical output.  Flags override config-file
+values, which override the built-in defaults.  Config-file values are
+parsed and checked exactly like the flags of the same name, and an error
+in one names the file.  ``main`` builds its argument parser once per
+process, on its first call, and keeps no per-request state: each call
+parses into a fresh namespace, so calls may follow one another or run on
+several threads at once.  Each command reads and validates only its own
+settings (the keys of ``_DEFAULTS``) and ignores the rest.  ``--points``
 and ``--order`` are capped (``MAX_POINTS``, ``MAX_ORDER``) so that every
 accepted request finishes in bounded time and memory.  Exit codes: 0
 success, 1 usage error (a request that runs out of memory included), 2
@@ -29,6 +28,7 @@ verification failure, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import sys
 from pathlib import Path
@@ -50,12 +50,15 @@ EXIT_IO = 3
 PATTERN_SAMPLES = 401  # over two periods each side of the axis
 
 # Largest accepted requests.  At these caps the slowest request (sweep of
-# 1e6 points on both channels) takes 8.7-10 s and peaks at about 500 MB
+# 1e6 points on both channels) takes 7.5-8.7 s and peaks at about 132 MB
 # resident on a 2-core x86-64 VM, and coeffs at 1e5 terms, whose 401 x N
-# profile is grid_function's factored sum on one thread, takes 0.64-0.71 s
-# and peaks at about 63 MB resident.
+# profile is grid_function's factored sum on one thread, takes 0.79-0.85 s
+# and peaks at about 55 MB resident.
 MAX_POINTS = 1_000_000
 MAX_ORDER = 100_000
+
+# rows formatted and written at a time by _write_output
+_CHUNK_ROWS = 1 << 16
 
 _CHANNEL_FLAGS = {"t": ("transmitted",), "r": ("reflected",), "both": ("transmitted", "reflected")}
 
@@ -180,83 +183,58 @@ def _resolve(parser: _Parser, args: argparse.Namespace) -> argparse.Namespace:
     return config
 
 
-def _cmd_pattern(config: argparse.Namespace) -> list[str]:
+def _cmd_pattern(config: argparse.Namespace) -> list[tuple]:
     spec = GratingSpec(cover_ratio=config.a, period=1.0, truncation=config.order)
-    lines = [
-        f"# pattern: a={format_number(config.a)}"
-        f" order={config.order} phase={format_number(config.phase)}"
-        f" samples={PATTERN_SAMPLES}",
-        "x_over_Lambda,G,I",
-    ]
     # 401 samples across [-2, 2] grating periods; exact decimals keep the
     # fringe zeros/maxima landing on representable positions
     positions = (np.arange(PATTERN_SAMPLES) - 200) / 100.0
+    label = (
+        f"pattern: a={format_number(config.a)} order={config.order}"
+        f" phase={format_number(config.phase)} samples={PATTERN_SAMPLES}"
+    )
     profile = grid_function(positions, spec)
     fringe = scattering.interference_intensity(positions, config.phase)
-    # Python floats format faster than numpy scalars, to the same text
-    for u, g, i in zip(positions.tolist(), profile.tolist(), fringe.tolist()):
-        lines.append(f"{format_number(u)},{format_number(g)},{format_number(i)}")
-    return lines
+    return [(label, "x_over_Lambda,G,I", [positions, profile, fringe])]
 
 
-def _cmd_coeffs(config: argparse.Namespace) -> list[str]:
+def _cmd_coeffs(config: argparse.Namespace) -> list[tuple]:
     table = AmplitudeTable.build(config.a, config.order)
-    lines = [
-        f"# coefficients: a={format_number(config.a)} order={config.order}",
-        "n,c_n,r_n,t_n",
-    ]
     # c_0 = a and c_n = -2*r_n
     c = np.concatenate(([config.a], -2.0 * table.r[1:]))
-    for n, (c_n, r_n, t_n) in enumerate(zip(c.tolist(), table.r.tolist(), table.t.tolist())):
-        lines.append(f"{n},{format_number(c_n)},{format_number(r_n)},{format_number(t_n)}")
-    lines.append("")
-    lines.extend(_cmd_pattern(config))
-    return lines
+    label = f"coefficients: a={format_number(config.a)} order={config.order}"
+    coefficients = (label, "n,c_n,r_n,t_n", [np.arange(c.size), c, table.r, table.t])
+    return [coefficients, *_cmd_pattern(config)]
 
 
-def _cmd_orders(config: argparse.Namespace) -> list[str]:
+def _cmd_orders(config: argparse.Namespace) -> list[tuple]:
     spec = GratingSpec(cover_ratio=config.a, truncation=config.order)
     two_slit = scattering.TwoSlitConfig(spec=spec, delta_phi=config.phase)
-    lines: list[str] = []
+    a, phase = format_number(config.a), format_number(config.phase)
+    tables = []
     for channel in _CHANNEL_FLAGS[config.channel]:
-        if lines:
-            lines.append("")
         single = scattering.single_slit_spectrum(spec, channel)
-        lines.append(f"# single-slit {channel}: a={format_number(config.a)} order={config.order}")
-        lines.append("n,P")
-        for order, p in zip(single.orders.tolist(), single.probabilities.tolist()):
-            lines.append(f"{int(order)},{format_number(p)}")
-        lines.append("")
         paired = scattering.two_slit_spectrum(two_slit, channel)
-        lines.append(
-            f"# two-slit {channel}: a={format_number(config.a)}"
-            f" order={config.order} phase={format_number(config.phase)}"
-        )
-        lines.append("m,P")
-        for order, p in zip(paired.orders.tolist(), paired.probabilities.tolist()):
-            lines.append(f"{format_number(order)},{format_number(p)}")
-    return lines
+        tables.append((
+            f"single-slit {channel}: a={a} order={config.order}", "n,P",
+            [single.orders.astype(int), single.probabilities],
+        ))
+        tables.append((
+            f"two-slit {channel}: a={a} order={config.order} phase={phase}", "m,P",
+            [paired.orders, paired.probabilities],
+        ))
+    return tables
 
 
-def _cmd_sweep(config: argparse.Namespace) -> list[str]:
+def _cmd_sweep(config: argparse.Namespace) -> list[tuple]:
     grid = np.arange(config.points) / (config.points - 1)
-    lines: list[str] = []
+    tables = []
     for channel in _CHANNEL_FLAGS[config.channel]:
-        if lines:
-            lines.append("")
-        lines.append(f"# sweep {channel}: points={config.points}")
-        lines.append("a,V,D,duality")
         columns = complementarity.complementarity_sweep(grid, channel)
-        for a, v, d, duality in zip(
-            columns.cover_ratio.tolist(),
-            columns.visibility.tolist(),
-            columns.distinguishability.tolist(),
-            columns.duality.tolist(),
-        ):
-            lines.append(
-                f"{format_number(a)},{format_number(v)},{format_number(d)},{format_number(duality)}"
-            )
-    return lines
+        tables.append((
+            f"sweep {channel}: points={config.points}", "a,V,D,duality",
+            [columns.cover_ratio, columns.visibility, columns.distinguishability, columns.duality],
+        ))
+    return tables
 
 
 def _cmd_verify(config: argparse.Namespace) -> int:
@@ -273,13 +251,31 @@ def _cmd_verify(config: argparse.Namespace) -> int:
     return EXIT_OK if failed == 0 else EXIT_VERIFY
 
 
-def _write_output(lines: list[str], out: str | None) -> None:
-    text = "\n".join(lines) + "\n"
-    if out is None or out == "-":
-        sys.stdout.write(text)
-        return
-    with open(out, "w", encoding="utf-8", newline="") as handle:
-        handle.write(text)
+def _write_output(tables: list[tuple], out: str | None) -> None:
+    """Write ``tables`` as CSV to the file ``out``, or to stdout for ``None`` or ``-``.
+
+    Each table is ``(label, header, columns)``: a ``# label`` line, the
+    ``header`` row, then one row per entry of the equal-length numpy
+    ``columns``, cells joined by ``,``.  A float cell is
+    :func:`format_number` of its value and an integer cell its decimal
+    digits.  Tables are separated by one blank line, every line ends in
+    ``\\n``, and nothing else (no timestamp) is written, so the same
+    tables always give the same bytes.  Rows are formatted and written
+    ``_CHUNK_ROWS`` at a time, so memory does not grow with the output.
+    The file is opened only here, after the command has computed every
+    table, so a request that fails writes nothing.
+    """
+    to_stdout = out in (None, "-")
+    target = contextlib.nullcontext(sys.stdout) if to_stdout else open(out, "w", encoding="utf-8", newline="")
+    with target as handle:
+        for index, (label, header, columns) in enumerate(tables):
+            handle.write(("\n" if index else "") + f"# {label}\n{header}\n")
+            formats = [str if column.dtype.kind in "iu" else format_number for column in columns]
+            for start in range(0, len(columns[0]), _CHUNK_ROWS):
+                # Python floats format faster than numpy scalars, to the same text
+                stop = start + _CHUNK_ROWS
+                cells = [map(fmt, column[start:stop].tolist()) for fmt, column in zip(formats, columns)]
+                handle.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -219,7 +219,9 @@ def grid_function(x, spec: GratingSpec):
     form, which may differ in the last bit from a stacked matmul over its
     rows.  A scalar is one dot product, which BLAS rounds differently
     from a gemv row, so it may differ in the last bit from the same ``x``
-    inside an array (the README gives an example).  A multi-threaded gemv
+    inside a one-block array, and by the dense formula's error from the
+    same ``x`` inside a larger array (the README gives an example of
+    each: 1.2e-11 at 100000 terms).  A multi-threaded gemv
     splits the rows between threads at places set by the matrix shape, so
     under several BLAS threads a dense row may change in its last bit.
 

@@ -455,22 +455,47 @@ class TestBoundedRequests:
         assert MAX_POINTS >= 2 * 100001
         assert MAX_ORDER >= 50 * 2000
 
+    # the tables are held whole but their rows are written a chunk at a
+    # time: traced peaks 28.9 and 15.7 MiB, where formatting the whole
+    # output before writing it takes 83.5 and 50.2 MiB
+    @pytest.mark.parametrize(
+        "argv, bound_mib",
+        [
+            (["sweep", "--points", "200001", "--channel", "both"], 40),
+            (["orders", "--order", "50000", "--channel", "both"], 25),
+        ],
+        ids=["sweep", "orders"],
+    )
+    def test_memory_does_not_grow_with_the_output(self, argv, bound_mib, tmp_path):
+        out = tmp_path / "out.csv"
+        tracemalloc.start()
+        try:
+            code = run_cli(*argv, "--out", str(out))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        assert peak < bound_mib << 20
+
     @pytest.mark.parametrize(
         "argv, owner, name",
         [
-            (["sweep", "--points", "11"], complementarity, "complementarity_sweep"),
-            (["coeffs"], cli, "grid_function"),
+            (["sweep", "--points", "11", "--out", "-"], complementarity, "complementarity_sweep"),
+            (["coeffs", "--out", "-"], cli, "grid_function"),
+            (["coeffs", "--out", "out.csv"], cli, "grid_function"),
         ],
     )
-    def test_memory_error_is_a_usage_error(self, argv, owner, name, monkeypatch, capsys):
+    def test_memory_error_is_a_usage_error(self, argv, owner, name, monkeypatch, capsys, tmp_path):
         def exhausted(*args, **kwargs):
             raise MemoryError
 
         monkeypatch.setattr(owner, name, exhausted)
-        assert run_cli(*argv, "--out", "-") == EXIT_USAGE
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(*argv) == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: out of memory")
+        assert list(tmp_path.iterdir()) == []  # no --out file is created
 
     def test_memory_error_in_the_factored_profile_is_a_usage_error(self, monkeypatch, capsys):
         # at 20000 terms the 401 profile rows take the factored sum, which

@@ -160,22 +160,26 @@ def field_config(cover_ratio, truncation, delta_phi):
     return spec if delta_phi is None else TwoSlitConfig(spec, delta_phi)
 
 
-@pytest.mark.parametrize("argv", list(REFERENCE_DIGESTS), ids=lambda argv: argv[0])
-def test_reference_csv_digest(argv, capsys):
-    assert main([*argv, "--out", "-"]) == 0
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == REFERENCE_DIGESTS[argv]
-
-
-def test_reference_size_sweep_digest(capsys):
-    assert main([*REFERENCE_SWEEP, "--out", "-"]) == 0
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == REFERENCE_SWEEP_DIGEST
-
-
 def digest_of(argv, capsys) -> str:
     assert main([*argv, "--out", "-"]) == 0
     return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
+def file_digest_of(argv, path) -> str:
+    assert main([*argv, "--out", str(path)]) == 0
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("argv", list(REFERENCE_DIGESTS), ids=lambda argv: argv[0])
+def test_reference_csv_digest(argv, capsys, tmp_path):
+    assert digest_of(argv, capsys) == REFERENCE_DIGESTS[argv]
+    assert file_digest_of(argv, tmp_path / "out.csv") == REFERENCE_DIGESTS[argv]
+
+
+def test_reference_size_sweep_digest(capsys, tmp_path):
+    # two tables of 100001 rows, each past one chunk of the CSV writer
+    assert digest_of(REFERENCE_SWEEP, capsys) == REFERENCE_SWEEP_DIGEST
+    assert file_digest_of(REFERENCE_SWEEP, tmp_path / "out.csv") == REFERENCE_SWEEP_DIGEST
 
 
 def test_non_default_orders_digest(capsys):
