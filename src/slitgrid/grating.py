@@ -48,50 +48,41 @@ SPECTRUM_TRUNCATION = 30
 
 
 def sin_pi(u):
-    """sin(pi*u), exact at integers.
+    """sin(pi*u), exact at integers; a float for a scalar, an array for an array.
 
-    The argument is reduced to [0, 1/2] before multiplying by pi, so integer
-    ``u`` returns exactly 0.0 and values near integers keep full precision
-    instead of inheriting the rounding error of ``pi*u``.  A numpy array
-    gives an array; any other argument is a scalar and goes through
-    ``math.sin``, with the same bits as numpy's ``sin`` on the reduced range.
+    The argument is widened to float64 and reduced to [0, 1/2] before
+    multiplying by pi, so integer ``u`` returns exactly 0.0 and values near
+    integers keep full precision instead of inheriting the rounding error
+    of ``pi*u``.  A scalar is a 0-d array on the same numpy path; the
+    regression gate pins its bits to the C library's ``sin``.
     """
-    if isinstance(u, np.ndarray):
-        red = np.mod(u.astype(float, copy=False), 2.0)
-        sign = np.where(red >= 1.0, -1.0, 1.0)
-        red = np.where(red >= 1.0, red - 1.0, red)
-        red = np.where(red > 0.5, 1.0 - red, red)
-        out = sign * np.sin(np.pi * red)
-        return float(out) if out.ndim == 0 else out
-    red = float(u) % 2.0
-    sign = 1.0
-    if red >= 1.0:
-        sign, red = -1.0, red - 1.0
-    if red > 0.5:
-        red = 1.0 - red
-    return sign * math.sin(math.pi * red)
+    red = np.mod(np.asarray(u, dtype=float), 2.0)
+    sign = np.where(red >= 1.0, -1.0, 1.0)
+    red = np.where(red >= 1.0, red - 1.0, red)
+    red = np.where(red > 0.5, 1.0 - red, red)
+    out = sign * np.sin(np.pi * red)
+    return float(out) if out.ndim == 0 else out
 
 
 def sinc_pi(u):
-    """sin(pi*u)/(pi*u) with the limit value 1 at u = 0; scalar or array."""
-    if isinstance(u, np.ndarray):
-        u = u.astype(float, copy=False)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(u == 0.0, 1.0, sin_pi(u) / (np.pi * u))
-        return float(out) if out.ndim == 0 else out
-    if u == 0.0:
-        return 1.0
-    return sin_pi(u) / (math.pi * u)
+    """sin(pi*u)/(pi*u) with the limit value 1 at u = 0; a float for a scalar, else an array."""
+    u = np.asarray(u, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.where(u == 0.0, 1.0, sin_pi(u) / (np.pi * u))
+    return float(out) if out.ndim == 0 else out
 
 
-def _check_cover_ratio(cover_ratio) -> None:
+def _check_cover_ratio(cover_ratio):
+    """Reject a ratio outside [0, 1]; return it widened, a float64 array or a Python float."""
     if isinstance(cover_ratio, np.ndarray):
         outside = ~((cover_ratio >= 0.0) & (cover_ratio <= 1.0))  # NaN is outside too
         if np.any(outside):
             bad = cover_ratio[outside].flat[0]
             raise ValueError(f"cover ratio must lie in [0, 1], got {float(bad)!r}")
-    elif not (0.0 <= cover_ratio <= 1.0):
+        return cover_ratio.astype(float, copy=False)
+    if not (0.0 <= cover_ratio <= 1.0):
         raise ValueError(f"cover ratio must lie in [0, 1], got {cover_ratio!r}")
+    return float(cover_ratio)
 
 
 def _check_truncation(truncation: int) -> None:
@@ -259,14 +250,16 @@ def sampling_window(cover_ratio, channel: Channel) -> tuple:
     sits on the fringe maxima and the strip on the minima, and the sign
     also gives the direction the channel's light leaves in (+z
     transmitted, -z reflected).  This is the one place that tells the
-    channels apart by name.  An array of covering ratios gives an array
-    of widths; the sign is always a float.
+    channels apart by name.  The covering ratio is widened first, as the
+    configuration classes do: a scalar to a Python float and an array to
+    a float64 array of widths, so a float32 ratio rounds nothing in
+    float32.  The sign is always a float.
     """
-    _check_cover_ratio(cover_ratio)
+    cover_ratio = _check_cover_ratio(cover_ratio)
     if channel == "transmitted":
         return 1.0 - cover_ratio, 1.0
     if channel == "reflected":
-        return (cover_ratio if isinstance(cover_ratio, np.ndarray) else float(cover_ratio)), -1.0
+        return cover_ratio, -1.0
     raise ValueError(f"channel must be one of {CHANNELS}, got {channel!r}")
 
 

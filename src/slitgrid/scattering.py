@@ -154,6 +154,7 @@ def two_slit_probabilities(half: np.ndarray, delta_phi: float) -> np.ndarray:
     real amplitudes, for ``m = n + 1/2`` with ``n`` in [-N, N-1]: every
     bin whose two contributing orders are inside the truncated table.
     """
+    _check_phase(delta_phi)
     full = _mirrored(half)
     lower, upper = full[:-1], full[1:]
     cos_phi = math.cos(delta_phi)
@@ -214,6 +215,7 @@ def two_slit_power_limit(cover_ratio: float, channel: Channel, delta_phi: float 
     at zero phase the gaps sit on the fringe maxima, the strips on the
     minima.
     """
+    _check_phase(delta_phi)
     width, sign = sampling_window(cover_ratio, channel)
     cross = math.cos(delta_phi) * sin_pi(cover_ratio) / math.pi
     return width + sign * cross

@@ -26,6 +26,7 @@ from slitgrid.scattering import (
     single_slit_spectrum,
     synthesize_field,
     two_slit_power_limit,
+    two_slit_probabilities,
     two_slit_spectrum,
 )
 
@@ -63,11 +64,18 @@ class TestInterferenceIntensity:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_phase_like_the_two_slit_config(self, bad):
-        with pytest.raises(ValueError, match="delta_phi must be finite") as intensity:
-            interference_intensity(np.zeros(3), bad)
+        # every function that takes a phase, not only the configuration class
         with pytest.raises(ValueError) as config:
             TwoSlitConfig(GratingSpec(0.3), bad)
-        assert str(intensity.value) == str(config.value)
+        half = AmplitudeTable.build(0.3, 5).t
+        for call in (
+            lambda: interference_intensity(np.zeros(3), bad),
+            lambda: two_slit_power_limit(0.3, "transmitted", bad),
+            lambda: two_slit_probabilities(half, bad),
+        ):
+            with pytest.raises(ValueError, match="delta_phi must be finite") as error:
+                call()
+            assert str(error.value) == str(config.value)
 
 
 class TestSingleSlitSpectrum:
