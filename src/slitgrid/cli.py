@@ -10,9 +10,10 @@ Commands
   verify    run the invariant suite and report each check
 
 Each CSV command returns its tables, and ``_write_output`` (which
-describes the format) writes them: re-running a command with the same
-configuration rewrites byte-identical output.  Flags override config-file
-values, which override the built-in defaults.  Config-file values are
+describes the format) writes them, formatting each chunk of rows with one
+``%`` template: re-running a command with the same configuration rewrites
+byte-identical output.  Flags override config-file values, which override
+the built-in defaults.  Config-file values are
 parsed and checked exactly like the flags of the same name, and an error
 in one names the file.  ``main`` builds its argument parser once per
 process, on its first call, and keeps no per-request state: each call
@@ -30,6 +31,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import sys
 from pathlib import Path
 
@@ -50,7 +52,7 @@ EXIT_IO = 3
 PATTERN_SAMPLES = 401  # over two periods each side of the axis
 
 # Largest accepted requests.  At these caps the slowest request (sweep of
-# 1e6 points on both channels) takes 7.5-8.7 s and peaks at about 132 MB
+# 1e6 points on both channels) takes 4.9-5.6 s and peaks at about 132 MB
 # resident on a 2-core x86-64 VM, and coeffs at 1e5 terms, whose 401 x N
 # profile is grid_function's factored sum on one thread, takes 0.79-0.85 s
 # and peaks at about 55 MB resident.
@@ -81,17 +83,24 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def format_number(value: float) -> str:
-    """Deterministic numeric formatting for CSV cells.
+# The one rule for a float cell: 12 significant digits, non-zero magnitudes
+# below 1e-4 in lowercase scientific notation, and zero as ``0``.
+_FIXED, _SCIENTIFIC = "%.12g", "%.11e"
 
-    12 significant digits; values with magnitude below 1e-4 switch to
-    lowercase scientific notation, zero prints as ``0``.
+
+def _float_cells(values):
+    """``values`` ready for ``%``, and whether each takes ``_SCIENTIFIC``.
+
+    Works elementwise on an array, or on one float as a 0-d array.  -0.0
+    becomes +0.0, which ``_FIXED`` prints as ``0``.
     """
-    if value == 0.0:
-        return "0"
-    if abs(value) < 1e-4:
-        return f"{value:.11e}"
-    return f"{value:.12g}"
+    return np.where(values == 0.0, 0.0, values), (values != 0.0) & (abs(values) < 1e-4)
+
+
+def format_number(value: float) -> str:
+    """Deterministic numeric formatting for one CSV cell (``_FIXED`` or ``_SCIENTIFIC``)."""
+    value, scientific = _float_cells(value)
+    return (_SCIENTIFIC if scientific else _FIXED) % float(value)
 
 
 @functools.cache  # parse_args leaves the parser unchanged, so every call shares it
@@ -262,20 +271,57 @@ def _write_output(tables: list[tuple], out: str | None) -> None:
     ``\\n``, and nothing else (no timestamp) is written, so the same
     tables always give the same bytes.  Rows are formatted and written
     ``_CHUNK_ROWS`` at a time, so memory does not grow with the output.
-    The file is opened only here, after the command has computed every
-    table, so a request that fails writes nothing.
+    A chunk is formatted by one ``%``: its template joins one row
+    template per row, picked by a row code with one bit per float column
+    (set where :func:`_float_cells` asks for ``_SCIENTIFIC``), and its
+    cells are the chunk's values interleaved row by row.  The file is
+    opened only here, after the command has computed every table, so a
+    request that fails writes nothing.
     """
     to_stdout = out in (None, "-")
     target = contextlib.nullcontext(sys.stdout) if to_stdout else open(out, "w", encoding="utf-8", newline="")
     with target as handle:
         for index, (label, header, columns) in enumerate(tables):
             handle.write(("\n" if index else "") + f"# {label}\n{header}\n")
-            formats = [str if column.dtype.kind in "iu" else format_number for column in columns]
             for start in range(0, len(columns[0]), _CHUNK_ROWS):
-                # Python floats format faster than numpy scalars, to the same text
-                stop = start + _CHUNK_ROWS
-                cells = [map(fmt, column[start:stop].tolist()) for fmt, column in zip(formats, columns)]
-                handle.write("\n".join(map(",".join, zip(*cells))) + "\n")
+                handle.write(_format_rows([column[start:start + _CHUNK_ROWS] for column in columns]))
+
+
+def _format_rows(columns: list[np.ndarray]) -> str:
+    """The CSV rows of ``columns``, formatted by one ``%`` (see ``_write_output``).
+
+    The ``%`` comes first in a short function: tracemalloc finds the line
+    of every allocation by scanning its frame's line table from the start,
+    and ``%`` allocates twice per cell, so traced runs stay fast here.
+    """
+    template, cells = _template_and_cells(columns)
+    return template % cells
+
+
+def _template_and_cells(columns: list[np.ndarray]) -> tuple[str, tuple]:
+    """The ``%`` template of the rows of ``columns`` and their cells in row order."""
+    floats = tuple(column.dtype.kind not in "iu" for column in columns)
+    width = len(columns)
+    codes = np.zeros(len(columns[0]), dtype=np.intp)
+    cells = [None] * (codes.size * width)
+    for j, (values, is_float) in enumerate(zip(columns, floats)):
+        if is_float:
+            values, scientific = _float_cells(values)
+            codes = (codes << 1) | scientific
+        # Python floats format faster than numpy scalars, to the same text
+        cells[j::width] = values.tolist()
+    return "".join(map(_row_templates(floats).__getitem__, codes.tolist())), tuple(cells)
+
+
+@functools.cache
+def _row_templates(floats: tuple[bool, ...]) -> tuple[str, ...]:
+    """The row template of each row code, for columns that are float where ``floats`` is true.
+
+    A row code has one bit per float column, the first column the highest
+    bit, set where the cell takes ``_SCIENTIFIC``; integer cells are ``%d``.
+    """
+    formats = ((_FIXED, _SCIENTIFIC) if is_float else ("%d",) for is_float in floats)
+    return tuple(",".join(row) + "\n" for row in itertools.product(*formats))
 
 
 def main(argv: list[str] | None = None) -> int:
