@@ -27,19 +27,18 @@ degenerate endpoints.  Transmitted and reflected photons are disjoint
 subensembles; each channel is normalized on its own and the two are never
 combined.
 
-The closed forms and the sweep accept a numpy array of covering ratios
-and return arrays, element for element the same bits as the scalar calls.
+Each closed form is one numpy path: a scalar covering ratio is a 0-d
+array and gives floats, an array of ratios gives arrays.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
-from .grating import AmplitudeTable, Channel, sampling_window, sin_pi, sinc_pi
+from .grating import AmplitudeTable, Channel, _unwrap, sampling_window, sin_pi, sinc_pi
 
 __all__ = [
     "VisibilityResult",
@@ -64,8 +63,8 @@ class VisibilityResult:
     of their channel, ``i_min`` with them on the minima;
     ``visibility = (i_max - i_min)/(i_max + i_min)`` whenever the
     denominator is positive, and the analytic limit 1 at the degenerate
-    endpoint where both integrals vanish.  The fields are floats for one
-    covering ratio and arrays for an array of them.
+    endpoint where both integrals vanish.  The fields are Python floats
+    for a scalar covering ratio, a 0-d array included, else arrays.
     """
 
     i_max: float
@@ -97,15 +96,12 @@ def visibility_closed(cover_ratio, channel: Channel = "transmitted") -> Visibili
     exact limit value 1 at the singular endpoint and stays fully accurate
     next to it.  An array of covering ratios gives a result of arrays.
     """
-    width, _ = sampling_window(cover_ratio, channel)
+    width = np.asarray(sampling_window(cover_ratio, channel)[0])
     s = sin_pi(cover_ratio)
     i_max = (math.pi * width + s) / (2.0 * math.pi)
     i_min = (math.pi * width - s) / (2.0 * math.pi)
-    if isinstance(i_min, np.ndarray):
-        i_min = np.where(i_min > 0.0, i_min, 0.0)  # max(0.0, i_min) bit for bit
-    else:
-        i_min = max(0.0, i_min)
-    return VisibilityResult(i_max=i_max, i_min=i_min, visibility=sinc_pi(width))
+    i_min = np.where(i_min > 0.0, i_min, 0.0)  # max(0.0, i_min), NaN included
+    return VisibilityResult(i_max=_unwrap(i_max), i_min=_unwrap(i_min), visibility=sinc_pi(width))
 
 
 def visibility_quadrature(cover_ratio: float, channel: Channel = "transmitted") -> VisibilityResult:
@@ -138,11 +134,9 @@ def distinguishability_closed(cover_ratio, channel: Channel = "transmitted"):
     """
     width, _ = sampling_window(cover_ratio, channel)
     leak = sin_pi(cover_ratio) / math.pi
-    if isinstance(width, np.ndarray):
-        # float_power is libm pow, as the scalar ``**``; width*width rounds
-        # differently from pow on about 0.1 % of inputs
-        return np.abs(np.float_power(width, 2) - leak * leak)
-    return abs(width**2 - leak * leak)
+    # float_power is libm pow, as Python's ``**``; width*width rounds
+    # differently from pow on about 0.1 % of inputs, in pinned sweep rows
+    return _unwrap(np.abs(np.float_power(width, 2) - leak * leak))
 
 
 def distinguishability_from_amplitudes(
@@ -160,24 +154,20 @@ def distinguishability_from_amplitudes(
     return float(0.5 * (abs(u0 * u0 - u1 * u1) + abs(u1 * u1 - u0 * u0)))
 
 
-def complementarity_sweep(
-    cover_ratios: Iterable[float], channel: Channel = "transmitted"
-) -> SweepColumns:
+def complementarity_sweep(cover_ratios, channel: Channel = "transmitted") -> SweepColumns:
     """Evaluate (V, D, V**2 + D**2) for each covering ratio, input order kept.
 
-    One vectorised pass per column; an unknown channel is rejected even
-    for no ratios.
+    The ratios (a 1-d array or sequence) are copied, so no column aliases
+    the caller's array.  One vectorised pass per column; an unknown channel
+    is rejected even for no ratios.
     """
-    if isinstance(cover_ratios, np.ndarray):
-        a = cover_ratios.astype(float)
-    else:
-        a = np.fromiter(cover_ratios, dtype=float)
+    a = np.array(cover_ratios)
     if a.ndim != 1:
         raise ValueError(f"cover ratios must be one-dimensional, got shape {a.shape}")
     v = visibility_closed(a, channel).visibility
     d = distinguishability_closed(a, channel)
     return SweepColumns(
-        cover_ratio=a,
+        cover_ratio=a.astype(float, copy=False),
         visibility=v,
         distinguishability=d,
         duality=v * v + d * d,

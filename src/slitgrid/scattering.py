@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import SetupGeometry, derive_grating_geometry
-from .grating import AmplitudeTable, Channel, GratingSpec, sampling_window, sin_pi
+from .grating import AmplitudeTable, Channel, GratingSpec, _unwrap, sampling_window, sin_pi
 
 __all__ = [
     "TwoSlitConfig",
@@ -124,14 +124,11 @@ def interference_intensity(x, delta_phi: float = 0.0):
     """Two-slit fringe intensity ``cos(pi*x + delta_phi)**2``, ``x`` in grating periods.
 
     Evaluated through the double-angle form so the zeros at half-period
-    offsets come out exactly 0.0 (and the maxima exactly 1.0).  Accepts
-    scalar or array ``x``; ``delta_phi`` must be finite.
+    offsets come out exactly 0.0 (and the maxima exactly 1.0).  A scalar
+    ``x`` gives a float, an array an array; ``delta_phi`` must be finite.
     """
     _check_phase(delta_phi)
-    values = 0.5 * (1.0 + np.cos(2.0 * (np.pi * np.asarray(x, dtype=float) + delta_phi)))
-    if np.ndim(x) == 0:
-        return float(values)
-    return values
+    return _unwrap(0.5 * (1.0 + np.cos(2.0 * (np.pi * np.asarray(x, dtype=float) + delta_phi))))
 
 
 def _mirrored(amps: np.ndarray) -> np.ndarray:

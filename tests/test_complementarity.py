@@ -224,3 +224,20 @@ class TestComplementaritySweep:
             complementarity_sweep([], "sideways")
         with pytest.raises(ValueError, match="one-dimensional"):
             complementarity_sweep(np.zeros((2, 2)))
+
+    @pytest.mark.parametrize(
+        "bad",
+        [["0.5"], [b"0.5"], [0.5, "0.5"], np.array(["0.5"], dtype=object), np.array([0.5 + 0j])],
+    )
+    def test_rejects_ratios_that_are_not_real_numbers(self, bad):
+        # as a scalar "0.5" is rejected by every entry point
+        with pytest.raises(TypeError):
+            complementarity_sweep(bad)
+        with pytest.raises(TypeError):
+            sampling_window(np.asarray(bad), "transmitted")
+
+    def test_the_ratio_column_does_not_alias_the_input(self):
+        a = np.array([0.1, 0.5])
+        columns = complementarity_sweep(a)
+        a[0] = 0.9
+        assert columns.cover_ratio.tolist() == [0.1, 0.5]

@@ -270,6 +270,25 @@ class TestSamplingWindow:
         with pytest.raises(ValueError, match="cover ratio"):
             sampling_window(1.5, "transmitted")
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: sampling_window("0.5", "transmitted"),
+            lambda: GratingSpec("0.5"),
+            lambda: AmplitudeTable.build("0.5"),
+            lambda: GratingSpec(np.array(["0.5"])),
+            lambda: GratingSpec(np.array([0.3])),
+        ],
+    )
+    def test_rejects_a_ratio_that_is_not_a_real_scalar(self, make):
+        with pytest.raises(TypeError):
+            make()
+
+    def test_a_0d_ratio_is_stored_as_a_float(self):
+        spec = GratingSpec(np.array(0.3))
+        assert type(spec.cover_ratio) is float and spec.cover_ratio == 0.3
+        assert type(AmplitudeTable.build(np.float32(0.5)).cover_ratio) is float
+
 
 class TestNormalization:
     @given(cover_ratios)

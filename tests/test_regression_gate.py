@@ -18,10 +18,11 @@ before the verify suite evaluated the closed forms over its grid as
 arrays.  The field digest was recorded before ``synthesize_field``
 memoised its plane-wave decomposition, and ``seed_synthesize_field`` keeps
 that formula as the bit-level reference, as ``seed_sin_pi`` keeps the
-scalar ``math.sin`` reduction that ``sin_pi`` replaced.
+scalar ``math.sin`` reduction that ``sin_pi`` replaced and
+``seed_duality`` the Python-float ``max`` and ``**`` of the closed forms.
 
-Bit-level pins (the verify report, and the array kernels equal to the
-scalar ``math``/``pow`` paths) depend on the numpy build and the CPU; CI
+Bit-level pins (the verify report, and the closed forms equal to those
+scalar ``math``/``pow`` references) depend on the numpy build and the CPU; CI
 prints both before running the tests.  An input that fits one block stays
 bit for bit the dense reference.  A larger one takes the factored sum,
 which calls no BLAS: a subprocess test checks that its bytes are the same
@@ -72,6 +73,7 @@ from slitgrid.scattering import (
     TwoSlitConfig,
     _mirrored,
     _plane_waves,
+    interference_intensity,
     synthesize_field,
     two_slit_power_limit,
 )
@@ -138,6 +140,16 @@ def seed_sin_pi(u: float) -> float:
 
 def seed_sinc_pi(u: float) -> float:
     return 1.0 if u == 0.0 else seed_sin_pi(u) / (math.pi * u)
+
+
+def seed_duality(a: float, channel: str) -> tuple[float, float, float, float]:
+    """``(i_max, i_min, V, D)`` in Python floats as first written: ``max`` and libm ``pow``."""
+    width = 1.0 - a if channel == "transmitted" else a
+    s = seed_sin_pi(a)
+    i_max = (math.pi * width + s) / (2.0 * math.pi)
+    i_min = max(0.0, (math.pi * width - s) / (2.0 * math.pi))
+    leak = s / math.pi
+    return i_max, i_min, seed_sinc_pi(width), abs(width**2 - leak * leak)
 
 
 def seed_grid_function(x, cover_ratio, truncation, period):
@@ -418,19 +430,23 @@ SUBNORMAL = 2.2250738585072014e-308 / 3.0
 @example(ratios=[5e-324, SUBNORMAL, 1.0 - 2.0**-53], channel="transmitted")
 @example(ratios=[5e-324, SUBNORMAL, 1.0 - 2.0**-53], channel="reflected")
 def test_duality_kernel_arrays_equal_the_scalar_calls_bit_for_bit(ratios, channel):
+    # both equal the Python-float reference, whose pow and max the sweep
+    # digests were recorded under
+    seed = [seed_duality(x, channel) for x in ratios]
+    i_max, i_min, v, d = (bits(column) for column in zip(*seed))
     a = np.array(ratios)
     result = visibility_closed(a, channel)
     scalar = [visibility_closed(x, channel) for x in ratios]
-    assert bits(result.visibility) == bits([r.visibility for r in scalar])
-    assert bits(result.i_max) == bits([r.i_max for r in scalar])
-    assert bits(result.i_min) == bits([r.i_min for r in scalar])
-    d = [distinguishability_closed(x, channel) for x in ratios]
-    assert bits(distinguishability_closed(a, channel)) == bits(d)
+    assert bits(result.visibility) == bits([r.visibility for r in scalar]) == v
+    assert bits(result.i_max) == bits([r.i_max for r in scalar]) == i_max
+    assert bits(result.i_min) == bits([r.i_min for r in scalar]) == i_min
+    d_scalar = [distinguishability_closed(x, channel) for x in ratios]
+    assert bits(distinguishability_closed(a, channel)) == bits(d_scalar) == d
     assert bits(sin_pi(a)) == bits([sin_pi(x) for x in ratios])
     assert bits(sinc_pi(a)) == bits([sinc_pi(x) for x in ratios])
     columns = complementarity_sweep(a, channel)
     assert len(columns) == len(ratios)
-    dualities = [r.visibility * r.visibility + d_x * d_x for r, d_x in zip(scalar, d)]
+    dualities = [v_x * v_x + d_x * d_x for _, _, v_x, d_x in seed]
     assert bits(columns.duality) == bits(dualities)
 
 
@@ -440,15 +456,13 @@ def test_duality_kernel_equals_the_scalar_calls_on_a_dense_draw(channel):
     # w*w round apart are about 0.1 % of uniform draws, so look at many
     ratios = np.random.default_rng(3).random(20000).tolist()
     columns = complementarity_sweep(ratios, channel)
-    scalar = []
-    for x in ratios:
-        v = visibility_closed(x, channel).visibility
-        d = distinguishability_closed(x, channel)
-        scalar.append((v, d, v * v + d * d))
-    v, d, duality = zip(*scalar)
+    seed = [seed_duality(x, channel)[2:] for x in ratios]
+    v, d = zip(*seed)
     assert bits(columns.visibility) == bits(v)
     assert bits(columns.distinguishability) == bits(d)
-    assert bits(columns.duality) == bits(duality)
+    assert bits(columns.duality) == bits([v_x * v_x + d_x * d_x for v_x, d_x in seed])
+    scalar = [(visibility_closed(x, channel).visibility, distinguishability_closed(x, channel)) for x in ratios]
+    assert bits(scalar) == bits(seed)
 
 
 @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=16))
@@ -462,6 +476,33 @@ def test_sin_pi_and_sinc_pi_arrays_equal_the_scalar_calls_bit_for_bit(us):
         assert bits(ours(u)) == want
         assert bits([ours(x) for x in us]) == want
         assert all(type(ours(x)) is float for x in us)
+
+
+# every closed form on its one numpy path: a scalar gives a Python float
+ONE_PATH = {
+    "sin_pi": sin_pi,
+    "sinc_pi": sinc_pi,
+    "visibility_closed.i_max": lambda a: visibility_closed(a).i_max,
+    "visibility_closed.i_min": lambda a: visibility_closed(a).i_min,
+    "visibility_closed.visibility": lambda a: visibility_closed(a).visibility,
+    "distinguishability_closed": distinguishability_closed,
+    "interference_intensity": interference_intensity,
+    "grid_function": lambda x: grid_function(x, GratingSpec(cover_ratio=0.3, truncation=20)),
+}
+SCALARS = {"float": 0.3, "float32": np.float32(0.3), "float64": np.float64(0.3), "0-d": np.array(0.3)}
+
+
+@pytest.mark.parametrize("name", ONE_PATH)
+@pytest.mark.parametrize("kind", [*SCALARS, "1-d"])
+def test_a_scalar_gives_a_float_and_an_array_an_array(name, kind):
+    f = ONE_PATH[name]
+    if kind == "1-d":
+        assert type(f(np.array([0.3, 0.7]))) is np.ndarray
+        return
+    value = f(SCALARS[kind])
+    assert type(value) is float
+    # the scalar is a one-element array on the same path
+    assert bits(value) == bits(f(np.array([SCALARS[kind]])))
 
 
 @pytest.mark.filterwarnings("ignore::slitgrid.geometry.ParaxialWarning")
