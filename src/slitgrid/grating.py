@@ -93,6 +93,14 @@ def _check_cover_ratio(cover_ratio):
     return float(cover_ratio)
 
 
+def _check_one_cover_ratio(cover_ratio) -> float:
+    """:func:`_check_cover_ratio` for a grating's one ratio: a Python float, never an array."""
+    ratio = _check_cover_ratio(cover_ratio)
+    if getattr(ratio, "ndim", 0):
+        raise TypeError(f"a grating takes one cover ratio, got an array of shape {ratio.shape}")
+    return float(ratio)
+
+
 def _check_truncation(truncation: int) -> None:
     is_integer = isinstance(truncation, (int, np.integer)) and not isinstance(truncation, bool)
     if not (is_integer and truncation >= 1):
@@ -114,8 +122,7 @@ class GratingSpec:
     truncation: int = DEFAULT_TRUNCATION
 
     def __post_init__(self) -> None:
-        # float() makes a 0-d array a float and rejects a larger array
-        object.__setattr__(self, "cover_ratio", float(_check_cover_ratio(self.cover_ratio)))
+        object.__setattr__(self, "cover_ratio", _check_one_cover_ratio(self.cover_ratio))
         if not (math.isfinite(self.period) and self.period > 0.0):
             raise ValueError(f"period must be positive, got {self.period!r}")
         _check_truncation(self.truncation)
@@ -281,7 +288,7 @@ class AmplitudeTable:
     @classmethod
     def build(cls, cover_ratio: float, truncation: int = DEFAULT_TRUNCATION) -> "AmplitudeTable":
         """The table at ``cover_ratio``, widened to a Python float first (``1 - a`` rounds in float64)."""
-        cover_ratio = float(_check_cover_ratio(cover_ratio))
+        cover_ratio = _check_one_cover_ratio(cover_ratio)
         _check_truncation(truncation)
         harmonics = _harmonics(cover_ratio, np.arange(1, truncation + 1))
         r = np.concatenate(([-cover_ratio], harmonics))

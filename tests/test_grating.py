@@ -278,6 +278,8 @@ class TestSamplingWindow:
             lambda: AmplitudeTable.build("0.5"),
             lambda: GratingSpec(np.array(["0.5"])),
             lambda: GratingSpec(np.array([0.3])),
+            lambda: AmplitudeTable.build(np.array([0.3])),
+            lambda: AmplitudeTable.build(np.array([[0.3, 0.7]])),
         ],
     )
     def test_rejects_a_ratio_that_is_not_a_real_scalar(self, make):
