@@ -13,17 +13,22 @@ Each CSV command returns its tables, and ``_write_output`` (which
 describes the format) writes them, formatting each chunk of rows with one
 ``%`` template: re-running a command with the same configuration rewrites
 byte-identical output.  Flags override config-file values, which override
-the built-in defaults.  Config-file values are
-parsed and checked exactly like the flags of the same name, and an error
-in one names the file.  ``main`` builds its argument parser once per
-process, on its first call, and keeps no per-request state: each call
-parses into a fresh namespace, so calls may follow one another or run on
-several threads at once.  Each command reads and validates only its own
-settings (the keys of ``_DEFAULTS``) and ignores the rest.  ``--points``
-and ``--order`` are capped (``MAX_POINTS``, ``MAX_ORDER``) so that every
-accepted request finishes in bounded time and memory.  Exit codes: 0
-success, 1 usage error (a request that runs out of memory included), 2
-verification failure, 3 I/O error.
+the built-in defaults.  Config-file values are parsed exactly like the
+flags of the same name, and a value that does not parse names the file.
+``main`` builds its argument parser once per process, on its first call,
+and keeps no per-request state: each call parses into a fresh namespace,
+so calls may follow one another or run on several threads at once.  Each
+command reads only its own settings (the keys of ``_DEFAULTS``) and
+ignores the rest.  A value is range-checked once, by the library code
+that reads it (``GratingSpec``, ``AmplitudeTable.build``,
+``TwoSlitConfig``, ``run_verification``), before any output; its
+``ValueError`` text is the error message.  The CLI checks only what no
+library function knows: ``--points >= 2`` and the caps on ``--points``
+and ``--order`` (``MAX_POINTS``, ``MAX_ORDER``), so that every accepted
+request finishes in bounded time and memory.  ``main`` maps every
+failure to its exit code in one place: 0 success, 1 usage error (any
+``ValueError``, and a request that runs out of memory), 2 verification
+failure, 3 I/O error (``OSError``).
 """
 
 from __future__ import annotations
@@ -74,13 +79,9 @@ _DEFAULTS = {
 }
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2; keep 2 for verification
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 # The one rule for a float cell: 12 significant digits, non-zero magnitudes
@@ -135,8 +136,8 @@ def _build_parser() -> _Parser:
 def _load_config_file(path: str) -> dict[str, str]:
     try:
         text = Path(path).read_text(encoding="utf-8")  # OSError maps to the I/O exit code
-    except UnicodeDecodeError as exc:
-        raise _UsageError(f"{path}: {exc}") from None
+    except UnicodeDecodeError as exc:  # a ValueError, caught here to name the file
+        raise ValueError(f"{path}: {exc}") from None
     values: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -145,9 +146,9 @@ def _load_config_file(path: str) -> dict[str, str]:
         key, sep, value = line.partition("=")
         key, value = key.strip(), value.strip()
         if not sep or not key or not value:
-            raise _UsageError(f"{path}:{lineno}: expected key=value, got {raw!r}")
+            raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         if not any(key in defaults for defaults in _DEFAULTS.values()):
-            raise _UsageError(f"{path}:{lineno}: unknown key {key!r}")
+            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
         values[key] = value
     return values
 
@@ -155,10 +156,11 @@ def _load_config_file(path: str) -> dict[str, str]:
 def _resolve(parser: _Parser, args: argparse.Namespace) -> argparse.Namespace:
     """Merge flags over config-file values over per-command defaults.
 
-    Only the settings the command reads are resolved and validated.  File
-    values are parsed as ``--key=value`` flags by ``parser``, so they get
-    the same type and choice checks; the result holds ``command`` and the
-    command's settings under their flag names.
+    Only the settings the command reads are resolved.  File values are
+    parsed as ``--key=value`` flags by ``parser``, so they get the same
+    type and choice checks; the result holds ``command`` and the command's
+    settings under their flag names.  Only what no library function knows
+    is checked here: the caps and ``--points >= 2``.
     """
     defaults = _DEFAULTS[args.command]
     from_file = argparse.Namespace()
@@ -171,24 +173,20 @@ def _resolve(parser: _Parser, args: argparse.Namespace) -> argparse.Namespace:
         if tokens:
             try:
                 from_file = parser.parse_args([args.command, *tokens])
-            except _UsageError as exc:
-                raise _UsageError(f"{args.config}: {exc}") from None
+            except ValueError as exc:
+                raise ValueError(f"{args.config}: {exc}") from None
     config = argparse.Namespace(command=args.command)
     for key, default in defaults.items():
         value = getattr(args, key)
         if value is None:
             value = getattr(from_file, key, None)
         setattr(config, key, default if value is None else value)
-    if "a" in defaults and not (0.0 <= config.a <= 1.0):
-        raise _UsageError(f"--a must lie in [0, 1], got {config.a}")
-    if "order" in defaults and config.order < 1:
-        raise _UsageError(f"--order must be >= 1, got {config.order}")
     if "order" in defaults and config.order > MAX_ORDER:
-        raise _UsageError(f"--order must be <= {MAX_ORDER}, got {config.order}")
+        raise ValueError(f"--order must be <= {MAX_ORDER}, got {config.order}")
     if "points" in defaults and config.points < 2:
-        raise _UsageError(f"--points must be >= 2, got {config.points}")
+        raise ValueError(f"--points must be >= 2, got {config.points}")
     if "points" in defaults and config.points > MAX_POINTS:
-        raise _UsageError(f"--points must be <= {MAX_POINTS}, got {config.points}")
+        raise ValueError(f"--points must be <= {MAX_POINTS}, got {config.points}")
     return config
 
 
@@ -327,16 +325,7 @@ def _row_templates(floats: tuple[bool, ...]) -> tuple[str, ...]:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        config = _resolve(parser, args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-
-    try:
+        config = _resolve(parser, parser.parse_args(argv))
         if config.command == "verify":
             return _cmd_verify(config)
         builders = {

@@ -181,10 +181,7 @@ def detector_signal(spectrum: OrderSpectrum) -> DetectorSignal:
     """
     if not spectrum.two_slit:
         raise ValueError("detector binning needs a two-slit (half-odd-integer) spectrum")
-    p_d1 = spectrum.probability(0.5)
-    p_d2 = spectrum.probability(-0.5)
-    p_loss = max(0.0, spectrum.total() - p_d1 - p_d2)
-    return DetectorSignal(p_d1=p_d1, p_d2=p_d2, p_loss=p_loss)
+    return _binned(spectrum, 0.5, -0.5)
 
 
 def single_slit_detector_signal(spec: GratingSpec) -> DetectorSignal:
@@ -193,11 +190,14 @@ def single_slit_detector_signal(spec: GratingSpec) -> DetectorSignal:
     The zeroth order goes to the slit's own detector; the first order
     points at the other detector (one side only), everything else is loss.
     """
-    spectrum = single_slit_spectrum(spec, "transmitted")
-    p_d1 = spectrum.probability(0)
-    p_d2 = spectrum.probability(1)
-    p_loss = max(0.0, spectrum.total() - p_d1 - p_d2)
-    return DetectorSignal(p_d1=p_d1, p_d2=p_d2, p_loss=p_loss)
+    return _binned(single_slit_spectrum(spec, "transmitted"), 0, 1)
+
+
+def _binned(spectrum: OrderSpectrum, first_order: float, second_order: float) -> DetectorSignal:
+    """Detector one at ``first_order``, detector two at ``second_order``, the rest of the total as loss."""
+    p_d1 = spectrum.probability(first_order)
+    p_d2 = spectrum.probability(second_order)
+    return DetectorSignal(p_d1=p_d1, p_d2=p_d2, p_loss=max(0.0, spectrum.total() - p_d1 - p_d2))
 
 
 def two_slit_power_limit(cover_ratio: float, channel: Channel, delta_phi: float = 0.0) -> float:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import complementarity, scattering
+from . import complementarity, grating, scattering
 from .grating import CHANNELS, AmplitudeTable, GratingSpec, grid_function, normalization_defect
 
 __all__ = ["CheckResult", "PERTURBATIONS", "run_verification"]
@@ -235,10 +235,14 @@ def run_verification(
     ``perturb`` biases a single amplitude (one of ``PERTURBATIONS``) inside
     the amplitude-driven checks, which must then fail.  The covering-ratio
     grids are fixed: ``DEFAULT_GRID`` ratios for the per-ratio checks and
-    ``DEFAULT_SWEEP`` for the duality sweep.
+    ``DEFAULT_SWEEP`` for the duality sweep.  Raises ``ValueError`` for an
+    unknown ``perturb`` and for a ``truncation`` that is not an integer
+    >= 1 (a bool included) before any check runs or any table is built.
     """
     if perturb is not None and perturb not in PERTURBATIONS:
         raise ValueError(f"unknown perturbation {perturb!r}; expected one of {PERTURBATIONS}")
+    # through its module: perfbench times every _check_* name of this module as a check
+    grating._check_truncation(truncation)
     grid = _cover_grid(DEFAULT_GRID)
     tables = [_table(a, 1, perturb) for a in grid]  # u_0 and u_1 for the identity and dual checks
     return [

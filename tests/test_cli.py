@@ -418,12 +418,6 @@ class TestExitCodes:
         assert run_cli("frobnicate") == EXIT_USAGE
         assert "error" in capsys.readouterr().err
 
-    def test_cover_ratio_out_of_range(self):
-        assert run_cli("coeffs", "--a", "1.5") == EXIT_USAGE
-
-    def test_bad_truncation(self):
-        assert run_cli("coeffs", "--order", "0") == EXIT_USAGE
-
     def test_unwritable_output(self):
         assert run_cli("pattern", "--out", "/nonexistent-dir/x.csv") == EXIT_IO
 
@@ -436,13 +430,34 @@ class TestExitCodes:
     def test_unknown_perturbation_is_a_usage_error(self):
         assert run_cli("verify", "--perturb", "q7") == EXIT_USAGE
 
-    @pytest.mark.parametrize("phase", ["nan", "inf"])
-    @pytest.mark.parametrize("command", ["pattern", "coeffs", "orders"])
-    def test_non_finite_phase_is_a_usage_error(self, command, phase, capsys):
-        assert run_cli(command, "--phase", phase, "--out", "-") == EXIT_USAGE
+    # (argv, stderr): each value is rejected by the library code that reads
+    # it, before any output, and its ValueError text is the whole message;
+    # CONFIG stands for a config file holding ``a = 2``
+    CONFIG = "run.cfg"
+    REJECTED = [
+        *(
+            ([command, "--phase", phase, "--out", "-"], f"delta_phi must be finite, got {phase}")
+            for command in ("pattern", "coeffs", "orders")
+            for phase in ("nan", "inf")
+        ),
+        (["coeffs", "--a", "1.5"], "cover ratio must lie in [0, 1], got 1.5"),
+        (["pattern", "--a", "nan"], "cover ratio must lie in [0, 1], got nan"),
+        (["orders", "--config", CONFIG], "cover ratio must lie in [0, 1], got 2.0"),
+        (["coeffs", "--order", "0"], "truncation order must be an integer >= 1, got 0"),
+        (["orders", "--order", "0"], "truncation order must be an integer >= 1, got 0"),
+        (["coeffs", "--order", "-3"], "truncation order must be an integer >= 1, got -3"),
+        (["verify", "--order", "0"], "truncation order must be an integer >= 1, got 0"),
+    ]
+
+    @pytest.mark.parametrize("argv, message", REJECTED, ids=[" ".join(argv) for argv, _ in REJECTED])
+    def test_bad_value_is_rejected_with_the_library_message(self, argv, message, tmp_path, capsys):
+        config = tmp_path / self.CONFIG
+        config.write_text("a = 2\n")
+        argv = [str(config) if arg == self.CONFIG else arg for arg in argv]
+        assert run_cli(*argv) == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: delta_phi must be finite, got {phase}\n"
+        assert captured.err == f"error: {message}\n"
 
     def test_stdout_output(self, capsys):
         assert run_cli("pattern", "--order", "3") == EXIT_OK
@@ -637,6 +652,15 @@ class TestVerifySuite:
     def test_rejects_unknown_perturbation(self):
         with pytest.raises(ValueError):
             run_verification(perturb="x9")
+
+    @pytest.mark.parametrize("truncation", [0, -3, 2.5, True])
+    def test_rejects_a_bad_truncation_before_building_a_table(self, truncation, monkeypatch):
+        builds = []
+        build = grating.AmplitudeTable.build
+        monkeypatch.setattr(grating.AmplitudeTable, "build", lambda *args: builds.append(args) or build(*args))
+        with pytest.raises(ValueError, match="truncation order must be an integer >= 1"):
+            run_verification(truncation=truncation)
+        assert builds == []
 
     def test_verify_reports_one_line_per_check(self, capsys):
         assert run_cli("verify", "--order", "400") == EXIT_OK
