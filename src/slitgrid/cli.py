@@ -21,8 +21,8 @@ so calls may follow one another or run on several threads at once.  Each
 command reads only its own settings (the keys of ``_DEFAULTS``) and
 ignores the rest.  A value is range-checked once, by the library code
 that reads it (``GratingSpec``, ``AmplitudeTable.build``,
-``TwoSlitConfig``, ``run_verification``), before any output; its
-``ValueError`` text is the error message.  The CLI checks only what no
+``TwoSlitConfig``, ``run_verification``), before any table is computed;
+its ``ValueError`` text is the error message.  The CLI checks only what no
 library function knows: ``--points >= 2`` and the caps on ``--points``
 and ``--order`` (``MAX_POINTS``, ``MAX_ORDER``), so that every accepted
 request finishes in bounded time and memory.  ``main`` maps every
@@ -199,18 +199,19 @@ def _cmd_pattern(config: argparse.Namespace) -> list[tuple]:
         f"pattern: a={format_number(config.a)} order={config.order}"
         f" phase={format_number(config.phase)} samples={PATTERN_SAMPLES}"
     )
+    fringe = scattering.interference_intensity(positions, config.phase)  # a bad phase fails here
     profile = grid_function(positions, spec)
-    fringe = scattering.interference_intensity(positions, config.phase)
     return [(label, "x_over_Lambda,G,I", [positions, profile, fringe])]
 
 
 def _cmd_coeffs(config: argparse.Namespace) -> list[tuple]:
+    pattern = _cmd_pattern(config)  # every value is checked before the table is built
     table = AmplitudeTable.build(config.a, config.order)
     # c_0 = a and c_n = -2*r_n
     c = np.concatenate(([config.a], -2.0 * table.r[1:]))
     label = f"coefficients: a={format_number(config.a)} order={config.order}"
     coefficients = (label, "n,c_n,r_n,t_n", [np.arange(c.size), c, table.r, table.t])
-    return [coefficients, *_cmd_pattern(config)]
+    return [coefficients, *pattern]
 
 
 def _cmd_orders(config: argparse.Namespace) -> list[tuple]:

@@ -16,11 +16,11 @@ scalar calls:
   parseval-two-slit        spectrum totals vs closed limits      <= 2.1e-4 (N=2000)
   endpoint-degenerate      every operation runs at a = 0 and 1
 
-The amplitude-driven checks pass their tables to the library functions
-they check (``normalization_defect``, ``distinguishability_from_amplitudes``
-and ``two_slit_probabilities``).  For fault injection (``perturb``) those
-tables come from one perturbable source, so biasing a single amplitude (for
-example ``r0``) must trip the suite.
+The four amplitude-driven checks read one N-term table per grid ratio, which
+``run_verification`` builds once and passes to the library functions checked
+(``normalization_defect``, ``distinguishability_from_amplitudes``,
+``two_slit_probabilities``) before it builds the next.  Under ``perturb`` that
+table comes from one biased source, so biasing ``r0``, say, must trip the suite.
 """
 
 from __future__ import annotations
@@ -85,9 +85,8 @@ def _check_normalization_identity(grid, tables):
     )
 
 
-def _check_normalization_defect(grid, truncation, perturb):
-    # one N-term table at a time, so the memory does not grow with the grid
-    worst = max(abs(normalization_defect(_table(a, truncation, perturb))) for a in grid)
+def _check_normalization_defect(grid, truncation, defects):
+    worst = max(abs(defect) for defect in defects)
     return _bounded(
         "normalization-defect", worst, 4.0 / (math.pi**2 * truncation),
         f"max |defect| at {truncation} terms over {len(grid)} covering ratios",
@@ -168,17 +167,12 @@ def _check_duality():
     return bound, ends
 
 
-def _check_parseval(truncation, perturb):
+def _check_parseval(truncation, totals):
     worst = 0.0
-    for a in PARSEVAL_COVER_RATIOS:
-        table = _table(a, truncation, perturb)
-        totals = []
-        for channel in CHANNELS:
-            probs = scattering.two_slit_probabilities(table.amplitudes(channel), 0.0)
-            totals.append(float(np.sum(probs)))
-            closed = scattering.two_slit_power_limit(a, channel)
-            worst = max(worst, abs(totals[-1] - closed))
-        worst = max(worst, abs(sum(totals) - 1.0))
+    for a, channel_totals in zip(PARSEVAL_COVER_RATIOS, totals, strict=True):
+        for channel, total in zip(CHANNELS, channel_totals, strict=True):
+            worst = max(worst, abs(total - scattering.two_slit_power_limit(a, channel)))
+        worst = max(worst, abs(sum(channel_totals) - 1.0))
     tol = 0.42 / truncation  # 2.1e-4 at the default 2000 terms, scaling with the tail
     return _bounded(
         "parseval-two-slit", worst, tol,
@@ -244,15 +238,25 @@ def run_verification(
     # through its module: perfbench times every _check_* name of this module as a check
     grating._check_truncation(truncation)
     grid = _cover_grid(DEFAULT_GRID)
-    tables = [_table(a, 1, perturb) for a in grid]  # u_0 and u_1 for the identity and dual checks
+    parseval_at = [grid.tolist().index(a) for a in PARSEVAL_COVER_RATIOS]  # ValueError off the grid
+    # one N-term table per ratio, read by every amplitude check before the next is
+    # built; heads keeps copies of orders 0 and 1, as views would keep every table
+    heads, defects, totals = [], [], {}
+    for i, a in enumerate(grid):
+        table = _table(a, truncation, perturb)
+        heads.append(AmplitudeTable(table.cover_ratio, table.r[:2].copy(), table.t[:2].copy()))
+        defects.append(normalization_defect(table))
+        if i in parseval_at:
+            probs = (scattering.two_slit_probabilities(table.amplitudes(c), 0.0) for c in CHANNELS)
+            totals[i] = [float(np.sum(p)) for p in probs]  # per channel, as CHANNELS
     return [
-        _check_normalization_identity(grid, tables),
-        _check_normalization_defect(grid, truncation, perturb),
+        _check_normalization_identity(grid, heads),
+        _check_normalization_defect(grid, truncation, defects),
         _check_visibility_oracle(grid),
         _check_visibility_spot(),
-        _check_distinguishability_dual(grid, tables),
+        _check_distinguishability_dual(grid, heads),
         _check_distinguishability_spot(),
         *_check_duality(),
-        _check_parseval(truncation, perturb),
+        _check_parseval(truncation, [totals[i] for i in parseval_at]),
         _check_endpoints(),
     ]

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from slitgrid import cli, complementarity, grating
+from slitgrid import cli, complementarity, grating, verify
 from slitgrid.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -447,6 +447,9 @@ class TestExitCodes:
         (["orders", "--order", "0"], "truncation order must be an integer >= 1, got 0"),
         (["coeffs", "--order", "-3"], "truncation order must be an integer >= 1, got -3"),
         (["verify", "--order", "0"], "truncation order must be an integer >= 1, got 0"),
+        # the grating is checked first, then the phase, then the table is built
+        (["coeffs", "--a", "1.5", "--phase", "nan"], "cover ratio must lie in [0, 1], got 1.5"),
+        (["coeffs", "--order", "0", "--phase", "nan"], "truncation order must be an integer >= 1, got 0"),
     ]
 
     @pytest.mark.parametrize("argv, message", REJECTED, ids=[" ".join(argv) for argv, _ in REJECTED])
@@ -458,6 +461,14 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("command", ["coeffs", "pattern"])
+    def test_bad_phase_is_rejected_before_the_profile(self, command, monkeypatch, capsys):
+        profiles = []
+        monkeypatch.setattr(cli, "grid_function", lambda *args: profiles.append(args))
+        assert run_cli(command, "--phase", "nan", "--order", str(MAX_ORDER)) == EXIT_USAGE
+        assert profiles == []
+        assert capsys.readouterr().err == "error: delta_phi must be finite, got nan\n"
 
     def test_stdout_output(self, capsys):
         assert run_cli("pattern", "--order", "3") == EXIT_OK
@@ -559,14 +570,17 @@ class TestBoundedRequests:
 
     # the tables are held whole but their rows are written a chunk at a
     # time: traced peaks 25.6 and 13.2 MiB, where formatting the whole
-    # output before writing it takes 83.5 and 50.2 MiB
+    # output before writing it takes 83.5 and 50.2 MiB; verify holds one
+    # amplitude table at a time (traced peak 7.9 MiB), where holding all
+    # 101 tables of the grid would take about 155 MiB
     @pytest.mark.parametrize(
         "argv, bound_mib",
         [
             (["sweep", "--points", "200001", "--channel", "both"], 40),
             (["orders", "--order", "50000", "--channel", "both"], 25),
+            (["verify", "--order", str(MAX_ORDER)], 12),
         ],
-        ids=["sweep", "orders"],
+        ids=["sweep", "orders", "verify"],
     )
     def test_memory_does_not_grow_with_the_output(self, argv, bound_mib, tmp_path):
         out = tmp_path / "out.csv"
@@ -661,6 +675,21 @@ class TestVerifySuite:
         with pytest.raises(ValueError, match="truncation order must be an integer >= 1"):
             run_verification(truncation=truncation)
         assert builds == []
+
+    @pytest.mark.parametrize("perturb", [None, "r1"])
+    def test_builds_one_table_per_ratio(self, perturb, monkeypatch):
+        # the grid's 101 tables at the suite's truncation, read by every
+        # amplitude check, and the endpoint check's 12 small tables
+        builds = []
+        build = grating.AmplitudeTable.build
+        monkeypatch.setattr(grating.AmplitudeTable, "build", lambda *args: builds.append(args[1]) or build(*args))
+        run_verification(perturb=perturb)
+        assert sorted(builds) == [30] * 12 + [2000] * 101
+
+    def test_parseval_ratio_off_the_grid_is_an_error(self, monkeypatch):
+        monkeypatch.setattr(verify, "PARSEVAL_COVER_RATIOS", (0.06, 0.333, 0.5))
+        with pytest.raises(ValueError):
+            run_verification(truncation=30)
 
     def test_verify_reports_one_line_per_check(self, capsys):
         assert run_cli("verify", "--order", "400") == EXIT_OK
