@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -218,6 +219,21 @@ def two_slit_power_limit(cover_ratio: float, channel: Channel, delta_phi: float 
     return width + sign * cross
 
 
+def _check_position(name: str, value) -> None:
+    """Reject a position that is not one real number.
+
+    An array or a list would broadcast against the orders and sum to one
+    wrong number (or raise numpy's shape error), so only a real scalar or
+    a 0-d real array passes.
+    """
+    if isinstance(value, np.ndarray):
+        real = value.ndim == 0 and value.dtype.kind in "biuf"
+    else:
+        real = isinstance(value, numbers.Real)
+    if not real:
+        raise TypeError(f"position {name} must be a real scalar, got {type(value).__name__}")
+
+
 def synthesize_field(
     x: float,
     z: float,
@@ -231,25 +247,33 @@ def synthesize_field(
     illumination or a :class:`TwoSlitConfig` for both slits.  Transmitted
     waves run toward +z, reflected waves toward -z; evanescent orders are
     dropped.  The order spacing comes from the setup geometry (the spec's
-    own period is not used here).
+    own period is not used here).  ``x`` and ``z`` are one point each: a
+    real scalar or a 0-d array, never an array of points or a list
+    (``TypeError``).
 
     At ``z = 0`` the single-slit transmitted field reproduces
     ``1 - grid_function(x)`` up to the propagation cutoff.
 
-    The plane-wave decomposition (amplitudes, ``k_x`` and signed ``k_z`` of
-    the propagating orders) depends only on the configuration, so it is
+    The plane-wave decomposition (amplitudes and the phase factors
+    ``1j*k_x`` and ``1j*k_z``, ``k_z`` signed by the side, of the
+    propagating orders) depends only on the configuration, so it is
     memoised for the last 8 configurations: arrays of at most
-    ``8 * (4N + 2)`` complex128 values, ``N`` the largest truncation in
+    ``8 * (6N + 3)`` complex128 values, ``N`` the largest truncation in
     use.  The ``functools.lru_cache`` that holds them is thread-safe and
     the arrays are read-only, so results can still be shared freely across
-    threads.  Each call still checks ``side`` and derives the geometry (one
-    :class:`ParaxialWarning` per call outside the small-angle regime), and
-    returns the same bits as rebuilding the decomposition every time.
+    threads.  Each call still checks the position and ``side`` and derives
+    the geometry (one :class:`ParaxialWarning` per call outside the
+    small-angle regime).  The sum is ``np.add.reduce``, the pairwise sum
+    ``np.sum`` itself runs, without its Python wrapper, and the result has
+    the same bits as rebuilding the decomposition on every call.
     """
+    if not (isinstance(x, float) and isinstance(z, float)):  # a float needs no further check
+        _check_position("x", x)
+        _check_position("z", z)
     spec = config.spec if isinstance(config, TwoSlitConfig) else config
     sampling_window(spec.cover_ratio, side)  # rejects an unknown side before any warning
     geom = derive_grating_geometry(setup)
-    amps, k_x, k_z = _plane_waves(
+    amps, ik_x, ik_z = _plane_waves(
         spec.cover_ratio,
         spec.truncation,
         config.delta_phi if isinstance(config, TwoSlitConfig) else None,
@@ -257,17 +281,19 @@ def synthesize_field(
         geom.k_perp,
         setup.k,
     )
-    phases = np.exp(1j * (k_z * z + k_x * x))
-    return complex(np.sum(amps * phases))
+    # the phase factors have a zero real part, so the argument's imaginary
+    # part rounds as k_z*z + k_x*x and only the sign of its zero real part
+    # can differ, which exp ignores
+    return complex(np.add.reduce(amps * np.exp(ik_z * z + ik_x * x)))
 
 
 # The configuration classes store every real number as a Python float, so
 # keys that compare equal compute alike and share an entry.  So do 0.0 and
 # -0.0: they differ only in the sign of r_0 = -a, and at a = 0 every
-# reflected amplitude is zero, a field that np.sum returns as +0j.
+# reflected amplitude is zero, a field that np.add.reduce returns as +0j.
 @functools.lru_cache(maxsize=8)
 def _plane_waves(cover_ratio, truncation, delta_phi, side, k_perp, k):
-    """``(amps, k_x, z_sign * k_z)`` of the propagating orders, read-only.
+    """``(amps, 1j*k_x, 1j*(z_sign*k_z))`` of the propagating orders, read-only.
 
     ``delta_phi`` is None for a single slit and the reduced slit phase for
     two slits.
@@ -292,6 +318,7 @@ def _plane_waves(cover_ratio, truncation, delta_phi, side, k_perp, k):
     k_x = k_x[propagating]
     amps = amps[propagating]
     k_z = z_sign * np.sqrt(k * k - k_x * k_x)
-    for array in (amps, k_x, k_z):
+    waves = (amps, 1j * k_x, 1j * k_z)
+    for array in waves:
         array.flags.writeable = False
-    return amps, k_x, k_z
+    return waves

@@ -27,3 +27,17 @@ def grid_profile(xs, cover_ratio, truncation, period):
             profile.append(a + mpmath.fsum(c_n * mpmath.cospi(n * turns) for n, c_n in enumerate(c, 1)))
         return profile
 
+
+
+def plane_wave_sum(amps, k_x, k_z, x, z):
+    """``sum_j amps_j * exp(i*(k_z_j*z + k_x_j*x))``, the field at ``(x, z)``, as an mpmath complex number.
+
+    ``k_z`` carries the side's sign: +z transmitted, -z reflected.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(DIGITS):
+        x, z = mpmath.mpf(x), mpmath.mpf(z)
+        return mpmath.fsum(
+            mpmath.mpc(a) * mpmath.expj(mpmath.mpf(kz) * z + mpmath.mpf(kx) * x)
+            for a, kx, kz in zip(amps.tolist(), k_x.tolist(), k_z.tolist())
+        )

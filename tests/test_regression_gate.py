@@ -570,6 +570,56 @@ def test_equal_keys_of_another_type_or_zero_sign_keep_their_bits(field, values, 
             assert field_bits(synthesize_field(x, z, config, side, setup)) == field_bits(want)
 
 
+def field_bound(amps, k_x, k_z, x, z):
+    """How far ``synthesize_field`` may lie from the exact plane-wave sum of its cached arrays.
+
+    In units u = 2**-53, for the M propagating orders and
+    ``T_j = |k_z,j * z| + |k_x,j * x|``:
+    - the argument ``fl(fl(k_z z) + fl(k_x x))`` is within gamma_2 ~ 2u of
+      ``T_j`` of ``theta_j`` (the phase factors have a zero real part, so
+      the cross terms of each complex product are exact zeros), and a
+      phase error moves ``exp(i*theta)`` by at most itself.  This term
+      grows with |theta_j| and dominates away from the origin;
+    - the complex exp of ``+-0 + i*theta`` is the C library's cos and sin,
+      each part within 2 ulps (glibc documents 1): 4u;
+    - the product with ``a_j``: sqrt(2)*gamma_2 ~ 3u of ``|a_j|`` (Higham,
+      Accuracy and Stability of Numerical Algorithms, Lemma 3.5);
+    - ``np.add.reduce``: a sum in any order is within gamma_(M-1) of the
+      absolute sum on each of the real and imaginary parts (ibid., eq. 4.4),
+      so within sqrt(2)*gamma_(M-1) ~ 1.5 (M - 1) u of ``sum |p_j|``.
+      numpy's pairwise order does far better, but the bound does not rely
+      on it.
+    Each ``|p_j|`` is at most ``(1 + 8u) |a_j|``, so the field is within
+    ``u * sum_j |a_j| (2 T_j + 7 + 1.5 (M - 1))``.  The factor 1.01 covers
+    the gamma denominators, the ``1 + 8u`` and the rounding of the bound.
+    """
+    terms = 2.0 * (np.abs(k_z * z) + np.abs(k_x * x)) + 7.0 + 1.5 * max(amps.size - 1, 0)
+    return 1.01 * 2.0**-53 * float(np.sum(np.abs(amps) * terms))
+
+
+@pytest.mark.filterwarnings("ignore::slitgrid.geometry.ParaxialWarning")
+@pytest.mark.parametrize("truncation", [1, 30, 200])
+@pytest.mark.parametrize("two_slit", [False, True], ids=["one slit", "two slits"])
+@pytest.mark.parametrize("side", CHANNELS)
+def test_field_is_within_its_bound_of_the_exact_plane_wave_sum(truncation, two_slit, side):
+    # seeded configurations, paraxial (every order propagates) and not (a
+    # few do); the origin first, where only the product and the sum round
+    rng = np.random.default_rng([truncation, two_slit, CHANNELS.index(side)])
+    for ratio in (rng.uniform(1e-4, 0.1), rng.uniform(0.1, 1.5)):
+        a, k = rng.uniform(0.0, 1.0), rng.uniform(1.0, 2000.0)
+        config = field_config(a, truncation, rng.uniform(0.0, 7.0) if two_slit else None)
+        setup = SetupGeometry(k=k, s=ratio, g=1.0)
+        delta_phi = config.delta_phi if two_slit else None
+        k_perp = derive_grating_geometry(setup).k_perp
+        amps, ik_x, ik_z = _plane_waves(a, truncation, delta_phi, side, k_perp, k)
+        assert not np.any(ik_x.real) and not np.any(ik_z.real)
+        k_x, k_z = ik_x.imag, ik_z.imag
+        for x, z in [(0.0, 0.0), *rng.uniform(-50.0, 50.0, (3, 2)).tolist()]:
+            field = synthesize_field(x, z, config, side, setup)
+            want = oracle.plane_wave_sum(amps, k_x, k_z, x, z)
+            assert abs(field - want) <= field_bound(amps, k_x, k_z, x, z), (a, k, ratio, x, z)
+
+
 def test_float32_inputs_are_widened_to_float64():
     # one float32 value of each configuration class: stored as the float
     # it equals, so nothing rounds in float32 afterwards

@@ -355,6 +355,58 @@ class TestFieldSynthesisPerCall:
         assert len(caught) == 1
         assert _plane_waves.cache_info() == before  # nothing looked up, nothing stored
 
+    @pytest.mark.parametrize(
+        "position",
+        [np.array([0.1, 0.2, 0.3]), np.array([0.1, 0.2]), [0.1, 0.2, 0.3], "0.1", 0.1 + 0.2j],
+        ids=["3 points", "2 points", "list", "str", "complex"],
+    )
+    @pytest.mark.parametrize("name", ["x", "z"])
+    def test_a_position_that_is_not_one_real_number_raises_before_any_warning(self, position, name):
+        # three orders propagate here, so three points of x used to broadcast
+        # against them and sum to one wrong number (1.0725+0.5626j)
+        spec = GratingSpec(0.3, truncation=5)
+        point = {"x": 0.1, "z": 0.5, name: position}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            before = _plane_waves.cache_info()
+            with pytest.raises(TypeError, match=f"position {name} "):
+                synthesize_field(point["x"], point["z"], spec, "transmitted", self.wide)
+        assert caught == []
+        assert _plane_waves.cache_info() == before
+
+    @pytest.mark.filterwarnings("ignore::slitgrid.geometry.ParaxialWarning")
+    @pytest.mark.parametrize(
+        "x, z",
+        [(np.float64(0.1), np.float64(0.5)), (np.array(0.1), np.array(0.5)), (np.float32(0.25), 2), (True, np.int64(3))],
+        ids=["float64", "0-d arrays", "float32, int", "bool, int64"],
+    )
+    def test_a_real_scalar_of_any_type_is_the_float_it_equals(self, x, z):
+        want = synthesize_field(float(x), float(z), self.spec, "reflected", self.wide)
+        got = synthesize_field(x, z, self.spec, "reflected", self.wide)
+        assert type(got) is complex
+        assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+
+    def test_a_warm_cache_does_no_per_configuration_work(self, monkeypatch):
+        # the per-point speed rests on this: one grid of one configuration
+        # builds one amplitude table and misses the cache once
+        builds = []
+        build = AmplitudeTable.build.__func__
+
+        def counted(cls, *args):
+            builds.append(args)
+            return build(cls, *args)
+
+        monkeypatch.setattr(AmplitudeTable, "build", classmethod(counted))
+        _plane_waves.cache_clear()
+        config = TwoSlitConfig(GratingSpec(0.06, truncation=30), delta_phi=0.9)
+        setup = SetupGeometry(k=1000.0, s=0.005, g=1.0)
+        for z in np.linspace(0.0, 20.0, 32).tolist():
+            for x in np.linspace(-0.6, 0.6, 16).tolist():
+                synthesize_field(x, z, config, "transmitted", setup)
+        info = _plane_waves.cache_info()
+        assert (info.misses, info.hits) == (1, 32 * 16 - 1)
+        assert builds == [(0.06, 30)]
+
     @pytest.mark.parametrize("delta_phi", [None, 0.9])
     def test_cached_arrays_are_read_only(self, delta_phi):
         arrays = _plane_waves(0.3, 10, delta_phi, "reflected", 0.01, 1.0)  # k_perp, k
