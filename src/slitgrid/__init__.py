@@ -16,12 +16,7 @@ from .complementarity import (
     visibility_closed,
     visibility_quadrature,
 )
-from .geometry import (
-    GratingGeometry,
-    ParaxialWarning,
-    SetupGeometry,
-    derive_grating_geometry,
-)
+from .geometry import ParaxialWarning, SetupGeometry
 from .grating import (
     CHANNELS,
     AmplitudeTable,
@@ -52,7 +47,6 @@ __all__ = [
     "Channel",
     "CheckResult",
     "DetectorSignal",
-    "GratingGeometry",
     "GratingSpec",
     "OrderSpectrum",
     "ParaxialWarning",
@@ -61,7 +55,6 @@ __all__ = [
     "TwoSlitConfig",
     "VisibilityResult",
     "complementarity_sweep",
-    "derive_grating_geometry",
     "detector_signal",
     "distinguishability_closed",
     "distinguishability_from_amplitudes",

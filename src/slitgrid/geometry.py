@@ -1,30 +1,24 @@
-"""Interferometer geometry: transverse wavenumber and matched grating period.
+"""Interferometer geometry: the setup and its transverse wavenumber.
 
 The setup is treated in two dimensions: a double slit with spacing ``2*s``
 illuminated coherently, and a periodic strip grating at distance ``g``
-downstream.  In the small-angle regime the fringe spacing at the grating
-plane fixes the grating period, so the transverse wavenumber ``k_perp``
-and the period always multiply to pi.  Order directions and the
-propagation cutoff are applied by :func:`slitgrid.scattering.synthesize_field`.
+downstream.  Each slit's wave reaches the grating plane with transverse
+wavenumber ``k_perp = k*s/g``; in the small-angle regime the fringe
+spacing there fixes the matched grating period ``pi/k_perp``.  Order
+directions, the propagation cutoff and the :class:`ParaxialWarning` are
+applied by :func:`slitgrid.scattering.synthesize_field`.
 
 All lengths are in one consistent unit chosen by the caller; nothing here
-converts units.  Every function is pure and every value immutable, so
-results can be shared freely across threads.
+converts units.  Every value is immutable, so a setup can be shared
+freely across threads.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
-__all__ = [
-    "PARAXIAL_BOUND",
-    "ParaxialWarning",
-    "SetupGeometry",
-    "GratingGeometry",
-    "derive_grating_geometry",
-]
+__all__ = ["PARAXIAL_BOUND", "ParaxialWarning", "SetupGeometry"]
 
 # Largest s/g accepted without a ParaxialWarning.  The amplitude algebra
 # does not depend on it; it only flags setups where plane-wave,
@@ -49,8 +43,9 @@ class SetupGeometry:
     g : float
         Distance from the double slit to the grating plane.
 
-    All three are stored as Python floats, so a float32 value is widened
-    before ``k*k`` or ``k*s/g`` round in float32.
+    Each is one number, never an array (``TypeError``), and is stored as a
+    Python float, so a float32 value is widened before ``k*k`` or
+    ``k*s/g`` round in float32.
     """
 
     k: float
@@ -60,6 +55,8 @@ class SetupGeometry:
     def __post_init__(self) -> None:
         for name in ("k", "s", "g"):
             value = getattr(self, name)
+            if getattr(value, "ndim", 0):
+                raise TypeError(f"{name} must be one number, got an array of shape {value.shape}")
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
             object.__setattr__(self, name, float(value))
@@ -73,35 +70,7 @@ class SetupGeometry:
     def paraxial_ok(self) -> bool:
         return self.slit_ratio <= PARAXIAL_BOUND
 
-
-@dataclass(frozen=True)
-class GratingGeometry:
-    """Grating-plane quantities derived from the setup.
-
-    ``k_perp`` is the transverse wavenumber each slit contributes at the
-    grating plane and ``period`` the matched grating period; their product
-    is pi up to floating rounding.
-    """
-
-    k_perp: float
-    period: float
-
-
-def derive_grating_geometry(setup: SetupGeometry) -> GratingGeometry:
-    """Compute ``k_perp = k*s/g`` and the matched period ``pi*g/(k*s)``.
-
-    Emits a :class:`ParaxialWarning` (non-fatal) when ``s/g`` exceeds
-    ``PARAXIAL_BOUND``; that also covers the breakdown case ``k_perp >= k``
-    (possible only for ``s >= g``), where the tilted incident waves would
-    stop propagating.
-    """
-    if not setup.paraxial_ok:
-        warnings.warn(
-            f"s/g = {setup.slit_ratio:.4g} exceeds the paraxial bound "
-            f"{PARAXIAL_BOUND:.4g}; small-angle formulas degrade",
-            ParaxialWarning,
-            stacklevel=2,
-        )
-    k_perp = setup.k * setup.s / setup.g
-    period = math.pi * setup.g / (setup.k * setup.s)
-    return GratingGeometry(k_perp=k_perp, period=period)
+    @property
+    def k_perp(self) -> float:
+        """Transverse wavenumber ``k*s/g`` each slit contributes at the grating plane."""
+        return self.k * self.s / self.g

@@ -113,8 +113,9 @@ class GratingSpec:
 
     ``cover_ratio = 0`` is no grating at all, ``cover_ratio = 1`` a full
     mirror; both degenerate cases are accepted.  The cover ratio and the
-    period are stored as Python floats, so a float32 value is widened
-    before any arithmetic rounds in float32.
+    period are one number each, never an array (``TypeError``), stored as
+    Python floats, so a float32 value is widened before any arithmetic
+    rounds in float32.
     """
 
     cover_ratio: float
@@ -123,6 +124,8 @@ class GratingSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "cover_ratio", _check_one_cover_ratio(self.cover_ratio))
+        if getattr(self.period, "ndim", 0):
+            raise TypeError(f"period must be one number, got an array of shape {self.period.shape}")
         if not (math.isfinite(self.period) and self.period > 0.0):
             raise ValueError(f"period must be positive, got {self.period!r}")
         _check_truncation(self.truncation)

@@ -25,11 +25,12 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import SetupGeometry, derive_grating_geometry
+from .geometry import PARAXIAL_BOUND, ParaxialWarning, SetupGeometry
 from .grating import AmplitudeTable, Channel, GratingSpec, _unwrap, sampling_window, sin_pi
 
 __all__ = [
@@ -48,6 +49,8 @@ __all__ = [
 
 
 def _check_phase(delta_phi: float) -> None:
+    if getattr(delta_phi, "ndim", 0):
+        raise TypeError(f"delta_phi must be one number, got an array of shape {delta_phi.shape}")
     if not math.isfinite(delta_phi):
         raise ValueError(f"delta_phi must be finite, got {delta_phi!r}")
 
@@ -57,8 +60,9 @@ class TwoSlitConfig:
     """Both slits open, equal illumination, relative phase ``delta_phi``.
 
     ``delta_phi = 0`` puts the grating strips on the interference minima
-    (the intended operating point); the phase is widened to a Python float
-    and reduced to [0, 2*pi).
+    (the intended operating point); the phase is one number, never an
+    array (``TypeError``), widened to a Python float and reduced to
+    [0, 2*pi).
     """
 
     spec: GratingSpec
@@ -126,7 +130,8 @@ def interference_intensity(x, delta_phi: float = 0.0):
 
     Evaluated through the double-angle form so the zeros at half-period
     offsets come out exactly 0.0 (and the maxima exactly 1.0).  A scalar
-    ``x`` gives a float, an array an array; ``delta_phi`` must be finite.
+    ``x`` gives a float, an array an array; ``delta_phi`` must be one
+    finite number.
     """
     _check_phase(delta_phi)
     return _unwrap(0.5 * (1.0 + np.cos(2.0 * (np.pi * np.asarray(x, dtype=float) + delta_phi))))
@@ -246,7 +251,7 @@ def synthesize_field(
     Pass a :class:`GratingSpec` for single-slit (normal-incidence)
     illumination or a :class:`TwoSlitConfig` for both slits.  Transmitted
     waves run toward +z, reflected waves toward -z; evanescent orders are
-    dropped.  The order spacing comes from the setup geometry (the spec's
+    dropped.  The order spacing comes from ``setup.k_perp`` (the spec's
     own period is not used here).  ``x`` and ``z`` are one point each: a
     real scalar or a 0-d array, never an array of points or a list
     (``TypeError``).
@@ -261,24 +266,32 @@ def synthesize_field(
     ``8 * (6N + 3)`` complex128 values, ``N`` the largest truncation in
     use.  The ``functools.lru_cache`` that holds them is thread-safe and
     the arrays are read-only, so results can still be shared freely across
-    threads.  Each call still checks the position and ``side`` and derives
-    the geometry (one :class:`ParaxialWarning` per call outside the
-    small-angle regime).  The sum is ``np.add.reduce``, the pairwise sum
-    ``np.sum`` itself runs, without its Python wrapper, and the result has
-    the same bits as rebuilding the decomposition on every call.
+    threads.  Each call still checks the position and ``side`` and warns
+    on its own: one :class:`ParaxialWarning` per call outside the
+    small-angle regime (``s/g`` above ``PARAXIAL_BOUND``, which also covers
+    the breakdown ``k_perp >= k``), reported at the caller's line.  The
+    sum is ``np.add.reduce``, the pairwise sum ``np.sum`` itself runs,
+    without its Python wrapper, and the result has the same bits as
+    rebuilding the decomposition on every call.
     """
     if not (isinstance(x, float) and isinstance(z, float)):  # a float needs no further check
         _check_position("x", x)
         _check_position("z", z)
     spec = config.spec if isinstance(config, TwoSlitConfig) else config
     sampling_window(spec.cover_ratio, side)  # rejects an unknown side before any warning
-    geom = derive_grating_geometry(setup)
+    if not setup.paraxial_ok:
+        warnings.warn(
+            f"s/g = {setup.slit_ratio:.4g} exceeds the paraxial bound "
+            f"{PARAXIAL_BOUND:.4g}; small-angle formulas degrade",
+            ParaxialWarning,
+            stacklevel=2,
+        )
     amps, ik_x, ik_z = _plane_waves(
         spec.cover_ratio,
         spec.truncation,
         config.delta_phi if isinstance(config, TwoSlitConfig) else None,
         side,
-        geom.k_perp,
+        setup.k_perp,
         setup.k,
     )
     # the phase factors have a zero real part, so the argument's imaginary

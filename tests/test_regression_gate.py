@@ -56,7 +56,7 @@ from slitgrid.complementarity import (
     distinguishability_closed,
     visibility_closed,
 )
-from slitgrid.geometry import ParaxialWarning, SetupGeometry, derive_grating_geometry
+from slitgrid.geometry import ParaxialWarning, SetupGeometry
 from slitgrid.grating import (
     _ROW_ALIGN,
     CHANNELS,
@@ -165,17 +165,17 @@ def seed_synthesize_field(x, z, config, side, setup):
     """synthesize_field as it was before its decomposition was memoised, as the reference."""
     spec = config.spec if isinstance(config, TwoSlitConfig) else config
     _, z_sign = sampling_window(spec.cover_ratio, side)
-    geom = derive_grating_geometry(setup)
+    k_perp = setup.k * setup.s / setup.g
     table = AmplitudeTable.build(spec.cover_ratio, spec.truncation)
     full = _mirrored(table.amplitudes(side))
     if isinstance(config, TwoSlitConfig):
         n = np.arange(-spec.truncation, spec.truncation)
-        k_x = (2.0 * n + 1.0) * geom.k_perp
+        k_x = (2.0 * n + 1.0) * k_perp
         phase_2 = np.exp(1j * config.delta_phi)
         amps = (full[:-1] + phase_2 * full[1:]) / math.sqrt(2.0)
     else:
         n = np.arange(-spec.truncation, spec.truncation + 1)
-        k_x = 2.0 * n * geom.k_perp
+        k_x = 2.0 * n * k_perp
         amps = full.astype(complex)
     propagating = np.abs(k_x) < setup.k
     k_x = k_x[propagating]
@@ -610,7 +610,7 @@ def test_field_is_within_its_bound_of_the_exact_plane_wave_sum(truncation, two_s
         config = field_config(a, truncation, rng.uniform(0.0, 7.0) if two_slit else None)
         setup = SetupGeometry(k=k, s=ratio, g=1.0)
         delta_phi = config.delta_phi if two_slit else None
-        k_perp = derive_grating_geometry(setup).k_perp
+        k_perp = setup.k * setup.s / setup.g
         amps, ik_x, ik_z = _plane_waves(a, truncation, delta_phi, side, k_perp, k)
         assert not np.any(ik_x.real) and not np.any(ik_z.real)
         k_x, k_z = ik_x.imag, ik_z.imag
