@@ -18,9 +18,9 @@ to the zeroth/first-order amplitude difference:
 Both visibilities also come out of direct fringe-intensity integrals over
 the open gaps (or strips), implemented here with one fixed 16-node
 Gauss-Legendre rule as an independent numerical oracle for the closed
-forms.  The reflected-channel closed forms follow from the transmitted ones
-by the substitution a <-> 1-a (equal roles of strip and gap) and are not
-printed anywhere else; treat them as derived.
+forms.  By Babinet, each closed form is one function of the window width
+and the shared ``sin(pi*a)``, so the reflected channel at ``a`` is the
+transmitted one at ``1-a``: ``TestChannelMirror`` in the tests checks it.
 
 For every covering ratio, V**2 + D**2 <= 1, with equality only at the
 degenerate endpoints.  Transmitted and reflected photons are disjoint
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grating import AmplitudeTable, Channel, _unwrap, sampling_window, sin_pi, sinc_pi
+from .grating import AmplitudeTable, Channel, _unwrap, sampling_window, sin_pi
 
 __all__ = [
     "VisibilityResult",
@@ -88,20 +88,29 @@ class SweepColumns:
         return len(self.cover_ratio)
 
 
+def _visibility(width, s):
+    return _unwrap(np.divide(s, math.pi * width, out=np.ones(np.shape(width)), where=width != 0.0))
+
+
+def _distinguishability(width, s):
+    # float_power is libm pow, as Python's ``**``; width*width rounds
+    # differently from pow on about 0.1 % of inputs, in pinned sweep rows
+    return _unwrap(np.abs(np.float_power(width, 2) - np.square(s / math.pi)))
+
+
 def visibility_closed(cover_ratio, channel: Channel = "transmitted") -> VisibilityResult:
     """Closed-form visibility for one channel.
 
-    The contrast is evaluated as ``sinc`` of the window width (gap width
-    ``1-a`` transmitted, strip width ``a`` reflected), which carries the
-    exact limit value 1 at the singular endpoint and stays fully accurate
-    next to it.  An array of covering ratios gives a result of arrays.
+    The contrast is ``sin(pi*a)/(pi*w)`` of the window width ``w`` (gap
+    ``1-a`` transmitted, strip ``a`` reflected), 1 at ``w = 0``.  The sine
+    reads ``a`` itself, not the rounded ``1-a``, so V is accurate to a few
+    ulps on both channels.  An array of covering ratios gives arrays.
     """
-    width = np.asarray(sampling_window(cover_ratio, channel)[0])
-    s = sin_pi(cover_ratio)
+    width, s = np.asarray(sampling_window(cover_ratio, channel)[0]), sin_pi(cover_ratio)
     i_max = (math.pi * width + s) / (2.0 * math.pi)
     i_min = (math.pi * width - s) / (2.0 * math.pi)
     i_min = np.where(i_min > 0.0, i_min, 0.0)  # max(0.0, i_min), NaN included
-    return VisibilityResult(i_max=_unwrap(i_max), i_min=_unwrap(i_min), visibility=sinc_pi(width))
+    return VisibilityResult(i_max=_unwrap(i_max), i_min=_unwrap(i_min), visibility=_visibility(width, s))
 
 
 def visibility_quadrature(cover_ratio: float, channel: Channel = "transmitted") -> VisibilityResult:
@@ -132,11 +141,7 @@ def distinguishability_closed(cover_ratio, channel: Channel = "transmitted"):
     it only ever absorbs floating-point dust at the endpoints.  An array
     of covering ratios gives an array.
     """
-    width, _ = sampling_window(cover_ratio, channel)
-    leak = sin_pi(cover_ratio) / math.pi
-    # float_power is libm pow, as Python's ``**``; width*width rounds
-    # differently from pow on about 0.1 % of inputs, in pinned sweep rows
-    return _unwrap(np.abs(np.float_power(width, 2) - leak * leak))
+    return _distinguishability(sampling_window(cover_ratio, channel)[0], sin_pi(cover_ratio))
 
 
 def distinguishability_from_amplitudes(
@@ -158,14 +163,14 @@ def complementarity_sweep(cover_ratios, channel: Channel = "transmitted") -> Swe
     """Evaluate (V, D, V**2 + D**2) for each covering ratio, input order kept.
 
     The ratios (a 1-d array or sequence) are copied, so no column aliases
-    the caller's array.  One vectorised pass per column; an unknown channel
-    is rejected even for no ratios.
+    the caller's array.  V and D share one check and one ``sin(pi*a)``;
+    an unknown channel is rejected even for no ratios.
     """
     a = np.array(cover_ratios)
     if a.ndim != 1:
         raise ValueError(f"cover ratios must be one-dimensional, got shape {a.shape}")
-    v = visibility_closed(a, channel).visibility
-    d = distinguishability_closed(a, channel)
+    width, s = sampling_window(a, channel)[0], sin_pi(a)
+    v, d = _visibility(width, s), _distinguishability(width, s)
     return SweepColumns(
         cover_ratio=a.astype(float, copy=False),
         visibility=v,

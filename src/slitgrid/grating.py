@@ -32,7 +32,6 @@ __all__ = [
     "GratingSpec",
     "AmplitudeTable",
     "sin_pi",
-    "sinc_pi",
     "grid_function",
     "sampling_window",
     "normalization_defect",
@@ -66,13 +65,6 @@ def sin_pi(u):
     red = np.where(red >= 1.0, red - 1.0, red)
     red = np.where(red > 0.5, 1.0 - red, red)
     return _unwrap(sign * np.sin(np.pi * red))
-
-
-def sinc_pi(u):
-    """sin(pi*u)/(pi*u) with the limit value 1 at u = 0; a float for a scalar, else an array."""
-    u = np.asarray(u, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return _unwrap(np.where(u == 0.0, 1.0, sin_pi(u) / (np.pi * u)))
 
 
 def _check_cover_ratio(cover_ratio):

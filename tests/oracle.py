@@ -1,9 +1,10 @@
 """Arbitrary-precision references for the tests, evaluated with mpmath.
 
-Each reference evaluates its defining formula at 30 significant digits from
-the exact binary values of its float arguments, so its own error lies far
-below a float's resolution.  mpmath is in the ``test`` extra; a test that
-calls a reference is skipped when mpmath is not installed.
+Each reference evaluates its defining formula at 30 significant digits (the
+visibility at 40) from the exact binary values of its float arguments, so
+its own error lies far below a float's resolution.  mpmath is in the
+``test`` extra; a test that calls a reference is skipped when mpmath is not
+installed.
 """
 
 import pytest
@@ -41,3 +42,16 @@ def plane_wave_sum(amps, k_x, k_z, x, z):
             mpmath.mpc(a) * mpmath.expj(mpmath.mpf(kz) * z + mpmath.mpf(kx) * x)
             for a, kx, kz in zip(amps.tolist(), k_x.tolist(), k_z.tolist())
         )
+
+
+def visibility(cover_ratio, channel):
+    """``sin(pi*a)/(pi*w)`` of the window width ``w`` (``1 - a`` transmitted, ``a`` reflected), as an mpmath number.
+
+    The limit value 1 at ``w = 0``.  Evaluated at 40 digits, ``1 - a``
+    included, so a test may count the ulps of a float visibility against it.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        a = mpmath.mpf(cover_ratio)
+        width = 1 - a if channel == "transmitted" else a
+        return mpmath.mpf(1) if width == 0 else mpmath.sinpi(a) / (mpmath.pi * width)

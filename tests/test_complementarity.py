@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracle
 from slitgrid.complementarity import (
     complementarity_sweep,
     distinguishability_closed,
@@ -12,7 +13,8 @@ from slitgrid.complementarity import (
     visibility_closed,
     visibility_quadrature,
 )
-from slitgrid.grating import AmplitudeTable, sampling_window
+from slitgrid.grating import CHANNELS, AmplitudeTable, GratingSpec, normalization_defect, sampling_window
+from slitgrid.scattering import TwoSlitConfig, _mirrored, single_slit_spectrum, two_slit_spectrum
 
 # 30-digit reference evaluations of the closed forms
 V_T_006 = 0.0634524733178203
@@ -32,6 +34,11 @@ SWEEP_MIN_LOCATION = 0.338
 cover_ratios = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 interior = st.floats(min_value=1e-6, max_value=1.0 - 1e-6, allow_nan=False)
 channels = st.sampled_from(["transmitted", "reflected"])
+
+U = 2.0**-53  # unit roundoff
+
+# k/1024: a and 1 - a are both exact, and so is every a*n of the harmonics
+DYADIC = np.arange(1025) / 1024
 
 
 class TestVisibilityClosed:
@@ -71,6 +78,21 @@ class TestVisibilityClosed:
         result = visibility_closed(1.0 - eps, "transmitted")
         # second-order expansion of the contrast in the gap width
         assert result.visibility == pytest.approx(1.0 - (math.pi * eps) ** 2 / 6.0, abs=1e-15)
+
+    @pytest.mark.parametrize("channel", CHANNELS)
+    def test_within_three_ulps_of_the_exact_quotient(self, channel):
+        # seeded ratios, the decades next to both endpoints and the ends of
+        # the 100001-point CLI grid: sin of the rounded gap 1 - a, not of a,
+        # put V_t there some 1e14 ulps off
+        decades = 10.0 ** -np.arange(1, 17)
+        grid = np.arange(100001) / 100000
+        ratios = np.concatenate(
+            (np.random.default_rng(21).random(200), decades, 1.0 - decades, grid[[0, 1, 2, -3, -2, -1]])
+        )
+        got = visibility_closed(ratios, channel).visibility
+        for a, v in zip(ratios.tolist(), got.tolist()):
+            exact = oracle.visibility(a, channel)
+            assert float(abs(v - exact)) <= 3.0 * math.ulp(float(exact)), (a, v)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
@@ -176,7 +198,39 @@ class TestDistinguishability:
             distinguishability_closed(1.2)
 
 
+def swap_bound(lower, upper, phi):
+    """How far a swapped two-slit bin may lie from the bin of ``(lower, upper)`` at phase ``phi``.
+
+    The swap negates one of the two amplitudes (up to a sign common to
+    both) and moves the phase to ``phi + pi``.  So ``lower**2``,
+    ``upper**2`` and their rounded sum ``A`` keep their bits, and the
+    rounded product ``B = lower*upper`` changes only its sign.  In
+    ``2P = A + 2cB``, with ``c`` the cosine of the stored phase, only ``c``
+    differs.  ``2P`` moves by at most ``2|B| |c + c'|``, plus
+    ``u |2cB| <= u A`` for each rounding of ``2cB`` and
+    ``u |A + 2cB| <= 2u A`` for each outer sum (``2|B| <= A``), so ``P``
+    moves by at most ``A (|c + c'|/2 + 3u)``.  The stored ``phi + pi`` is
+    off by half an ulp of the sum and by ``|pi - fl(pi)| < 1.2u``; its
+    reduction mod ``fl(2 pi)`` is exact.  Each ``cos`` adds one ulp, at
+    most 2u.  So
+    ``|c + c'| <= ulp(phi + pi)/2 + 5.2u``, and ``P`` moves by at most
+    ``A (ulp(phi + pi)/4 + 5.6u)``.  The bound takes 7u to cover the
+    second-order terms.
+    """
+    return (lower**2 + upper**2) * (math.ulp(phi + math.pi) / 4.0 + 7.0 * U)
+
+
 class TestChannelMirror:
+    """Babinet: strip and gap swap roles, so the reflected channel at ``a`` is the transmitted one at ``1 - a``.
+
+    No oracle is needed.  On the dyadic grid the swap is exact in every
+    rounding, so V, D and V**2 + D**2, the single-slit spectra and the
+    normalization defect keep their bits, a zero's sign aside (``V_r(1)``
+    is ``-0.0``, ``V_t(0)`` is ``0.0``): Python float ``==`` compares them.
+    The two-slit spectra swap with the phase moved by pi, within a bound
+    derived in :func:`swap_bound`.
+    """
+
     @given(cover_ratios)
     def test_visibility_swaps_channels(self, a):
         assert visibility_closed(a, "transmitted").visibility == pytest.approx(
@@ -188,6 +242,29 @@ class TestChannelMirror:
         assert distinguishability_closed(a, "transmitted") == pytest.approx(
             distinguishability_closed(1.0 - a, "reflected"), rel=1e-12, abs=1e-15
         )
+
+    def test_closed_forms_swap_exactly_on_the_dyadic_grid(self):
+        reflected = complementarity_sweep(DYADIC, "reflected")
+        transmitted = complementarity_sweep(1.0 - DYADIC, "transmitted")
+        for column in ("visibility", "distinguishability", "duality"):
+            assert getattr(reflected, column).tolist() == getattr(transmitted, column).tolist()
+
+    @pytest.mark.parametrize("truncation", [1, 30, 200])
+    def test_spectra_swap_on_the_dyadic_grid(self, truncation):
+        phases = [0.0, *np.random.default_rng(truncation).uniform(0.0, 2.0 * math.pi, 3).tolist()]
+        for a in DYADIC.tolist():
+            spec, swapped = GratingSpec(a, truncation=truncation), GratingSpec(1.0 - a, truncation=truncation)
+            assert normalization_defect(AmplitudeTable.build(a, truncation)) == normalization_defect(
+                AmplitudeTable.build(1.0 - a, truncation)
+            )
+            reflected = single_slit_spectrum(spec, "reflected").probabilities
+            assert reflected.tolist() == single_slit_spectrum(swapped, "transmitted").probabilities.tolist()
+            full = _mirrored(AmplitudeTable.build(a, truncation).r)
+            for phi in phases:
+                reflected = two_slit_spectrum(TwoSlitConfig(spec, phi), "reflected")
+                transmitted = two_slit_spectrum(TwoSlitConfig(swapped, phi + math.pi), "transmitted")
+                gap = np.abs(reflected.probabilities - transmitted.probabilities)
+                assert np.all(gap <= swap_bound(full[:-1], full[1:], phi)), (a, phi)
 
 
 class TestComplementaritySweep:

@@ -15,7 +15,6 @@ from slitgrid.grating import (
     normalization_defect,
     sampling_window,
     sin_pi,
-    sinc_pi,
 )
 from slitgrid.verify import run_verification
 
@@ -70,11 +69,6 @@ class TestSinPi:
     @given(st.floats(min_value=-4.0, max_value=4.0, allow_nan=False))
     def test_matches_plain_sin(self, u):
         assert sin_pi(u) == pytest.approx(math.sin(math.pi * u), abs=1e-12)
-
-    def test_sinc_limit_and_zero(self):
-        assert sinc_pi(0.0) == 1.0
-        assert sinc_pi(1.0) == 0.0
-        assert sinc_pi(0.5) == pytest.approx(2.0 / math.pi, rel=1e-15)
 
 
 class TestFourierCoefficient:

@@ -9,17 +9,19 @@ next to this file, one ``<sha256> <args>`` per line, which the CI console
 script step reads too; the first three equal ``REFERENCE_DIGESTS`` in
 ``perfbench/workloads.py``, which keeps its own copy.  The digest of the
 100001-point sweep on both channels, the reference size of the sweep, was
-recorded from the scalar sweep loop before the duality kernel took arrays.
+recorded when the transmitted visibility became ``sin(pi*a)/(pi*(1-a))``
+of the exact ratio instead of ``sinc`` of the rounded gap width.
 The digest of a non-default ``orders`` request, at a non-zero phase, was
 recorded before the commands handed ``format_number`` Python floats
 instead of numpy scalars and before ``main`` shared one parser between
-calls.  The digests of the non-default verify reports were recorded
-before the verify suite evaluated the closed forms over its grid as
-arrays.  The field digest was recorded before ``synthesize_field``
-memoised its plane-wave decomposition, and ``seed_synthesize_field`` keeps
-that formula as the bit-level reference, as ``seed_sin_pi`` keeps the
-scalar ``math.sin`` reduction that ``sin_pi`` replaced and
-``seed_duality`` the Python-float ``max`` and ``**`` of the closed forms.
+calls.  The non-default verify reports were recorded at the same change
+as the 100001-point sweep, which moved only their ``visibility-oracle``
+value, as it moved the default report's.  The field digest was recorded
+before ``synthesize_field`` memoised its plane-wave decomposition, and
+``seed_synthesize_field`` keeps that formula as the bit-level reference,
+as ``seed_sin_pi`` keeps the scalar ``math.sin`` reduction that ``sin_pi``
+replaced and ``seed_duality`` the Python-float ``max`` and ``**`` of the
+closed forms.
 
 Bit-level pins (the verify report, and the closed forms equal to those
 scalar ``math``/``pow`` references) depend on the numpy build and the CPU; CI
@@ -67,7 +69,6 @@ from slitgrid.grating import (
     grid_function,
     sampling_window,
     sin_pi,
-    sinc_pi,
 )
 from slitgrid.scattering import (
     TwoSlitConfig,
@@ -97,7 +98,7 @@ REFERENCE_COEFFS = ("coeffs", "--a", "0.06", "--order", "50")
 DEFAULT_VERIFY_REPORT = (
     "PASS  normalization-identity   value=2.220446e-16  tolerance=1.000000e-14  max |r0^2 + t0^2 + 2(a - a^2) - 1| over 101 covering ratios\n"
     "PASS  normalization-defect     value=1.013212e-04  tolerance=2.026424e-04  max |defect| at 2000 terms over 101 covering ratios\n"
-    "PASS  visibility-oracle        value=7.771561e-16  tolerance=1.000000e-13  max |closed - quadrature| over 101 ratios x both channels, 16-node Gauss-Legendre\n"
+    "PASS  visibility-oracle        value=7.216450e-16  tolerance=1.000000e-13  max |closed - quadrature| over 101 ratios x both channels, 16-node Gauss-Legendre\n"
     "PASS  visibility-spot          value=0.000000e+00  tolerance=1.000000e-12  |V_t(1/2) - 2/pi|\n"
     "PASS  distinguishability-dual  value=0.000000e+00  tolerance=1.000000e-14  max |amplitude route - closed form| over 101 ratios x both channels\n"
     "PASS  distinguishability-spot  value=5.647847e-07  tolerance=1.000000e-06  |D_t(0.06) - 0.880043|\n"
@@ -138,18 +139,15 @@ def seed_sin_pi(u: float) -> float:
     return sign * math.sin(math.pi * red)
 
 
-def seed_sinc_pi(u: float) -> float:
-    return 1.0 if u == 0.0 else seed_sin_pi(u) / (math.pi * u)
-
-
 def seed_duality(a: float, channel: str) -> tuple[float, float, float, float]:
-    """``(i_max, i_min, V, D)`` in Python floats as first written: ``max`` and libm ``pow``."""
+    """``(i_max, i_min, V, D)`` in Python floats: ``max``, libm ``pow`` and ``V = s/(pi*w)``."""
     width = 1.0 - a if channel == "transmitted" else a
     s = seed_sin_pi(a)
     i_max = (math.pi * width + s) / (2.0 * math.pi)
     i_min = max(0.0, (math.pi * width - s) / (2.0 * math.pi))
     leak = s / math.pi
-    return i_max, i_min, seed_sinc_pi(width), abs(width**2 - leak * leak)
+    v = 1.0 if width == 0.0 else s / (math.pi * width)
+    return i_max, i_min, v, abs(width**2 - leak * leak)
 
 
 def seed_grid_function(x, cover_ratio, truncation, period):
@@ -272,9 +270,9 @@ def test_default_verify_report_is_unchanged(capsys):
 # SHA-256 of the stdout of non-default verify requests; each exits 2
 # (at --order 1, parseval-two-slit is the known failure of its tolerance)
 VERIFY_REPORT_DIGESTS = {
-    ("--order", "1"): "30fc12f782fd43f6e849df0c665cef2e044089952cad9d4b7a711d04a94af4ec",
-    ("--order", "7", "--perturb", "r1"): "7ee0e812ac658c880187ccec9125509b914ed1fe57368f12f1bb3c405f7f8e13",
-    ("--order", "400", "--perturb", "t1"): "178c07abc60f2ad88132b214489ce316722da4bbcd8083f12bc52a1b0fbca16a",
+    ("--order", "1"): "f2b5c7ddec4896b95b23bf41b876bf1b9319f2b5254d62805f13f44d432de24c",
+    ("--order", "7", "--perturb", "r1"): "0f6c7276c541e3726e9b9cb13297bcc5e4c8a5ea186cbd432f914884b1bdb1aa",
+    ("--order", "400", "--perturb", "t1"): "9973e60a389e5b55f2bd40c257f81825ebaaed22bcd67dcd3d196be16c7b6c08",
 }
 
 
@@ -443,7 +441,6 @@ def test_duality_kernel_arrays_equal_the_scalar_calls_bit_for_bit(ratios, channe
     d_scalar = [distinguishability_closed(x, channel) for x in ratios]
     assert bits(distinguishability_closed(a, channel)) == bits(d_scalar) == d
     assert bits(sin_pi(a)) == bits([sin_pi(x) for x in ratios])
-    assert bits(sinc_pi(a)) == bits([sinc_pi(x) for x in ratios])
     columns = complementarity_sweep(a, channel)
     assert len(columns) == len(ratios)
     dualities = [v_x * v_x + d_x * d_x for _, _, v_x, d_x in seed]
@@ -467,21 +464,18 @@ def test_duality_kernel_equals_the_scalar_calls_on_a_dense_draw(channel):
 
 @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=16))
 @example(us=[0.0, -0.0, 0.5, -0.5, 1.0, 1.5, 2.0, -3.0, 5e-324, -5e-324])
-def test_sin_pi_and_sinc_pi_arrays_equal_the_scalar_calls_bit_for_bit(us):
+def test_sin_pi_arrays_equal_the_scalar_calls_bit_for_bit(us):
     # numpy's sin on the reduced range rounds as the C library's, on arrays
     # and on scalars alike; the sweep digests were recorded under it
-    u = np.array(us)
-    for ours, seed in ((sin_pi, seed_sin_pi), (sinc_pi, seed_sinc_pi)):
-        want = bits([seed(x) for x in us])
-        assert bits(ours(u)) == want
-        assert bits([ours(x) for x in us]) == want
-        assert all(type(ours(x)) is float for x in us)
+    want = bits([seed_sin_pi(x) for x in us])
+    assert bits(sin_pi(np.array(us))) == want
+    assert bits([sin_pi(x) for x in us]) == want
+    assert all(type(sin_pi(x)) is float for x in us)
 
 
 # every closed form on its one numpy path: a scalar gives a Python float
 ONE_PATH = {
     "sin_pi": sin_pi,
-    "sinc_pi": sinc_pi,
     "visibility_closed.i_max": lambda a: visibility_closed(a).i_max,
     "visibility_closed.i_min": lambda a: visibility_closed(a).i_min,
     "visibility_closed.visibility": lambda a: visibility_closed(a).visibility,
