@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grating import AmplitudeTable, Channel, _unwrap, sampling_window, sin_pi
+from .grating import AmplitudeTable, Channel, _one_real, _unwrap, sampling_window, sin_pi
 
 __all__ = [
     "VisibilityResult",
@@ -121,9 +121,9 @@ def visibility_quadrature(cover_ratio: float, channel: Channel = "transmitted") 
     16-node Gauss-Legendre rule: deterministic, no adaptivity, and no use
     of the closed forms.  At the degenerate endpoint (zero-width window)
     both integrals vanish and the visibility takes its analytic limit 1,
-    matching the closed form.
+    matching the closed form.  It takes one ratio: an array is a ``TypeError``.
     """
-    width, _ = sampling_window(cover_ratio, channel)
+    width, _ = sampling_window(_one_real("cover_ratio", cover_ratio), channel)
     if width == 0.0:
         return VisibilityResult(i_max=0.0, i_min=0.0, visibility=1.0)
     half = 0.5 * width

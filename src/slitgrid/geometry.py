@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .grating import _one_real
+
 __all__ = ["PARAXIAL_BOUND", "ParaxialWarning", "SetupGeometry"]
 
 # Largest s/g accepted without a ParaxialWarning.  The amplitude algebra
@@ -43,9 +45,9 @@ class SetupGeometry:
     g : float
         Distance from the double slit to the grating plane.
 
-    Each is one number, never an array (``TypeError``), and is stored as a
-    Python float, so a float32 value is widened before ``k*k`` or
-    ``k*s/g`` round in float32.
+    Each is one real number by ``grating._one_real`` (an array or a str is
+    a ``TypeError``), stored as a Python float, so a float32 value is
+    widened before ``k*k`` or ``k*s/g`` round in float32.
     """
 
     k: float
@@ -54,12 +56,10 @@ class SetupGeometry:
 
     def __post_init__(self) -> None:
         for name in ("k", "s", "g"):
-            value = getattr(self, name)
-            if getattr(value, "ndim", 0):
-                raise TypeError(f"{name} must be one number, got an array of shape {value.shape}")
+            value = _one_real(name, getattr(self, name))
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
-            object.__setattr__(self, name, float(value))
+            object.__setattr__(self, name, value)
 
     @property
     def slit_ratio(self) -> float:

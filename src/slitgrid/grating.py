@@ -51,46 +51,60 @@ def _unwrap(values):
     return float(values) if values.ndim == 0 else values
 
 
+def _real(name: str, value):
+    """The one input rule: one real number gives a Python float, an array or a list a float64 array.
+
+    One number is a float, int, bool, numpy scalar or 0-d array; a numpy
+    dtype that is not real (str, None, complex, object) raises
+    ``TypeError`` naming ``name``.  Ranges are the caller's check.
+    """
+    if type(value) in (float, int):  # not isinstance, which np.float64 and bool pass
+        return float(value)  # an int beyond int64 too, which numpy would make an object
+    array = np.asarray(value)
+    if array.dtype.kind not in "biuf":
+        raise TypeError(f"{name} must be real, got {value!r:.60}")
+    return float(array) if array.ndim == 0 else array.astype(float, copy=False)
+
+
+def _one_real(name: str, value) -> float:
+    """:func:`_real` for a parameter that takes one number: an array, even of one element, is refused."""
+    value = _real(name, value)
+    if type(value) is not float:
+        raise TypeError(f"{name} must be one number, got an array of shape {value.shape}")
+    return value
+
+
 def sin_pi(u):
     """sin(pi*u), exact at integers; a float for a scalar, an array for an array.
 
-    The argument is widened to float64 and reduced to [0, 1/2] before
-    multiplying by pi, so integer ``u`` returns exactly 0.0 and values near
-    integers keep full precision instead of inheriting the rounding error
-    of ``pi*u``.  A scalar is a 0-d array on the same numpy path; the
+    The argument is widened by :func:`_real` and reduced to [0, 1/2]
+    before multiplying by pi, so integer ``u`` returns exactly +0.0 (odd
+    ones reduce to 1.0, of sign +1) and values near integers keep full
+    precision instead of inheriting the rounding error of ``pi*u``.  The
     regression gate pins its bits to the C library's ``sin``.
     """
-    red = np.mod(np.asarray(u, dtype=float), 2.0)
-    sign = np.where(red >= 1.0, -1.0, 1.0)
-    red = np.where(red >= 1.0, red - 1.0, red)
+    red = np.mod(_real("u", u), 2.0)
+    sign = np.where(red > 1.0, -1.0, 1.0)
+    red = np.where(red > 1.0, red - 1.0, red)
     red = np.where(red > 0.5, 1.0 - red, red)
     return _unwrap(sign * np.sin(np.pi * red))
 
 
 def _check_cover_ratio(cover_ratio):
-    """Reject a ratio outside [0, 1] or not real; return it widened, a float64 array or a float."""
-    # The one scalar/array fork left: the same check on a 0-d array takes
-    # about 9.5 us against 0.3 us, and verify and synthesize_field (once per
-    # point) validate scalar ratios hundreds of times per request.
-    if isinstance(cover_ratio, np.ndarray):
-        if cover_ratio.dtype.kind not in "biuf":
-            raise TypeError(f"cover ratios must be real numbers, got dtype {cover_ratio.dtype}")
-        outside = ~((cover_ratio >= 0.0) & (cover_ratio <= 1.0))  # NaN is outside too
-        if np.any(outside):
-            bad = cover_ratio[outside].flat[0]
-            raise ValueError(f"cover ratio must lie in [0, 1], got {float(bad)!r}")
-        return cover_ratio.astype(float, copy=False)
-    if not (0.0 <= cover_ratio <= 1.0):
-        raise ValueError(f"cover ratio must lie in [0, 1], got {cover_ratio!r}")
-    return float(cover_ratio)
-
-
-def _check_one_cover_ratio(cover_ratio) -> float:
-    """:func:`_check_cover_ratio` for a grating's one ratio: a Python float, never an array."""
-    ratio = _check_cover_ratio(cover_ratio)
-    if getattr(ratio, "ndim", 0):
-        raise TypeError(f"a grating takes one cover ratio, got an array of shape {ratio.shape}")
-    return float(ratio)
+    """Reject a ratio outside [0, 1] or not real; return it by :func:`_real`, a float or a float64 array."""
+    # The one scalar/array fork left, where a float skips even _real: the
+    # same check on a 0-d array takes about 9.5 us against 0.3 us, and verify
+    # and synthesize_field (per point) check hundreds of scalar ratios.
+    if type(cover_ratio) is not float:
+        cover_ratio = _real("cover_ratio", cover_ratio)
+    if type(cover_ratio) is float:
+        if not (0.0 <= cover_ratio <= 1.0):
+            raise ValueError(f"cover ratio must lie in [0, 1], got {cover_ratio!r}")
+        return cover_ratio
+    outside = ~((cover_ratio >= 0.0) & (cover_ratio <= 1.0))  # NaN is outside too
+    if np.any(outside):
+        raise ValueError(f"cover ratio must lie in [0, 1], got {float(cover_ratio[outside].flat[0])!r}")
+    return cover_ratio
 
 
 def _check_truncation(truncation: int) -> None:
@@ -105,7 +119,7 @@ class GratingSpec:
 
     ``cover_ratio = 0`` is no grating at all, ``cover_ratio = 1`` a full
     mirror; both degenerate cases are accepted.  The cover ratio and the
-    period are one number each, never an array (``TypeError``), stored as
+    period are one real number each by :func:`_one_real`, stored as
     Python floats, so a float32 value is widened before any arithmetic
     rounds in float32.
     """
@@ -115,13 +129,13 @@ class GratingSpec:
     truncation: int = DEFAULT_TRUNCATION
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "cover_ratio", _check_one_cover_ratio(self.cover_ratio))
-        if getattr(self.period, "ndim", 0):
-            raise TypeError(f"period must be one number, got an array of shape {self.period.shape}")
-        if not (math.isfinite(self.period) and self.period > 0.0):
-            raise ValueError(f"period must be positive, got {self.period!r}")
+        cover_ratio = _check_cover_ratio(_one_real("cover_ratio", self.cover_ratio))
+        period = _one_real("period", self.period)
+        if not (math.isfinite(period) and period > 0.0):
+            raise ValueError(f"period must be positive and finite, got {period!r}")
         _check_truncation(self.truncation)
-        object.__setattr__(self, "period", float(self.period))
+        object.__setattr__(self, "cover_ratio", cover_ratio)
+        object.__setattr__(self, "period", period)
 
 
 def _harmonics(cover_ratio: float, n: np.ndarray) -> np.ndarray:
@@ -237,7 +251,7 @@ def grid_function(x, spec: GratingSpec):
     n = np.arange(1, spec.truncation + 1)
     coefficients = -2.0 * _harmonics(spec.cover_ratio, n)
     scale = 2.0 * math.pi / spec.period
-    arr = np.asarray(x, dtype=float)
+    arr = np.asarray(_real("x", x))
     flat = arr.reshape(-1)
     if flat.size < _block_rows(n.size) + _ROW_ALIGN:
         values = _cosines(flat, n, scale) @ coefficients
@@ -255,10 +269,10 @@ def sampling_window(cover_ratio, channel: Channel) -> tuple:
     sits on the fringe maxima and the strip on the minima, and the sign
     also gives the direction the channel's light leaves in (+z
     transmitted, -z reflected).  This is the one place that tells the
-    channels apart by name.  The covering ratio is widened first, as the
-    configuration classes do: a scalar to a Python float and an array to
-    a float64 array of widths, so a float32 ratio rounds nothing in
-    float32.  The sign is always a float.
+    channels apart by name.  The covering ratio is widened first by
+    :func:`_real`, as the configuration classes do: a scalar to a Python
+    float and an array or list to a float64 array of widths, so a float32
+    ratio rounds nothing in float32.  The sign is always a float.
     """
     cover_ratio = _check_cover_ratio(cover_ratio)
     if channel == "transmitted":
@@ -283,7 +297,7 @@ class AmplitudeTable:
     @classmethod
     def build(cls, cover_ratio: float, truncation: int = DEFAULT_TRUNCATION) -> "AmplitudeTable":
         """The table at ``cover_ratio``, widened to a Python float first (``1 - a`` rounds in float64)."""
-        cover_ratio = _check_one_cover_ratio(cover_ratio)
+        cover_ratio = _check_cover_ratio(_one_real("cover_ratio", cover_ratio))
         _check_truncation(truncation)
         harmonics = _harmonics(cover_ratio, np.arange(1, truncation + 1))
         r = np.concatenate(([-cover_ratio], harmonics))

@@ -24,14 +24,13 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import PARAXIAL_BOUND, ParaxialWarning, SetupGeometry
-from .grating import AmplitudeTable, Channel, GratingSpec, _unwrap, sampling_window, sin_pi
+from .grating import AmplitudeTable, Channel, GratingSpec, _one_real, _real, _unwrap, sampling_window, sin_pi
 
 __all__ = [
     "TwoSlitConfig",
@@ -48,11 +47,12 @@ __all__ = [
 ]
 
 
-def _check_phase(delta_phi: float) -> None:
-    if getattr(delta_phi, "ndim", 0):
-        raise TypeError(f"delta_phi must be one number, got an array of shape {delta_phi.shape}")
+def _check_phase(delta_phi) -> float:
+    """``delta_phi`` as one finite Python float, by :func:`grating._one_real`."""
+    delta_phi = _one_real("delta_phi", delta_phi)
     if not math.isfinite(delta_phi):
         raise ValueError(f"delta_phi must be finite, got {delta_phi!r}")
+    return delta_phi
 
 
 @dataclass(frozen=True)
@@ -69,8 +69,7 @@ class TwoSlitConfig:
     delta_phi: float = 0.0
 
     def __post_init__(self) -> None:
-        _check_phase(self.delta_phi)
-        object.__setattr__(self, "delta_phi", float(self.delta_phi) % math.tau)
+        object.__setattr__(self, "delta_phi", _check_phase(self.delta_phi) % math.tau)
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,7 +96,8 @@ class OrderSpectrum:
         return bool(np.all(np.mod(self.orders, 1.0) == 0.5))
 
     def probability(self, order: float) -> float:
-        """Probability at one order (exact index match)."""
+        """Probability at one order (exact index match); ``order`` is one real number."""
+        order = _one_real("order", order)
         hits = np.nonzero(self.orders == order)[0]
         if hits.size == 0:
             raise KeyError(f"order {order!r} not present in spectrum")
@@ -128,13 +128,15 @@ class DetectorSignal:
 def interference_intensity(x, delta_phi: float = 0.0):
     """Two-slit fringe intensity ``cos(pi*x + delta_phi)**2``, ``x`` in grating periods.
 
-    Evaluated through the double-angle form so the zeros at half-period
-    offsets come out exactly 0.0 (and the maxima exactly 1.0).  A scalar
-    ``x`` gives a float, an array an array; ``delta_phi`` must be one
-    finite number.
+    Evaluated through the double-angle form.  At zero phase every integer
+    ``|x| < 2.1e7`` gives exactly 1.0 and every half-integer
+    ``|x| < 1.26e7`` exactly 0.0 (the first miss, ``12605631.5``, gives
+    5.6e-17); ``pi*x`` rounds before any reduction, so ``2**40 + 0.5``
+    gives 1.7e-8.  A scalar ``x`` gives a float, an array an array;
+    ``delta_phi`` must be one finite number.
     """
-    _check_phase(delta_phi)
-    return _unwrap(0.5 * (1.0 + np.cos(2.0 * (np.pi * np.asarray(x, dtype=float) + delta_phi))))
+    delta_phi = _check_phase(delta_phi)
+    return _unwrap(0.5 * (1.0 + np.cos(2.0 * (np.pi * _real("x", x) + delta_phi))))
 
 
 def _mirrored(amps: np.ndarray) -> np.ndarray:
@@ -157,10 +159,9 @@ def two_slit_probabilities(half: np.ndarray, delta_phi: float) -> np.ndarray:
     real amplitudes, for ``m = n + 1/2`` with ``n`` in [-N, N-1]: every
     bin whose two contributing orders are inside the truncated table.
     """
-    _check_phase(delta_phi)
     full = _mirrored(half)
     lower, upper = full[:-1], full[1:]
-    cos_phi = math.cos(delta_phi)
+    cos_phi = math.cos(_check_phase(delta_phi))
     # grouping the product keeps P(m) == P(-m) exact, not just up to rounding;
     # the clamp absorbs the last-ulp negatives of fully destructive bins
     return np.maximum(0.5 * (lower**2 + upper**2 + 2.0 * cos_phi * (lower * upper)), 0.0)
@@ -218,25 +219,10 @@ def two_slit_power_limit(cover_ratio: float, channel: Channel, delta_phi: float 
     at zero phase the gaps sit on the fringe maxima, the strips on the
     minima.
     """
-    _check_phase(delta_phi)
+    cos_phi = math.cos(_check_phase(delta_phi))
     width, sign = sampling_window(cover_ratio, channel)
-    cross = math.cos(delta_phi) * sin_pi(cover_ratio) / math.pi
+    cross = cos_phi * sin_pi(cover_ratio) / math.pi
     return width + sign * cross
-
-
-def _check_position(name: str, value) -> None:
-    """Reject a position that is not one real number.
-
-    An array or a list would broadcast against the orders and sum to one
-    wrong number (or raise numpy's shape error), so only a real scalar or
-    a 0-d real array passes.
-    """
-    if isinstance(value, np.ndarray):
-        real = value.ndim == 0 and value.dtype.kind in "biuf"
-    else:
-        real = isinstance(value, numbers.Real)
-    if not real:
-        raise TypeError(f"position {name} must be a real scalar, got {type(value).__name__}")
 
 
 def synthesize_field(
@@ -252,9 +238,9 @@ def synthesize_field(
     illumination or a :class:`TwoSlitConfig` for both slits.  Transmitted
     waves run toward +z, reflected waves toward -z; evanescent orders are
     dropped.  The order spacing comes from ``setup.k_perp`` (the spec's
-    own period is not used here).  ``x`` and ``z`` are one point each: a
-    real scalar or a 0-d array, never an array of points or a list
-    (``TypeError``).
+    own period is not used here).  ``x`` and ``z`` are one point each, one
+    real number by :func:`grating._one_real`: an array of points, a list
+    or a str raises ``TypeError``.
 
     At ``z = 0`` the single-slit transmitted field reproduces
     ``1 - grid_function(x)`` up to the propagation cutoff.
@@ -274,9 +260,8 @@ def synthesize_field(
     without its Python wrapper, and the result has the same bits as
     rebuilding the decomposition on every call.
     """
-    if not (isinstance(x, float) and isinstance(z, float)):  # a float needs no further check
-        _check_position("x", x)
-        _check_position("z", z)
+    if not (type(x) is float and type(z) is float):  # floats skip two calls, 5 % of a cached point
+        x, z = _one_real("position x", x), _one_real("position z", z)
     spec = config.spec if isinstance(config, TwoSlitConfig) else config
     sampling_window(spec.cover_ratio, side)  # rejects an unknown side before any warning
     if not setup.paraxial_ok:

@@ -7,9 +7,22 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from slitgrid.complementarity import (
+    complementarity_sweep,
+    distinguishability_closed,
+    visibility_closed,
+    visibility_quadrature,
+)
 from slitgrid.geometry import ParaxialWarning, SetupGeometry
-from slitgrid.grating import GratingSpec
-from slitgrid.scattering import TwoSlitConfig, synthesize_field
+from slitgrid.grating import AmplitudeTable, GratingSpec, grid_function, sampling_window, sin_pi
+from slitgrid.scattering import (
+    TwoSlitConfig,
+    interference_intensity,
+    single_slit_spectrum,
+    synthesize_field,
+    two_slit_power_limit,
+    two_slit_probabilities,
+)
 
 lengths = st.floats(min_value=1e-6, max_value=1e6, allow_nan=False, allow_infinity=False)
 paraxial_setups = st.builds(
@@ -57,14 +70,68 @@ def configure(values):
     return setup, TwoSlitConfig(GratingSpec(0.3, values["period"]), values["delta_phi"])
 
 
-@pytest.mark.parametrize("name", ["k", "s", "g", "period", "delta_phi"])
-def test_a_one_element_array_is_refused_by_its_name(name):
+SPEC = GratingSpec(0.3, truncation=5)
+SPEC_HALF = AmplitudeTable.build(0.3, 5).t
+SPECTRUM = single_slit_spectrum(SPEC, "transmitted")
+SETUP = SetupGeometry(k=1000.0, s=0.005, g=1.0)
+UNIT = [1.5, -1, math.nan, math.inf]  # outside [0, 1]
+POSITIVE = [0.0, -1, math.nan, math.inf]
+FINITE = [math.nan, math.inf]
+
+# every public entry point that takes a real value: the parameter its
+# messages name, the call with the value in that place, whether it takes
+# one number only, and the values outside its range (ValueError)
+ENTRIES = {
+    "SetupGeometry.k": ("k", lambda v: SetupGeometry(k=v, s=0.005, g=1.0), True, POSITIVE),
+    "SetupGeometry.s": ("s", lambda v: SetupGeometry(k=1000.0, s=v, g=1.0), True, POSITIVE),
+    "SetupGeometry.g": ("g", lambda v: SetupGeometry(k=1000.0, s=0.005, g=v), True, POSITIVE),
+    "GratingSpec.cover_ratio": ("cover_ratio", GratingSpec, True, UNIT),
+    "GratingSpec.period": ("period", lambda v: GratingSpec(0.3, v), True, POSITIVE),
+    "AmplitudeTable.build": ("cover_ratio", lambda v: AmplitudeTable.build(v, 5), True, UNIT),
+    "TwoSlitConfig.delta_phi": ("delta_phi", lambda v: TwoSlitConfig(SPEC, v), True, FINITE),
+    "sin_pi": ("u", sin_pi, False, []),
+    "grid_function": ("x", lambda v: grid_function(v, SPEC), False, []),
+    "interference_intensity.x": ("x", interference_intensity, False, []),
+    "interference_intensity.delta_phi": ("delta_phi", lambda v: interference_intensity(0.1, v), True, FINITE),
+    "sampling_window": ("cover_ratio", lambda v: sampling_window(v, "reflected"), False, UNIT),
+    "visibility_closed": ("cover_ratio", visibility_closed, False, UNIT),
+    "visibility_quadrature": ("cover_ratio", visibility_quadrature, True, UNIT),
+    "distinguishability_closed": ("cover_ratio", distinguishability_closed, False, UNIT),
+    "complementarity_sweep": ("cover_ratio", lambda v: complementarity_sweep([v]), False, UNIT),
+    "two_slit_probabilities": ("delta_phi", lambda v: two_slit_probabilities(SPEC_HALF, v), True, FINITE),
+    "two_slit_power_limit.cover_ratio": ("cover_ratio", lambda v: two_slit_power_limit(v, "reflected"), False, UNIT),
+    "two_slit_power_limit.delta_phi": ("delta_phi", lambda v: two_slit_power_limit(0.3, "reflected", v), True, FINITE),
+    "OrderSpectrum.probability": ("order", SPECTRUM.probability, True, []),
+    "synthesize_field.x": ("position x", lambda v: synthesize_field(v, 0.5, SPEC, "transmitted", SETUP), True, []),
+    "synthesize_field.z": ("position z", lambda v: synthesize_field(0.1, v, SPEC, "transmitted", SETUP), True, []),
+}
+ONE_NUMBER = [entry for entry, (_, _, one, _) in ENTRIES.items() if one]
+OUT_OF_RANGE = [(entry, bad) for entry, (_, _, _, outside) in ENTRIES.items() for bad in outside]
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+@pytest.mark.parametrize("value", ["0.3", None, 0.3 + 0j, object()], ids=["str", "None", "complex", "object"])
+def test_a_value_that_is_not_real_is_refused_by_its_name(entry, value):
+    name, call, _, _ = ENTRIES[entry]
+    with pytest.raises(TypeError, match=f"^{name} must be real, got "):
+        call(value)
+
+
+@pytest.mark.parametrize("entry", ONE_NUMBER)
+@pytest.mark.parametrize("kind", [np.array, list], ids=["array", "list"])
+def test_a_one_element_array_is_refused_by_its_name(entry, kind):
     # float() of a (1,) array only warns on numpy before 2.4, so the check
     # is explicit and reads the same on every numpy
-    values = {"k": 1000.0, "s": 0.005, "g": 1.0, "period": 0.7, "delta_phi": 0.5}
-    values[name] = np.array([values[name]])
-    with pytest.raises(TypeError, match=f"^{name} must be one number"):
-        configure(values)
+    name, call, _, _ = ENTRIES[entry]
+    with pytest.raises(TypeError, match=rf"^{name} must be one number, got an array of shape \(1,\)$"):
+        call(kind([0.3]))
+
+
+@pytest.mark.parametrize("entry, bad", OUT_OF_RANGE, ids=[f"{entry}-{bad}" for entry, bad in OUT_OF_RANGE])
+def test_a_value_out_of_range_is_a_value_error(entry, bad):
+    _, call, _, _ = ENTRIES[entry]
+    with pytest.raises(ValueError):
+        call(bad)
 
 
 @pytest.mark.parametrize("kind", [np.array, np.float64], ids=["0-d array", "float64"])
@@ -75,6 +142,13 @@ def test_a_numpy_scalar_is_the_float_it_equals(kind):
     got["delta_phi"] = config.delta_phi
     assert got == want
     assert {type(value) for value in got.values()} == {float}
+
+
+def test_an_int_beyond_int64_is_the_float_it_equals():
+    # numpy makes such an int an object array, which is not real
+    assert SetupGeometry(k=2**70, s=1, g=2**64).k_perp == 64.0
+    assert GratingSpec(0.3, 2**70).period == float(2**70)
+    assert sin_pi(2**70) == 0.0
 
 
 def test_paraxial_warning_threshold():

@@ -129,10 +129,14 @@ def bits(value) -> bytes:
 
 
 def seed_sin_pi(u: float) -> float:
-    """Scalar sin_pi as first written: the reduction to [0, 1/2], then ``math.sin``."""
+    """Scalar sin_pi: the reduction to [0, 1/2], then ``math.sin``.
+
+    Odd integers reduce to 1.0 with the sign +1, so every zero is +0.0, as
+    in ``sin_pi``.
+    """
     red = float(u) % 2.0
     sign = 1.0
-    if red >= 1.0:
+    if red > 1.0:
         sign, red = -1.0, red - 1.0
     if red > 0.5:
         red = 1.0 - red
@@ -482,6 +486,7 @@ ONE_PATH = {
     "distinguishability_closed": distinguishability_closed,
     "interference_intensity": interference_intensity,
     "grid_function": lambda x: grid_function(x, GratingSpec(cover_ratio=0.3, truncation=20)),
+    "two_slit_power_limit": lambda a: two_slit_power_limit(a, "reflected", 0.4),
 }
 SCALARS = {"float": 0.3, "float32": np.float32(0.3), "float64": np.float64(0.3), "0-d": np.array(0.3)}
 

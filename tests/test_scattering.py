@@ -51,6 +51,15 @@ class TestInterferenceIntensity:
     def test_quarter_period(self):
         assert interference_intensity(0.25) == pytest.approx(0.5, abs=1e-15)
 
+    def test_extrema_are_exact_in_the_stated_range(self):
+        # the docstring's range: integers |x| < 2.1e7 give 1.0, half-integers
+        # |x| < 1.26e7 give 0.0; both ends and a seeded draw in between
+        rng = np.random.default_rng(5)
+        whole = np.concatenate(([0, 21_000_000], rng.integers(0, 21_000_000, 20000))).astype(float)
+        half = np.concatenate(([0, 12_599_999], rng.integers(0, 12_600_000, 20000))) + 0.5
+        assert np.all(interference_intensity(np.concatenate((whole, -whole))) == 1.0)
+        assert np.all(interference_intensity(np.concatenate((half, -half))) == 0.0)
+
     @given(st.floats(min_value=-5.0, max_value=5.0, allow_nan=False), phases)
     def test_bounded_and_periodic(self, x, dphi):
         value = interference_intensity(x, dphi)
@@ -250,6 +259,13 @@ class TestPowerLimits:
             a, "reflected", dphi
         )
         assert total == pytest.approx(1.0, abs=1e-14)
+
+    @pytest.mark.parametrize("channel", CHANNELS)
+    def test_an_array_equals_the_scalar_calls_bit_for_bit(self, channel):
+        ratios = [0.0, 0.06, 0.3, 0.5, 1.0, *np.random.default_rng(2).random(64).tolist()]
+        got = two_slit_power_limit(np.array(ratios), channel, 0.7)
+        assert got.tobytes() == np.array([two_slit_power_limit(a, channel, 0.7) for a in ratios]).tobytes()
+        assert two_slit_power_limit(ratios, channel, 0.7).tobytes() == got.tobytes()  # a list is that array
 
 
 class TestFieldSynthesis:
