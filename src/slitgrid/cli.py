@@ -59,8 +59,8 @@ PATTERN_SAMPLES = 401  # over two periods each side of the axis
 # Largest accepted requests.  At these caps the slowest request (sweep of
 # 1e6 points on both channels) takes 4.9-5.6 s and peaks at about 132 MB
 # resident on a 2-core x86-64 VM, and coeffs at 1e5 terms, whose 401 x N
-# profile is grid_function's factored sum on one thread, takes 0.79-0.85 s
-# and peaks at about 55 MB resident.
+# profile is grid_function's factored sum on one thread, takes 0.31-0.32 s
+# and peaks at about 51 MB resident (a whole process, import included).
 MAX_POINTS = 1_000_000
 MAX_ORDER = 100_000
 

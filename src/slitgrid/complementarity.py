@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grating import AmplitudeTable, Channel, _one_real, _unwrap, sampling_window, sin_pi
+from .grating import AmplitudeTable, Channel, _one_real, _real, _unwrap, sampling_window, sin_pi
 
 __all__ = [
     "VisibilityResult",
@@ -104,8 +104,10 @@ def visibility_closed(cover_ratio, channel: Channel = "transmitted") -> Visibili
     The contrast is ``sin(pi*a)/(pi*w)`` of the window width ``w`` (gap
     ``1-a`` transmitted, strip ``a`` reflected), 1 at ``w = 0``.  The sine
     reads ``a`` itself, not the rounded ``1-a``, so V is accurate to a few
-    ulps on both channels.  An array of covering ratios gives arrays.
+    ulps on both channels.  An array or list of covering ratios gives
+    arrays; it is widened to float64 once, here.
     """
+    cover_ratio = _real("cover_ratio", cover_ratio)
     width, s = np.asarray(sampling_window(cover_ratio, channel)[0]), sin_pi(cover_ratio)
     i_max = (math.pi * width + s) / (2.0 * math.pi)
     i_min = (math.pi * width - s) / (2.0 * math.pi)
@@ -139,8 +141,10 @@ def distinguishability_closed(cover_ratio, channel: Channel = "transmitted"):
     The absolute value mirrors the trace-norm definition; for covering
     ratios in [0, 1] the enclosed expression is already non-negative, so
     it only ever absorbs floating-point dust at the endpoints.  An array
-    of covering ratios gives an array.
+    or list of covering ratios gives an array; it is widened to float64
+    once, here.
     """
+    cover_ratio = _real("cover_ratio", cover_ratio)
     return _distinguishability(sampling_window(cover_ratio, channel)[0], sin_pi(cover_ratio))
 
 

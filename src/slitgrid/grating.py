@@ -144,20 +144,24 @@ def _harmonics(cover_ratio: float, n: np.ndarray) -> np.ndarray:
     return sign * sin_pi(cover_ratio * n) / (math.pi * n)
 
 
-# An array of positions that fits one block of about this many bytes of
-# cosines (see _block_rows) is one dense gemv; a larger one takes the
-# factored sum, in row blocks of about this many bytes of temporaries.
-_BLOCK_BYTES = 8 << 20
-_ROW_ALIGN = 16
+# An input of at most this many cosines (positions times terms) is one
+# dense gemv, a larger one the factored sum.  Under one BLAS thread the
+# gemv is faster below about 2**14 cosines and the factored sum above it
+# (401 rows at 2000 terms: 10.1 against 1.4 ms); the bound sits at 2**15
+# so that the 401 x 50 profile of the reference coeffs table keeps its
+# dense bits.
+_DENSE_COSINES = 1 << 15
+
+# The factored sum goes in row blocks of at most this many bytes of
+# temporaries.  Each is at most an eighth of it, rows x max(B, Q) float64
+# within 64 KiB: half of glibc's default 128 KiB mmap threshold, so the
+# blocks reuse heap pages instead of faulting in fresh mappings.
+_BLOCK_BYTES = 512 << 10
 
 
-def _block_rows(terms: int) -> int:
-    """Rows of one profile block: a multiple of ``_ROW_ALIGN`` within ``_BLOCK_BYTES``.
-
-    Never fewer than ``_ROW_ALIGN`` rows, so beyond 65536 terms a block
-    outgrows the budget.
-    """
-    return max(_ROW_ALIGN, _BLOCK_BYTES // (8 * terms) // _ROW_ALIGN * _ROW_ALIGN)
+def _block_rows(width: int) -> int:
+    """Rows of one factored block, at least one: eight arrays of ``width`` values per row fit ``_BLOCK_BYTES``."""
+    return max(1, _BLOCK_BYTES // (64 * width))
 
 
 def _cosines(x, n, scale: float):
@@ -191,9 +195,8 @@ def _factored(x, period: float, coefficients):
     (1973)), so a row needs about ``4*sqrt(N)`` cosines and sines in
     place of ``N`` cosines.  The phases are reduced by :func:`_turns`.
     The sums over ``r`` and ``q`` are ``np.einsum`` calls, numpy's own
-    loops with no BLAS.  The rows go in blocks with about
-    ``_BLOCK_BYTES`` of temporaries, a few arrays of ``B`` or ``Q``
-    values per row.
+    loops with no BLAS.  The rows go in blocks of :func:`_block_rows`,
+    with a few arrays of ``B`` or ``Q`` values per row.
     """
     terms = coefficients.size
     baby = math.isqrt(terms)
@@ -202,7 +205,7 @@ def _factored(x, period: float, coefficients):
     table[1 : terms + 1] = coefficients
     table = table.reshape(giant, baby)
     values = np.empty(x.size)
-    rows = _block_rows(4 * (baby + giant))
+    rows = _block_rows(giant)  # giant > baby, the widest temporaries
     for start in range(0, x.size, rows):
         # the remainder of x by the period is exact, and one division rounds it
         block = np.fmod(x[start : start + rows], period) / period
@@ -228,16 +231,16 @@ def grid_function(x, spec: GratingSpec):
     its shape; both are evaluated as a flattened array, a scalar as one
     row, on the calling thread.
 
-    An array that fits one block of about 8 MiB of cosines (fewer than
-    ``_block_rows(N) + 16`` positions) is the dense formula
-    ``c0 + cos(2*pi/period * outer(x, n)) @ c``, bit for bit: one BLAS
-    gemv.  BLAS rounds a row by the shape of the whole matrix, so the same
-    ``x`` may differ in its last bit between arrays of different lengths,
-    and by the dense formula's error from a larger array (the README gives
-    an example of each).  Under several BLAS threads a dense row may also
-    change in its last bit.
+    An input of at most ``2**15`` cosines (``len(x) * N``) is the dense
+    formula ``c0 + cos(2*pi/period * outer(x, n)) @ c``, bit for bit: one
+    BLAS gemv.  That is a scalar up to 32768 terms, and the 401 positions
+    of the CLI up to 81.  BLAS rounds a row by the shape of the whole
+    matrix, so the same ``x`` may differ in its last bit between dense
+    inputs of different lengths, and by the dense formula's error from a
+    larger input (the README gives an example of each).  Under several
+    BLAS threads a dense row may also change in its last bit.
 
-    A larger array is the factored sum of :func:`_factored`: the position
+    A larger input is the factored sum of :func:`_factored`: the position
     is reduced to a fraction of a period, and each row needs about
     ``4*sqrt(N)`` cosines and sines and ``2*N`` multiply-adds in
     ``np.einsum`` instead of ``N`` cosines.  It calls no BLAS, so its
@@ -253,7 +256,7 @@ def grid_function(x, spec: GratingSpec):
     scale = 2.0 * math.pi / spec.period
     arr = np.asarray(_real("x", x))
     flat = arr.reshape(-1)
-    if flat.size < _block_rows(n.size) + _ROW_ALIGN:
+    if flat.size * n.size <= _DENSE_COSINES:
         values = _cosines(flat, n, scale) @ coefficients
     else:
         values = _factored(flat, spec.period, coefficients)

@@ -158,8 +158,10 @@ def two_slit_probabilities(half: np.ndarray, delta_phi: float) -> np.ndarray:
     ``P(m) = |u_n + exp(i*delta_phi)*u_{n+1}|**2 / 2`` expanded for the
     real amplitudes, for ``m = n + 1/2`` with ``n`` in [-N, N-1]: every
     bin whose two contributing orders are inside the truncated table.
+    ``half`` is widened to float64 by :func:`grating._real`, so a complex
+    or str array is a ``TypeError`` naming it.
     """
-    full = _mirrored(half)
+    full = _mirrored(_real("half", half))
     lower, upper = full[:-1], full[1:]
     cos_phi = math.cos(_check_phase(delta_phi))
     # grouping the product keeps P(m) == P(-m) exact, not just up to rounding;

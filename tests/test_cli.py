@@ -552,7 +552,10 @@ class TestBoundedRequests:
         assert getattr(config, field) == int(argv[2])
 
     def test_largest_profile_stays_within_the_block_budget(self, capsys):
-        # the profile is 401 x MAX_ORDER cosines: 320 MB evaluated at once
+        # the profile is 401 x MAX_ORDER cosines, 320 MB evaluated at once;
+        # the factored sum holds a few N-term arrays (the orders, the
+        # harmonics and their temporaries, its coefficient table) and one
+        # block of temporaries: traced peak 5.6 MiB
         tracemalloc.start()
         try:
             code = run_cli("pattern", "--order", str(MAX_ORDER), "--out", "-")
@@ -561,7 +564,7 @@ class TestBoundedRequests:
             tracemalloc.stop()
         assert code == EXIT_OK
         out = capsys.readouterr().out
-        assert peak < 3 * _BLOCK_BYTES + len(out)
+        assert peak < 8 * (8 * MAX_ORDER) + 2 * _BLOCK_BYTES + len(out)
 
     def test_caps_sit_far_above_the_reference_sizes(self):
         # the 100001-point reference sweep and verify's 2000 terms

@@ -220,6 +220,17 @@ def swap_bound(lower, upper, phi):
     return (lower**2 + upper**2) * (math.ulp(phi + math.pi) / 4.0 + 7.0 * U)
 
 
+@pytest.mark.parametrize("channel", CHANNELS)
+def test_a_list_of_ratios_gives_the_bits_of_the_array(channel):
+    # the list is widened to float64 once, then read as the array is
+    ratios = np.random.default_rng(9).random(1000)
+    from_list, from_array = visibility_closed(ratios.tolist(), channel), visibility_closed(ratios, channel)
+    for field in ("i_max", "i_min", "visibility"):
+        assert getattr(from_list, field).tobytes() == getattr(from_array, field).tobytes()
+    d_list, d_array = distinguishability_closed(ratios.tolist(), channel), distinguishability_closed(ratios, channel)
+    assert d_list.tobytes() == d_array.tobytes()
+
+
 class TestChannelMirror:
     """Babinet: strip and gap swap roles, so the reflected channel at ``a`` is the transmitted one at ``1 - a``.
 

@@ -99,6 +99,7 @@ ENTRIES = {
     "distinguishability_closed": ("cover_ratio", distinguishability_closed, False, UNIT),
     "complementarity_sweep": ("cover_ratio", lambda v: complementarity_sweep([v]), False, UNIT),
     "two_slit_probabilities": ("delta_phi", lambda v: two_slit_probabilities(SPEC_HALF, v), True, FINITE),
+    "two_slit_probabilities.half": ("half", lambda v: two_slit_probabilities(v, 0.0), False, []),
     "two_slit_power_limit.cover_ratio": ("cover_ratio", lambda v: two_slit_power_limit(v, "reflected"), False, UNIT),
     "two_slit_power_limit.delta_phi": ("delta_phi", lambda v: two_slit_power_limit(0.3, "reflected", v), True, FINITE),
     "OrderSpectrum.probability": ("order", SPECTRUM.probability, True, []),

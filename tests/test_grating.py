@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from slitgrid import grating
+from slitgrid.cli import MAX_ORDER
 from slitgrid.grating import (
     _BLOCK_BYTES,
     AmplitudeTable,
@@ -165,6 +167,26 @@ class TestGridFunction:
         xs = np.random.default_rng(2).uniform(-3.0, 3.0, 20000)
         values, peak = traced_peak(grid_function, xs, GratingSpec(cover_ratio=0.37, truncation=2000))
         assert peak <= _BLOCK_BYTES + values.nbytes + (1 << 20)
+
+    def test_each_block_temporary_stays_under_half_the_mmap_threshold(self, monkeypatch):
+        # glibc serves 128 KiB or more from a fresh mapping, whose pages
+        # fault in again on every call; the factored sum's temporaries, rows
+        # of B or Q values like the phases from _turns, stay within 64 KiB
+        sizes = []
+        turns = grating._turns
+
+        def recorded(t, steps):
+            phases = turns(t, steps)
+            sizes.append(phases.nbytes)
+            return phases
+
+        monkeypatch.setattr(grating, "_turns", recorded)
+        rng = np.random.default_rng(8)
+        for terms in sorted({1, 2, 30, 82, 2000, 2521, MAX_ORDER, *rng.integers(1, MAX_ORDER, 6).tolist()}):
+            # more positions than one block holds
+            xs = rng.uniform(-3.0, 3.0, 5000 if terms <= 3000 else 300)
+            grid_function(xs, GratingSpec(cover_ratio=0.37, truncation=terms))
+        assert max(sizes) <= 64 << 10
 
     def test_the_serial_fallback_keeps_one_buffer(self):
         # 64 positions at 100000 terms take the factored sum, a few arrays

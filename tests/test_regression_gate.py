@@ -25,7 +25,7 @@ closed forms.
 
 Bit-level pins (the verify report, and the closed forms equal to those
 scalar ``math``/``pow`` references) depend on the numpy build and the CPU; CI
-prints both before running the tests.  An input that fits one block stays
+prints both before running the tests.  An input of at most 2**15 cosines stays
 bit for bit the dense reference.  A larger one takes the factored sum,
 which calls no BLAS: a subprocess test checks that its bytes are the same
 under one and two BLAS threads, and an mpmath test (``tests/oracle.py``)
@@ -60,10 +60,9 @@ from slitgrid.complementarity import (
 )
 from slitgrid.geometry import ParaxialWarning, SetupGeometry
 from slitgrid.grating import (
-    _ROW_ALIGN,
+    _DENSE_COSINES,
     CHANNELS,
     AmplitudeTable,
-    _block_rows,
     _factored,
     GratingSpec,
     grid_function,
@@ -350,7 +349,7 @@ def check_factored_rows(x, a, terms, period):
 @pytest.mark.parametrize("terms", [1, 30, 2000, 2521])
 def test_factored_profile_is_within_its_bound_of_the_exact_sum(terms):
     # seeded rows of the factored sum, which grid_function takes for an
-    # input larger than one block: three at random, one at a strip edge,
+    # input of more than 2**15 cosines: three at random, one at a strip edge,
     # where the profile is steepest
     rng = np.random.default_rng(terms)
     for _ in range(4):
@@ -365,16 +364,32 @@ def test_factored_profile_is_within_its_bound_on_the_cli_grid():
     check_factored_rows(np.array([-1.47, 1.53]), 0.06, 20000, 1.0)
 
 
-def test_multi_block_input_takes_the_factored_sum():
-    spec = GratingSpec(cover_ratio=0.37, period=0.8, truncation=2000)
-    x = np.random.default_rng(4).uniform(-5.0, 5.0, _block_rows(2000) + _ROW_ALIGN)
-    coefficients = -2.0 * AmplitudeTable.build(0.37, 2000).r[1:]
-    assert bits(grid_function(x, spec)) == bits(0.37 + _factored(x, 0.8, coefficients))
+@pytest.mark.parametrize("terms", [82, 245, 2000])
+def test_cli_rows_past_81_terms_are_within_the_factored_bound(terms):
+    # the 401 CLI positions take the factored sum from 82 terms on; eight
+    # seeded rows of them
+    rng = np.random.default_rng(terms)
+    x = rng.choice((np.arange(cli.PATTERN_SAMPLES) - 200) / 100.0, 8, replace=False)
+    check_factored_rows(x, rng.uniform(0.02, 0.98), terms, 1.0)
+
+
+@pytest.mark.parametrize("terms", [1, 30, 2000, 2521])
+def test_the_route_turns_past_2_to_the_15_cosines(terms):
+    # the largest dense input, exactly 2**15 cosines at one term, is the
+    # dense reference bit for bit; one more row is the factored sum
+    rng = np.random.default_rng(terms)
+    a, period = rng.uniform(0.0, 1.0), rng.uniform(0.1, 10.0)
+    spec = GratingSpec(cover_ratio=a, period=period, truncation=terms)
+    x = rng.uniform(-5.0, 5.0, _DENSE_COSINES // terms + 1)
+    dense, factored = x[:-1], x
+    assert bits(grid_function(dense, spec)) == bits(seed_grid_function(dense, a, terms, period))
+    coefficients = -2.0 * AmplitudeTable.build(a, terms).r[1:]
+    assert bits(grid_function(factored, spec)) == bits(a + _factored(factored, period, coefficients))
 
 
 # SHA-256 of grid_function's bytes on field-map's two grid shapes (the
-# larger at 30 terms, where it fits one block) and on coeffs' 401 CLI
-# positions at the largest order the CLI accepts
+# larger at 30 terms, 600000 cosines, the factored sum as well) and on
+# coeffs' 401 CLI positions at the largest order the CLI accepts
 THREAD_CHECK = """
 import hashlib, json
 import numpy as np
@@ -404,20 +419,6 @@ def test_profile_bits_do_not_depend_on_the_blas_thread_count():
         )
         runs.append(json.loads(run.stdout))
     assert runs[0] == runs[1]
-
-
-@pytest.mark.parametrize("terms", [1, 30, 2000, 2521, 100000])
-def test_input_fitting_one_block_equals_the_dense_reference(terms):
-    # one block is one dense-shaped gemv, whatever the BLAS thread count
-    rng = np.random.default_rng(terms)
-    for size in sorted({1, 17, 401, _block_rows(terms) + _ROW_ALIGN - 1}):
-        if size * terms > 5_000_000:
-            continue
-        assert size < _block_rows(terms) + _ROW_ALIGN
-        a, period = rng.uniform(0.0, 1.0), rng.uniform(0.1, 10.0)
-        x = rng.uniform(-5.0, 5.0, size)
-        got = grid_function(x, GratingSpec(cover_ratio=a, period=period, truncation=terms))
-        assert bits(got) == bits(seed_grid_function(x, a, terms, period)), size
 
 
 SUBNORMAL = 2.2250738585072014e-308 / 3.0

@@ -141,6 +141,13 @@ class TestTwoSlitSpectrum:
         assert list(spectrum.orders) == [-3.5, -2.5, -1.5, -0.5, 0.5, 1.5, 2.5, 3.5]
         assert spectrum.two_slit
 
+    @pytest.mark.parametrize(
+        "half", [np.array([0.5 + 1j, 0.2]), np.array(["0.5", "0.2"])], ids=["complex", "str"]
+    )
+    def test_amplitudes_that_are_not_real_are_refused_by_name(self, half):
+        with pytest.raises(TypeError, match="^half must be real, got "):
+            two_slit_probabilities(half, 0.0)
+
     @given(cover_ratios, phases)
     def test_symmetric_under_order_reversal(self, a, dphi):
         config = TwoSlitConfig(GratingSpec(a, truncation=12), delta_phi=dphi)
