@@ -55,6 +55,14 @@ def _check_phase(delta_phi) -> float:
     return delta_phi
 
 
+def _one_dimensional(name: str, value) -> np.ndarray:
+    """``value`` by :func:`grating._real`; any shape but one-dimensional is a ``ValueError`` naming ``name``."""
+    value = _real(name, value)
+    if np.ndim(value) != 1:
+        raise ValueError(f"{name} must be one-dimensional, got shape {np.shape(value)}")
+    return value
+
+
 @dataclass(frozen=True)
 class TwoSlitConfig:
     """Both slits open, equal illumination, relative phase ``delta_phi``.
@@ -62,13 +70,16 @@ class TwoSlitConfig:
     ``delta_phi = 0`` puts the grating strips on the interference minima
     (the intended operating point); the phase is one number, never an
     array (``TypeError``), widened to a Python float and reduced to
-    [0, 2*pi).
+    [0, 2*pi).  A ``spec`` that is not a :class:`GratingSpec` is a
+    ``TypeError``.
     """
 
     spec: GratingSpec
     delta_phi: float = 0.0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.spec, GratingSpec):
+            raise TypeError(f"spec must be a GratingSpec, got {self.spec!r:.60}")
         object.__setattr__(self, "delta_phi", _check_phase(self.delta_phi) % math.tau)
 
 
@@ -77,7 +88,8 @@ class OrderSpectrum:
     """Probabilities per outgoing order for one channel.
 
     Orders are integers (single slit) or half-odd integers (two slits),
-    stored ascending as floats.
+    stored ascending as floats.  Both are one-dimensional and widened to
+    float64 by :func:`grating._real`; another shape is a ``ValueError``.
     """
 
     channel: Channel
@@ -85,6 +97,8 @@ class OrderSpectrum:
     probabilities: np.ndarray
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "orders", _one_dimensional("orders", self.orders))
+        object.__setattr__(self, "probabilities", _one_dimensional("probabilities", self.probabilities))
         if self.orders.shape != self.probabilities.shape:
             raise ValueError("orders and probabilities must have matching shapes")
         if not np.all(self.probabilities >= 0.0):  # also false for NaN
@@ -159,9 +173,10 @@ def two_slit_probabilities(half: np.ndarray, delta_phi: float) -> np.ndarray:
     real amplitudes, for ``m = n + 1/2`` with ``n`` in [-N, N-1]: every
     bin whose two contributing orders are inside the truncated table.
     ``half`` is widened to float64 by :func:`grating._real`, so a complex
-    or str array is a ``TypeError`` naming it.
+    or str array is a ``TypeError`` naming it, and any shape but
+    one-dimensional is a ``ValueError``.
     """
-    full = _mirrored(_real("half", half))
+    full = _mirrored(_one_dimensional("half", half))
     lower, upper = full[:-1], full[1:]
     cos_phi = math.cos(_check_phase(delta_phi))
     # grouping the product keeps P(m) == P(-m) exact, not just up to rounding;

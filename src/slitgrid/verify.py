@@ -2,8 +2,8 @@
 
 Each check measures a worst-case deviation over a covering-ratio grid and
 compares it against a fixed tolerance.  The per-ratio checks share one grid,
-on which the closed forms are one array per channel, with the bits of the
-scalar calls:
+on which the closed forms and the quadrature oracle are one array per
+channel, with the bits of the scalar calls:
 
   normalization-identity   r0**2 + t0**2 + 2*(a - a**2) = 1      <= 1e-14
   normalization-defect     truncated power balance, N terms      <= 4/(pi**2*N)
@@ -116,11 +116,8 @@ def _check_visibility_oracle(grid):
     most ``(u/2)/w <= u``.  With 3u for the quotient of the integrals, V is
     within 131u = 1.45e-14; 1e-13 leaves a factor of 6 for loose constants.
     """
-    worst = 0.0
-    for channel in CHANNELS:
-        closed = complementarity.visibility_closed(grid, channel).visibility
-        quad = [complementarity.visibility_quadrature(a, channel).visibility for a in grid]
-        worst = max(worst, _worst(closed, quad))
+    closed, quad = complementarity.visibility_closed, complementarity.visibility_quadrature
+    worst = max(_worst(closed(grid, c).visibility, quad(grid, c).visibility) for c in CHANNELS)
     return _bounded(
         "visibility-oracle", worst, 1e-13,
         f"max |closed - quadrature| over {len(grid)} ratios x both channels, 16-node Gauss-Legendre",

@@ -116,6 +116,10 @@ class TestVisibilityQuadrature:
     def test_degenerate_window_takes_the_limit(self):
         assert visibility_quadrature(1.0, "transmitted").visibility == 1.0
         assert visibility_quadrature(0.0, "reflected").visibility == 1.0
+        # a non-zero window whose half rounds to zero: both integrals vanish
+        result = visibility_quadrature(5e-324, "reflected")
+        assert (result.i_max, result.i_min, result.visibility) == (0.0, 0.0, 1.0)
+        assert visibility_closed(5e-324, "reflected").visibility == 1.0
 
     @pytest.mark.parametrize("channel", ["transmitted", "reflected"])
     def test_oracle_agreement_on_a_grid(self, channel):

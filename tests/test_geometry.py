@@ -1,5 +1,6 @@
 import inspect
 import math
+import re
 import warnings
 
 import numpy as np
@@ -16,6 +17,7 @@ from slitgrid.complementarity import (
 from slitgrid.geometry import ParaxialWarning, SetupGeometry
 from slitgrid.grating import AmplitudeTable, GratingSpec, grid_function, sampling_window, sin_pi
 from slitgrid.scattering import (
+    OrderSpectrum,
     TwoSlitConfig,
     interference_intensity,
     single_slit_spectrum,
@@ -95,13 +97,15 @@ ENTRIES = {
     "interference_intensity.delta_phi": ("delta_phi", lambda v: interference_intensity(0.1, v), True, FINITE),
     "sampling_window": ("cover_ratio", lambda v: sampling_window(v, "reflected"), False, UNIT),
     "visibility_closed": ("cover_ratio", visibility_closed, False, UNIT),
-    "visibility_quadrature": ("cover_ratio", visibility_quadrature, True, UNIT),
+    "visibility_quadrature": ("cover_ratio", visibility_quadrature, False, UNIT),
     "distinguishability_closed": ("cover_ratio", distinguishability_closed, False, UNIT),
     "complementarity_sweep": ("cover_ratio", lambda v: complementarity_sweep([v]), False, UNIT),
     "two_slit_probabilities": ("delta_phi", lambda v: two_slit_probabilities(SPEC_HALF, v), True, FINITE),
     "two_slit_probabilities.half": ("half", lambda v: two_slit_probabilities(v, 0.0), False, []),
     "two_slit_power_limit.cover_ratio": ("cover_ratio", lambda v: two_slit_power_limit(v, "reflected"), False, UNIT),
     "two_slit_power_limit.delta_phi": ("delta_phi", lambda v: two_slit_power_limit(0.3, "reflected", v), True, FINITE),
+    "OrderSpectrum.orders": ("orders", lambda v: OrderSpectrum("transmitted", [v], [0.5]), False, []),
+    "OrderSpectrum.probabilities": ("probabilities", lambda v: OrderSpectrum("transmitted", [0.0], [v]), False, [-1, math.nan]),
     "OrderSpectrum.probability": ("order", SPECTRUM.probability, True, []),
     "synthesize_field.x": ("position x", lambda v: synthesize_field(v, 0.5, SPEC, "transmitted", SETUP), True, []),
     "synthesize_field.z": ("position z", lambda v: synthesize_field(0.1, v, SPEC, "transmitted", SETUP), True, []),
@@ -133,6 +137,22 @@ def test_a_value_out_of_range_is_a_value_error(entry, bad):
     _, call, _, _ = ENTRIES[entry]
     with pytest.raises(ValueError):
         call(bad)
+
+
+# the parameters that take one-dimensional arrays only, called with a value of the given shape
+ONE_DIMENSIONAL = {
+    "half": lambda v: two_slit_probabilities(v, 0.0),
+    "orders": lambda v: OrderSpectrum("transmitted", v, np.zeros(np.size(v))),
+    "probabilities": lambda v: OrderSpectrum("transmitted", np.zeros(np.size(v)), v),
+}
+
+
+@pytest.mark.parametrize("name", ONE_DIMENSIONAL)
+@pytest.mark.parametrize("value", [0.5, np.zeros((2, 2))], ids=["scalar", "2-d"])
+def test_a_value_that_is_not_one_dimensional_is_refused_by_its_name(name, value):
+    shape = re.escape(str(np.shape(value)))
+    with pytest.raises(ValueError, match=f"^{name} must be one-dimensional, got shape {shape}$"):
+        ONE_DIMENSIONAL[name](value)
 
 
 @pytest.mark.parametrize("kind", [np.array, np.float64], ids=["0-d array", "float64"])

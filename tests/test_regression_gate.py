@@ -57,6 +57,7 @@ from slitgrid.complementarity import (
     complementarity_sweep,
     distinguishability_closed,
     visibility_closed,
+    visibility_quadrature,
 )
 from slitgrid.geometry import ParaxialWarning, SetupGeometry
 from slitgrid.grating import (
@@ -452,6 +453,20 @@ def test_duality_kernel_arrays_equal_the_scalar_calls_bit_for_bit(ratios, channe
     assert bits(columns.duality) == bits(dualities)
 
 
+@given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=64))
+@example(ratios=[0.0])
+@example(ratios=[1.0])
+@example(ratios=[5e-324])  # reflected, half the window rounds to zero
+@example(ratios=[1.0 - 2.0**-53])
+def test_quadrature_arrays_equal_the_scalar_calls_bit_for_bit(ratios):
+    a = np.array(ratios)
+    for channel in ("transmitted", "reflected"):
+        result = visibility_quadrature(a, channel)
+        scalar = [visibility_quadrature(x, channel) for x in ratios]
+        for field in ("i_max", "i_min", "visibility"):
+            assert bits(getattr(result, field)) == bits([getattr(r, field) for r in scalar])
+
+
 @pytest.mark.parametrize("channel", ["transmitted", "reflected"])
 def test_duality_kernel_equals_the_scalar_calls_on_a_dense_draw(channel):
     # hypothesis favours short, simple floats; the squares where pow and
@@ -484,6 +499,9 @@ ONE_PATH = {
     "visibility_closed.i_max": lambda a: visibility_closed(a).i_max,
     "visibility_closed.i_min": lambda a: visibility_closed(a).i_min,
     "visibility_closed.visibility": lambda a: visibility_closed(a).visibility,
+    "visibility_quadrature.i_max": lambda a: visibility_quadrature(a).i_max,
+    "visibility_quadrature.i_min": lambda a: visibility_quadrature(a).i_min,
+    "visibility_quadrature.visibility": lambda a: visibility_quadrature(a).visibility,
     "distinguishability_closed": distinguishability_closed,
     "interference_intensity": interference_intensity,
     "grid_function": lambda x: grid_function(x, GratingSpec(cover_ratio=0.3, truncation=20)),

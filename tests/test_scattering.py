@@ -115,6 +115,13 @@ class TestSingleSlitSpectrum:
         assert spectrum.total() == pytest.approx(limit, abs=2.0 / (math.pi**2 * 2000))
 
 
+class TestTwoSlitConfig:
+    @pytest.mark.parametrize("spec", [0.3, None, AmplitudeTable.build(0.3, 5)], ids=["float", "None", "table"])
+    def test_a_spec_that_is_not_a_grating_spec_is_a_type_error(self, spec):
+        with pytest.raises(TypeError, match="^spec must be a GratingSpec, got "):
+            TwoSlitConfig(spec)
+
+
 class TestOrderSpectrum:
     @pytest.mark.parametrize("bad", [-1e-3, math.nan])
     def test_rejects_negative_and_nan_probabilities(self, bad):
