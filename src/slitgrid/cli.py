@@ -44,7 +44,7 @@ import numpy as np
 
 from . import complementarity, scattering, verify
 from .grating import (
-    DEFAULT_TRUNCATION, SPECTRUM_TRUNCATION, AmplitudeTable, GratingSpec, grid_function,
+    DEFAULT_TRUNCATION, SPECTRUM_TRUNCATION, AmplitudeTable, GratingSpec, _coefficients, grid_function,
 )
 
 __all__ = ["main", "format_number"]
@@ -207,8 +207,7 @@ def _cmd_pattern(config: argparse.Namespace) -> list[tuple]:
 def _cmd_coeffs(config: argparse.Namespace) -> list[tuple]:
     pattern = _cmd_pattern(config)  # every value is checked before the table is built
     table = AmplitudeTable.build(config.a, config.order)
-    # c_0 = a and c_n = -2*r_n
-    c = np.concatenate(([config.a], -2.0 * table.r[1:]))
+    c = np.hstack(_coefficients(table))
     label = f"coefficients: a={format_number(config.a)} order={config.order}"
     coefficients = (label, "n,c_n,r_n,t_n", [np.arange(c.size), c, table.r, table.t])
     return [coefficients, *pattern]

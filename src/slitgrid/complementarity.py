@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grating import AmplitudeTable, Channel, _real, _unwrap, sampling_window, sin_pi
+from .grating import AmplitudeTable, Channel, _one_dimensional, _real, _unwrap, sampling_window, sin_pi
 
 __all__ = [
     "VisibilityResult",
@@ -171,13 +171,11 @@ def complementarity_sweep(cover_ratios, channel: Channel = "transmitted") -> Swe
     the caller's array.  V and D share one check and one ``sin(pi*a)``;
     an unknown channel is rejected even for no ratios.
     """
-    a = np.array(cover_ratios)
-    if a.ndim != 1:
-        raise ValueError(f"cover ratios must be one-dimensional, got shape {a.shape}")
+    a = np.array(_one_dimensional("cover_ratio", cover_ratios))
     width, s = sampling_window(a, channel)[0], sin_pi(a)
     v, d = _contrast(s, math.pi * width), _distinguishability(width, s)
     return SweepColumns(
-        cover_ratio=a.astype(float, copy=False),
+        cover_ratio=a,
         visibility=v,
         distinguishability=d,
         duality=v * v + d * d,

@@ -10,10 +10,10 @@ with ``c0 = cover_ratio`` and ``c_n = 2*(-1)**n * sin(cover_ratio*pi*n)/(pi*n)``
 
 Reflection picks up a pi phase jump, so ``r_0 = -c0`` and ``r_n = -c_n/2``;
 transmission follows as ``t_0 = 1 + r_0`` and ``t_n = r_n`` for ``n >= 1``.
-The harmonics ``r_n`` are evaluated in one place, :func:`_harmonics`, which
-:meth:`AmplitudeTable.build` and :func:`grid_function` share; ``c_n = -2*r_n``
-is read from it.  Both families are even in the order index, so the table
-stores only ``n >= 0``.  Everything here is a pure function of its inputs.
+The amplitudes are evaluated only in :meth:`AmplitudeTable.build`;
+:func:`grid_function` and the CLI's ``coeffs`` table read ``c_0 = a`` and
+``c_n = -2*r_n`` off the table.  Both families are even in the order index,
+so the table stores only ``n >= 0``.  Every function here is pure.
 """
 
 from __future__ import annotations
@@ -71,6 +71,14 @@ def _one_real(name: str, value) -> float:
     value = _real(name, value)
     if type(value) is not float:
         raise TypeError(f"{name} must be one number, got an array of shape {value.shape}")
+    return value
+
+
+def _one_dimensional(name: str, value) -> np.ndarray:
+    """:func:`_real` for a parameter that takes a 1-d array: another shape is a ``ValueError`` naming ``name``."""
+    value = _real(name, value)
+    if np.ndim(value) != 1:
+        raise ValueError(f"{name} must be one-dimensional, got shape {np.shape(value)}")
     return value
 
 
@@ -136,12 +144,6 @@ class GratingSpec:
         _check_truncation(self.truncation)
         object.__setattr__(self, "cover_ratio", cover_ratio)
         object.__setattr__(self, "period", period)
-
-
-def _harmonics(cover_ratio: float, n: np.ndarray) -> np.ndarray:
-    """``r_n = t_n = (-1)**(n+1) * sin(cover_ratio*pi*n)/(pi*n)`` for an array of orders ``n >= 1``."""
-    sign = 2.0 * (n % 2) - 1.0  # (-1)**(n+1)
-    return sign * sin_pi(cover_ratio * n) / (math.pi * n)
 
 
 # An input of at most this many cosines (positions times terms) is one
@@ -251,16 +253,15 @@ def grid_function(x, spec: GratingSpec):
     beyond the result does not grow with ``len(x)``.  A non-finite
     position gives a NaN row on either path.
     """
-    n = np.arange(1, spec.truncation + 1)
-    coefficients = -2.0 * _harmonics(spec.cover_ratio, n)
-    scale = 2.0 * math.pi / spec.period
+    c0, coefficients = _coefficients(AmplitudeTable.build(spec.cover_ratio, spec.truncation))
     arr = np.asarray(_real("x", x))
     flat = arr.reshape(-1)
-    if flat.size * n.size <= _DENSE_COSINES:
-        values = _cosines(flat, n, scale) @ coefficients
+    if flat.size * coefficients.size <= _DENSE_COSINES:
+        n = np.arange(1, coefficients.size + 1)
+        values = _cosines(flat, n, 2.0 * math.pi / spec.period) @ coefficients
     else:
         values = _factored(flat, spec.period, coefficients)
-    return _unwrap((spec.cover_ratio + values).reshape(arr.shape))
+    return _unwrap((c0 + values).reshape(arr.shape))
 
 
 def sampling_window(cover_ratio, channel: Channel) -> tuple:
@@ -302,7 +303,9 @@ class AmplitudeTable:
         """The table at ``cover_ratio``, widened to a Python float first (``1 - a`` rounds in float64)."""
         cover_ratio = _check_cover_ratio(_one_real("cover_ratio", cover_ratio))
         _check_truncation(truncation)
-        harmonics = _harmonics(cover_ratio, np.arange(1, truncation + 1))
+        n = np.arange(1, truncation + 1)
+        # r_n = t_n = (-1)**(n+1) * sin(a*pi*n)/(pi*n) for n >= 1
+        harmonics = (2.0 * (n % 2) - 1.0) * sin_pi(cover_ratio * n) / (math.pi * n)
         r = np.concatenate(([-cover_ratio], harmonics))
         t = np.concatenate(([1.0 - cover_ratio], harmonics))
         r.flags.writeable = False
@@ -313,6 +316,11 @@ class AmplitudeTable:
         """``t`` for the transmitted channel (window sign +1), ``r`` for the reflected one."""
         _, sign = sampling_window(self.cover_ratio, channel)
         return self.t if sign > 0.0 else self.r
+
+
+def _coefficients(table: AmplitudeTable) -> tuple[float, np.ndarray]:
+    """``(c_0, [c_1 .. c_N])`` of the profile series: ``c_0 = a`` and ``c_n = -2*r_n``, a new array."""
+    return table.cover_ratio, -2.0 * table.r[1:]
 
 
 def normalization_defect(table: AmplitudeTable) -> float:

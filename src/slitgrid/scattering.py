@@ -30,7 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import PARAXIAL_BOUND, ParaxialWarning, SetupGeometry
-from .grating import AmplitudeTable, Channel, GratingSpec, _one_real, _real, _unwrap, sampling_window, sin_pi
+from .grating import (
+    AmplitudeTable, Channel, GratingSpec, _one_dimensional, _one_real, _real, _unwrap, sampling_window, sin_pi,
+)
 
 __all__ = [
     "TwoSlitConfig",
@@ -53,14 +55,6 @@ def _check_phase(delta_phi) -> float:
     if not math.isfinite(delta_phi):
         raise ValueError(f"delta_phi must be finite, got {delta_phi!r}")
     return delta_phi
-
-
-def _one_dimensional(name: str, value) -> np.ndarray:
-    """``value`` by :func:`grating._real`; any shape but one-dimensional is a ``ValueError`` naming ``name``."""
-    value = _real(name, value)
-    if np.ndim(value) != 1:
-        raise ValueError(f"{name} must be one-dimensional, got shape {np.shape(value)}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -158,12 +152,18 @@ def _mirrored(amps: np.ndarray) -> np.ndarray:
     return np.concatenate((amps[:0:-1], amps))
 
 
+def _orders(truncation: int, two_slit: bool) -> np.ndarray:
+    """Outgoing order labels as ascending floats: ``n`` in [-N, N], or ``n + 1/2`` for ``n`` in [-N, N-1]."""
+    if two_slit:
+        return np.arange(-truncation, truncation, dtype=float) + 0.5
+    return np.arange(-truncation, truncation + 1, dtype=float)
+
+
 def single_slit_spectrum(spec: GratingSpec, channel: Channel) -> OrderSpectrum:
     """Stage with one slit open: ``P(n) = u_n**2`` for ``n`` in [-N, N]."""
     table = AmplitudeTable.build(spec.cover_ratio, spec.truncation)
     amps = _mirrored(table.amplitudes(channel))
-    orders = np.arange(-spec.truncation, spec.truncation + 1, dtype=float)
-    return OrderSpectrum(channel=channel, orders=orders, probabilities=amps**2)
+    return OrderSpectrum(channel=channel, orders=_orders(spec.truncation, False), probabilities=amps**2)
 
 
 def two_slit_probabilities(half: np.ndarray, delta_phi: float) -> np.ndarray:
@@ -192,8 +192,7 @@ def two_slit_spectrum(config: TwoSlitConfig, channel: Channel) -> OrderSpectrum:
     spec = config.spec
     table = AmplitudeTable.build(spec.cover_ratio, spec.truncation)
     probs = two_slit_probabilities(table.amplitudes(channel), config.delta_phi)
-    orders = np.arange(-spec.truncation, spec.truncation, dtype=float) + 0.5
-    return OrderSpectrum(channel=channel, orders=orders, probabilities=probs)
+    return OrderSpectrum(channel=channel, orders=_orders(spec.truncation, True), probabilities=probs)
 
 
 def detector_signal(spectrum: OrderSpectrum) -> DetectorSignal:
@@ -317,17 +316,12 @@ def _plane_waves(cover_ratio, truncation, delta_phi, side, k_perp, k):
     table = AmplitudeTable.build(cover_ratio, truncation)
     full = _mirrored(table.amplitudes(side))
 
-    if delta_phi is not None:
-        # half-order bins: transverse (2n+1)*k_perp, amplitude mixing the
-        # adjacent orders of the two slits
-        n = np.arange(-truncation, truncation)
-        k_x = (2.0 * n + 1.0) * k_perp
-        phase_2 = np.exp(1j * delta_phi)
-        amps = (full[:-1] + phase_2 * full[1:]) / math.sqrt(2.0)
-    else:
-        n = np.arange(-truncation, truncation + 1)
-        k_x = 2.0 * n * k_perp
+    if delta_phi is None:
         amps = full.astype(complex)
+    else:  # a half-order bin mixes the adjacent orders of the two slits
+        amps = (full[:-1] + np.exp(1j * delta_phi) * full[1:]) / math.sqrt(2.0)
+    # order m leaves at transverse wavenumber 2*m*k_perp, the spectra's labels
+    k_x = 2.0 * _orders(truncation, delta_phi is not None) * k_perp
 
     propagating = np.abs(k_x) < k
     k_x = k_x[propagating]

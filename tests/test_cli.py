@@ -682,12 +682,13 @@ class TestVerifySuite:
     @pytest.mark.parametrize("perturb", [None, "r1"])
     def test_builds_one_table_per_ratio(self, perturb, monkeypatch):
         # the grid's 101 tables at the suite's truncation, read by every
-        # amplitude check, and the endpoint check's 12 small tables
+        # amplitude check, and the endpoint check's 14 small tables, two of
+        # them for its grid_function calls
         builds = []
         build = grating.AmplitudeTable.build
         monkeypatch.setattr(grating.AmplitudeTable, "build", lambda *args: builds.append(args[1]) or build(*args))
         run_verification(perturb=perturb)
-        assert sorted(builds) == [30] * 12 + [2000] * 101
+        assert sorted(builds) == [30] * 14 + [2000] * 101
 
     def test_parseval_ratio_off_the_grid_is_an_error(self, monkeypatch):
         monkeypatch.setattr(verify, "PARSEVAL_COVER_RATIOS", (0.06, 0.333, 0.5))

@@ -141,6 +141,7 @@ def test_a_value_out_of_range_is_a_value_error(entry, bad):
 
 # the parameters that take one-dimensional arrays only, called with a value of the given shape
 ONE_DIMENSIONAL = {
+    "cover_ratio": complementarity_sweep,
     "half": lambda v: two_slit_probabilities(v, 0.0),
     "orders": lambda v: OrderSpectrum("transmitted", v, np.zeros(np.size(v))),
     "probabilities": lambda v: OrderSpectrum("transmitted", np.zeros(np.size(v)), v),

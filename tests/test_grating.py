@@ -190,12 +190,33 @@ class TestGridFunction:
 
     def test_the_serial_fallback_keeps_one_buffer(self):
         # 64 positions at 100000 terms take the factored sum, a few arrays
-        # of about sqrt(N) values per row; the bound is one 16-row block of
-        # cosines (12.8 MB) plus the orders and the coefficients
+        # of about sqrt(N) values per row; the bound is eight N-term arrays
+        # (the amplitude table and its temporaries, the coefficients) and
+        # one block of temporaries, 6.6 MiB: traced peak 5.4 MiB
         terms = 100000
         xs = np.random.default_rng(2).uniform(-3.0, 3.0, 64)
         _, peak = traced_peak(grid_function, xs, GratingSpec(cover_ratio=0.37, truncation=terms))
-        assert peak <= (16 + 2) * terms * 8 + (1 << 20)
+        assert peak <= 8 * (8 * terms) + _BLOCK_BYTES
+
+    @pytest.mark.parametrize("positions", [7, 5000], ids=["dense", "factored"])
+    def test_reads_its_profile_from_one_amplitude_table(self, positions, monkeypatch):
+        # a bias on r_1 alone moves the profile by -2*bias*cos(2*pi*x/period)
+        spec, bias = GratingSpec(cover_ratio=0.37, period=0.7, truncation=2000), 0.25
+        xs = np.random.default_rng(5).uniform(-3.0, 3.0, positions)
+        want = grid_function(xs, spec) - 2.0 * bias * np.cos(2.0 * math.pi * xs / spec.period)
+        build, builds = grating.AmplitudeTable.build, []
+
+        def biased(cover_ratio, truncation):
+            builds.append((cover_ratio, truncation))
+            table = build(cover_ratio, truncation)
+            r = table.r.copy()
+            r[1] += bias
+            return AmplitudeTable(table.cover_ratio, r, table.t)
+
+        monkeypatch.setattr(grating.AmplitudeTable, "build", biased)
+        got = grid_function(xs, spec)
+        assert builds == [(0.37, 2000)]
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
     def test_factored_blocks_fill_every_row(self):
         # 7000 positions at 2000 terms are three row blocks of the factored

@@ -437,6 +437,21 @@ class TestFieldSynthesisPerCall:
         assert (info.misses, info.hits) == (1, 32 * 16 - 1)
         assert builds == [(0.06, 30)]
 
+    @pytest.mark.parametrize("side", CHANNELS)
+    @pytest.mark.parametrize("delta_phi", [None, 0.9], ids=["one slit", "two slits"])
+    @pytest.mark.parametrize("k_perp", [2.0**-5, 2.0**-10], ids=["cut off", "all propagate"])
+    def test_the_field_leaves_along_the_spectra_orders(self, side, delta_phi, k_perp):
+        # order m leaves at k_x = 2*m*k_perp and propagates for |m| < k/(2*k_perp),
+        # here 12.8 or all 30; k_perp is a power of two, so dividing by it is exact
+        spec = GratingSpec(0.3, truncation=30)
+        if delta_phi is None:
+            orders = single_slit_spectrum(spec, side).orders
+        else:
+            orders = two_slit_spectrum(TwoSlitConfig(spec, delta_phi), side).orders
+        ik_x = _plane_waves(0.3, 30, delta_phi, side, k_perp, 0.8)[1]
+        directions = ik_x.imag / (2.0 * k_perp)
+        assert directions.tobytes() == orders[np.abs(orders) < 0.4 / k_perp].tobytes()
+
     @pytest.mark.parametrize("delta_phi", [None, 0.9])
     def test_cached_arrays_are_read_only(self, delta_phi):
         arrays = _plane_waves(0.3, 10, delta_phi, "reflected", 0.01, 1.0)  # k_perp, k
