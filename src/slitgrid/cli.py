@@ -21,14 +21,15 @@ so calls may follow one another or run on several threads at once.  Each
 command reads only its own settings (the keys of ``_DEFAULTS``) and
 ignores the rest.  A value is range-checked once, by the library code
 that reads it (``GratingSpec``, ``AmplitudeTable.build``,
-``TwoSlitConfig``, ``run_verification``), before any table is computed;
+``two_slit_spectrum``, ``run_verification``), before any output is written;
 its ``ValueError`` text is the error message.  The CLI checks only what no
 library function knows: ``--points >= 2`` and the caps on ``--points``
 and ``--order`` (``MAX_POINTS``, ``MAX_ORDER``), so that every accepted
 request finishes in bounded time and memory.  ``main`` maps every
 failure to its exit code in one place: 0 success, 1 usage error (any
 ``ValueError``, and a request that runs out of memory), 2 verification
-failure, 3 I/O error (``OSError``).
+failure, 3 I/O error (``OSError``), 141 a reader that closed the pipe
+early, with nothing on stderr.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ import argparse
 import contextlib
 import functools
 import itertools
+import os
 import sys
 from pathlib import Path
 
@@ -53,6 +55,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFY = 2
 EXIT_IO = 3
+EXIT_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a writer that a closed pipe ended
 
 PATTERN_SAMPLES = 401  # over two periods each side of the axis
 
@@ -214,13 +217,12 @@ def _cmd_coeffs(config: argparse.Namespace) -> list[tuple]:
 
 
 def _cmd_orders(config: argparse.Namespace) -> list[tuple]:
-    spec = GratingSpec(cover_ratio=config.a, truncation=config.order)
-    two_slit = scattering.TwoSlitConfig(spec=spec, delta_phi=config.phase)
+    table = AmplitudeTable.build(config.a, config.order)
     a, phase = format_number(config.a), format_number(config.phase)
     tables = []
     for channel in _CHANNEL_FLAGS[config.channel]:
-        single = scattering.single_slit_spectrum(spec, channel)
-        paired = scattering.two_slit_spectrum(two_slit, channel)
+        paired = scattering.two_slit_spectrum(table, channel, config.phase)  # a bad phase fails here
+        single = scattering.single_slit_spectrum(table, channel)
         tables.append((
             f"single-slit {channel}: a={a} order={config.order}", "n,P",
             [single.orders.astype(int), single.probabilities],
@@ -327,15 +329,22 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = _resolve(parser, parser.parse_args(argv))
         if config.command == "verify":
-            return _cmd_verify(config)
-        builders = {
-            "coeffs": _cmd_coeffs,
-            "pattern": _cmd_pattern,
-            "orders": _cmd_orders,
-            "sweep": _cmd_sweep,
-        }
-        _write_output(builders[config.command](config), config.out)
-        return EXIT_OK
+            code = _cmd_verify(config)
+        else:
+            builders = {"coeffs": _cmd_coeffs, "pattern": _cmd_pattern, "orders": _cmd_orders, "sweep": _cmd_sweep}
+            _write_output(builders[config.command](config), config.out)
+            code = EXIT_OK
+        sys.stdout.flush()  # a reader that left fails the flush here, not at exit
+        return code
+    except BrokenPipeError:
+        # a reader closed the pipe (``| head``); if it was stdout's, point
+        # stdout at devnull so that the flush at exit cannot fail again, as
+        # the Python docs' SIGPIPE note does, and end quietly
+        try:
+            sys.stdout.flush()
+        except BrokenPipeError:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -40,7 +40,6 @@ __all__ = [
     "DetectorSignal",
     "interference_intensity",
     "single_slit_spectrum",
-    "two_slit_probabilities",
     "two_slit_spectrum",
     "detector_signal",
     "single_slit_detector_signal",
@@ -59,7 +58,7 @@ def _check_phase(delta_phi) -> float:
 
 @dataclass(frozen=True)
 class TwoSlitConfig:
-    """Both slits open, equal illumination, relative phase ``delta_phi``.
+    """Both slits open for :func:`synthesize_field`, equal illumination, relative phase ``delta_phi``.
 
     ``delta_phi = 0`` puts the grating strips on the interference minima
     (the intended operating point); the phase is one number, never an
@@ -159,40 +158,28 @@ def _orders(truncation: int, two_slit: bool) -> np.ndarray:
     return np.arange(-truncation, truncation + 1, dtype=float)
 
 
-def single_slit_spectrum(spec: GratingSpec, channel: Channel) -> OrderSpectrum:
-    """Stage with one slit open: ``P(n) = u_n**2`` for ``n`` in [-N, N]."""
-    table = AmplitudeTable.build(spec.cover_ratio, spec.truncation)
-    amps = _mirrored(table.amplitudes(channel))
-    return OrderSpectrum(channel=channel, orders=_orders(spec.truncation, False), probabilities=amps**2)
+def single_slit_spectrum(table: AmplitudeTable, channel: Channel) -> OrderSpectrum:
+    """Stage with one slit open: ``P(n) = u_n**2`` for ``n`` in [-N, N], ``u`` the amplitudes of ``channel``."""
+    amps = table.amplitudes(channel)
+    return OrderSpectrum(channel, _orders(amps.size - 1, False), _mirrored(amps) ** 2)
 
 
-def two_slit_probabilities(half: np.ndarray, delta_phi: float) -> np.ndarray:
-    """Half-order probabilities from one channel's stored amplitudes ``u_0..u_N``.
+def two_slit_spectrum(table: AmplitudeTable, channel: Channel, delta_phi: float = 0.0) -> OrderSpectrum:
+    """Stage with both slits open: half-order bins ``m = n + 1/2`` for ``n`` in [-N, N-1].
 
     ``P(m) = |u_n + exp(i*delta_phi)*u_{n+1}|**2 / 2`` expanded for the
-    real amplitudes, for ``m = n + 1/2`` with ``n`` in [-N, N-1]: every
-    bin whose two contributing orders are inside the truncated table.
-    ``half`` is widened to float64 by :func:`grating._real`, so a complex
-    or str array is a ``TypeError`` naming it, and any shape but
-    one-dimensional is a ``ValueError``.
+    real amplitudes ``u`` of ``channel`` in ``table``: every bin whose two
+    contributing orders are inside the truncated table.  ``delta_phi`` is
+    one finite number, reduced to [0, 2*pi) before its cosine is taken.
     """
-    full = _mirrored(_one_dimensional("half", half))
+    cos_phi = math.cos(_check_phase(delta_phi) % math.tau)
+    amps = table.amplitudes(channel)
+    full = _mirrored(amps)
     lower, upper = full[:-1], full[1:]
-    cos_phi = math.cos(_check_phase(delta_phi))
     # grouping the product keeps P(m) == P(-m) exact, not just up to rounding;
     # the clamp absorbs the last-ulp negatives of fully destructive bins
-    return np.maximum(0.5 * (lower**2 + upper**2 + 2.0 * cos_phi * (lower * upper)), 0.0)
-
-
-def two_slit_spectrum(config: TwoSlitConfig, channel: Channel) -> OrderSpectrum:
-    """Stage with both slits open: half-order bins ``m = n + 1/2``.
-
-    See :func:`two_slit_probabilities` for the bins and their probabilities.
-    """
-    spec = config.spec
-    table = AmplitudeTable.build(spec.cover_ratio, spec.truncation)
-    probs = two_slit_probabilities(table.amplitudes(channel), config.delta_phi)
-    return OrderSpectrum(channel=channel, orders=_orders(spec.truncation, True), probabilities=probs)
+    probs = np.maximum(0.5 * (lower**2 + upper**2 + 2.0 * cos_phi * (lower * upper)), 0.0)
+    return OrderSpectrum(channel, _orders(amps.size - 1, True), probs)
 
 
 def detector_signal(spectrum: OrderSpectrum) -> DetectorSignal:
@@ -207,13 +194,13 @@ def detector_signal(spectrum: OrderSpectrum) -> DetectorSignal:
     return _binned(spectrum, 0.5, -0.5)
 
 
-def single_slit_detector_signal(spec: GratingSpec) -> DetectorSignal:
-    """Transmitted-channel detector split with only slit one open.
+def single_slit_detector_signal(table: AmplitudeTable) -> DetectorSignal:
+    """Transmitted-channel detector split of ``table`` with only slit one open.
 
     The zeroth order goes to the slit's own detector; the first order
     points at the other detector (one side only), everything else is loss.
     """
-    return _binned(single_slit_spectrum(spec, "transmitted"), 0, 1)
+    return _binned(single_slit_spectrum(table, "transmitted"), 0, 1)
 
 
 def _binned(spectrum: OrderSpectrum, first_order: float, second_order: float) -> DetectorSignal:

@@ -19,7 +19,7 @@ channel, with the bits of the scalar calls:
 The four amplitude-driven checks read one N-term table per grid ratio, which
 ``run_verification`` builds once and passes to the library functions checked
 (``normalization_defect``, ``distinguishability_from_amplitudes``,
-``two_slit_probabilities``) before it builds the next.  Under ``perturb`` that
+``two_slit_spectrum``) before it builds the next.  Under ``perturb`` that
 table comes from one biased source, so biasing ``r0``, say, must trip the suite.
 """
 
@@ -186,12 +186,11 @@ def _check_endpoints():
     failures = []
     for a in (0.0, 1.0):
         try:
-            spec = GratingSpec(cover_ratio=a, truncation=30)
             table = AmplitudeTable.build(a, 30)
-            values = [grid_function(0.25, spec), normalization_defect(table)]
+            values = [grid_function(0.25, GratingSpec(cover_ratio=a, truncation=30)), normalization_defect(table)]
             for channel in CHANNELS:
-                values.append(scattering.single_slit_spectrum(spec, channel).total())
-                two = scattering.two_slit_spectrum(scattering.TwoSlitConfig(spec), channel)
+                values.append(scattering.single_slit_spectrum(table, channel).total())
+                two = scattering.two_slit_spectrum(table, channel)
                 values.append(two.total())
                 signal = scattering.detector_signal(two)
                 values.extend((signal.p_d1, signal.p_d2, signal.p_loss))
@@ -199,7 +198,7 @@ def _check_endpoints():
                 values.append(complementarity.visibility_quadrature(a, channel).visibility)
                 values.append(complementarity.distinguishability_closed(a, channel))
                 values.append(complementarity.distinguishability_from_amplitudes(table, channel))
-            single = scattering.single_slit_detector_signal(spec)
+            single = scattering.single_slit_detector_signal(table)
             values.extend((single.p_d1, single.p_d2, single.p_loss))
             if not all(math.isfinite(v) for v in values):
                 failures.append(f"non-finite value at a={a}")
@@ -247,8 +246,7 @@ def run_verification(
         heads.append(AmplitudeTable(table.cover_ratio, table.r[:2].copy(), table.t[:2].copy()))
         defects.append(normalization_defect(table))
         if i in parseval_at:
-            probs = (scattering.two_slit_probabilities(table.amplitudes(c), 0.0) for c in CHANNELS)
-            totals[i] = [float(np.sum(p)) for p in probs]  # per channel, as CHANNELS
+            totals[i] = [scattering.two_slit_spectrum(table, c).total() for c in CHANNELS]
     return [
         _check_normalization_identity(grid, heads),
         _check_normalization_defect(grid, truncation, defects),

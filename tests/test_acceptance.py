@@ -26,7 +26,6 @@ from slitgrid.grating import (
     normalization_defect,
 )
 from slitgrid.scattering import (
-    TwoSlitConfig,
     detector_signal,
     single_slit_detector_signal,
     single_slit_spectrum,
@@ -76,9 +75,9 @@ def test_criterion_1_grid_profile_table(tmp_path):
 
 def test_criterion_2_order_spectra():
     start = time.perf_counter()
-    spec = GratingSpec(cover_ratio=0.06, truncation=30)
-    single = single_slit_spectrum(spec, "reflected")
-    paired = two_slit_spectrum(TwoSlitConfig(spec), "reflected")
+    table = AmplitudeTable.build(0.06, 30)
+    single = single_slit_spectrum(table, "reflected")
+    paired = two_slit_spectrum(table, "reflected")
     elapsed = time.perf_counter() - start
 
     assert single.probability(0) == 0.06 * 0.06  # exactly a**2
@@ -146,9 +145,9 @@ def test_criterion_6_duality_sweep():
 def test_criterion_7_parseval_power_bookkeeping():
     worst = 0.0
     for a in (0.06, 0.25, 0.5, 0.75):
-        config = TwoSlitConfig(GratingSpec(cover_ratio=a, truncation=2000))
-        total_t = two_slit_spectrum(config, "transmitted").total()
-        total_r = two_slit_spectrum(config, "reflected").total()
+        table = AmplitudeTable.build(a, 2000)
+        total_t = two_slit_spectrum(table, "transmitted").total()
+        total_r = two_slit_spectrum(table, "reflected").total()
         worst = max(
             worst,
             abs(total_t - two_slit_power_limit(a, "transmitted")),
@@ -171,8 +170,8 @@ def test_criterion_8_degenerate_endpoints():
             normalization_defect(table),
         ]
         for channel in ("transmitted", "reflected"):
-            values.append(single_slit_spectrum(spec, channel).total())
-            paired = two_slit_spectrum(TwoSlitConfig(spec), channel)
+            values.append(single_slit_spectrum(table, channel).total())
+            paired = two_slit_spectrum(table, channel)
             values.append(paired.total())
             signal = detector_signal(paired)
             values.extend([signal.p_d1, signal.p_d2, signal.p_loss])
@@ -180,7 +179,7 @@ def test_criterion_8_degenerate_endpoints():
             values.append(visibility_quadrature(a, channel).visibility)
             values.append(distinguishability_closed(a, channel))
             values.append(distinguishability_from_amplitudes(table, channel))
-        single = single_slit_detector_signal(spec)
+        single = single_slit_detector_signal(table)
         values.extend([single.p_d1, single.p_d2, single.p_loss])
         assert all(math.isfinite(v) for v in values)
     assert visibility_closed(1.0, "transmitted").visibility == 1.0

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -16,6 +17,7 @@ from slitgrid import cli, complementarity, grating, verify
 from slitgrid.cli import (
     EXIT_IO,
     EXIT_OK,
+    EXIT_PIPE,
     EXIT_USAGE,
     EXIT_VERIFY,
     MAX_ORDER,
@@ -275,6 +277,15 @@ class TestOrdersCommand:
         sections = read_sections(out)
         assert set(sections) == {"single-slit reflected", "two-slit reflected"}
 
+    def test_builds_one_table_per_request(self, monkeypatch, capsys):
+        # all four spectra of --channel both read the one table
+        builds = []
+        build = grating.AmplitudeTable.build
+        monkeypatch.setattr(grating.AmplitudeTable, "build", lambda *args: builds.append(args) or build(*args))
+        assert run_cli("orders", "--a", "0.3", "--order", "40", "--channel", "both") == EXIT_OK
+        assert builds == [(0.3, 40)]
+        assert capsys.readouterr().out.count("\n# ") == 3
+
 
 class TestSweepCommand:
     def test_endpoints_and_reference_row(self, tmp_path):
@@ -475,6 +486,35 @@ class TestExitCodes:
         lines = capsys.readouterr().out.splitlines()
         assert lines[1] == "x_over_Lambda,G,I"
         assert len(lines) == 403
+
+    def test_a_reader_that_closes_the_pipe_ends_the_request_quietly(self):
+        # as `slitgrid coeffs --order 2000 | head -1`: 140 kB of CSV, more than
+        # a pipe holds, so the writer meets the closed pipe
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        argv = [sys.executable, "-m", "slitgrid.cli", "coeffs", "--order", "2000"]
+        with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert proc.stdout.readline() == b"# coefficients: a=0.06 order=2000\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+        assert (proc.returncode, err) == (EXIT_PIPE, b"")
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs a named pipe")
+    def test_a_closed_out_pipe_leaves_stdout_alone(self, tmp_path, capsys):
+        # the --out file is a named pipe whose reader leaves after 10 bytes;
+        # stdout did not break, so the handler must not touch its descriptor
+        fifo = tmp_path / "out.csv"
+        os.mkfifo(fifo)
+
+        def read_a_little():
+            with open(fifo, "rb") as reader:
+                reader.read(10)
+
+        thread = threading.Thread(target=read_a_little, daemon=True)
+        thread.start()
+        assert run_cli("coeffs", "--order", "2000", "--out", str(fifo)) == EXIT_PIPE
+        thread.join(timeout=10)
+        assert capsys.readouterr() == ("", "")
 
 
 class TestIgnoredSettings:
@@ -682,13 +722,13 @@ class TestVerifySuite:
     @pytest.mark.parametrize("perturb", [None, "r1"])
     def test_builds_one_table_per_ratio(self, perturb, monkeypatch):
         # the grid's 101 tables at the suite's truncation, read by every
-        # amplitude check, and the endpoint check's 14 small tables, two of
-        # them for its grid_function calls
+        # amplitude check, and the endpoint check's 4 small tables: one per
+        # ratio for the spectra and one for each grid_function call
         builds = []
         build = grating.AmplitudeTable.build
         monkeypatch.setattr(grating.AmplitudeTable, "build", lambda *args: builds.append(args[1]) or build(*args))
         run_verification(perturb=perturb)
-        assert sorted(builds) == [30] * 14 + [2000] * 101
+        assert sorted(builds) == [30] * 4 + [2000] * 101
 
     def test_parseval_ratio_off_the_grid_is_an_error(self, monkeypatch):
         monkeypatch.setattr(verify, "PARSEVAL_COVER_RATIOS", (0.06, 0.333, 0.5))

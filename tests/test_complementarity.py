@@ -13,8 +13,8 @@ from slitgrid.complementarity import (
     visibility_closed,
     visibility_quadrature,
 )
-from slitgrid.grating import CHANNELS, AmplitudeTable, GratingSpec, normalization_defect, sampling_window
-from slitgrid.scattering import TwoSlitConfig, _mirrored, single_slit_spectrum, two_slit_spectrum
+from slitgrid.grating import CHANNELS, AmplitudeTable, normalization_defect, sampling_window
+from slitgrid.scattering import _mirrored, single_slit_spectrum, two_slit_spectrum
 
 # 30-digit reference evaluations of the closed forms
 V_T_006 = 0.0634524733178203
@@ -268,16 +268,14 @@ class TestChannelMirror:
     def test_spectra_swap_on_the_dyadic_grid(self, truncation):
         phases = [0.0, *np.random.default_rng(truncation).uniform(0.0, 2.0 * math.pi, 3).tolist()]
         for a in DYADIC.tolist():
-            spec, swapped = GratingSpec(a, truncation=truncation), GratingSpec(1.0 - a, truncation=truncation)
-            assert normalization_defect(AmplitudeTable.build(a, truncation)).hex() == normalization_defect(
-                AmplitudeTable.build(1.0 - a, truncation)
-            ).hex()
-            reflected = single_slit_spectrum(spec, "reflected").probabilities
+            table, swapped = AmplitudeTable.build(a, truncation), AmplitudeTable.build(1.0 - a, truncation)
+            assert normalization_defect(table).hex() == normalization_defect(swapped).hex()
+            reflected = single_slit_spectrum(table, "reflected").probabilities
             assert reflected.tobytes() == single_slit_spectrum(swapped, "transmitted").probabilities.tobytes()
-            full = _mirrored(AmplitudeTable.build(a, truncation).r)
+            full = _mirrored(table.r)
             for phi in phases:
-                reflected = two_slit_spectrum(TwoSlitConfig(spec, phi), "reflected")
-                transmitted = two_slit_spectrum(TwoSlitConfig(swapped, phi + math.pi), "transmitted")
+                reflected = two_slit_spectrum(table, "reflected", phi)
+                transmitted = two_slit_spectrum(swapped, "transmitted", phi + math.pi)
                 gap = np.abs(reflected.probabilities - transmitted.probabilities)
                 assert np.all(gap <= swap_bound(full[:-1], full[1:], phi)), (a, phi)
 

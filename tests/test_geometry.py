@@ -23,7 +23,7 @@ from slitgrid.scattering import (
     single_slit_spectrum,
     synthesize_field,
     two_slit_power_limit,
-    two_slit_probabilities,
+    two_slit_spectrum,
 )
 
 lengths = st.floats(min_value=1e-6, max_value=1e6, allow_nan=False, allow_infinity=False)
@@ -73,8 +73,8 @@ def configure(values):
 
 
 SPEC = GratingSpec(0.3, truncation=5)
-SPEC_HALF = AmplitudeTable.build(0.3, 5).t
-SPECTRUM = single_slit_spectrum(SPEC, "transmitted")
+TABLE = AmplitudeTable.build(0.3, 5)
+SPECTRUM = single_slit_spectrum(TABLE, "transmitted")
 SETUP = SetupGeometry(k=1000.0, s=0.005, g=1.0)
 UNIT = [1.5, -1, math.nan, math.inf]  # outside [0, 1]
 POSITIVE = [0.0, -1, math.nan, math.inf]
@@ -100,8 +100,7 @@ ENTRIES = {
     "visibility_quadrature": ("cover_ratio", visibility_quadrature, False, UNIT),
     "distinguishability_closed": ("cover_ratio", distinguishability_closed, False, UNIT),
     "complementarity_sweep": ("cover_ratio", lambda v: complementarity_sweep([v]), False, UNIT),
-    "two_slit_probabilities": ("delta_phi", lambda v: two_slit_probabilities(SPEC_HALF, v), True, FINITE),
-    "two_slit_probabilities.half": ("half", lambda v: two_slit_probabilities(v, 0.0), False, []),
+    "two_slit_spectrum": ("delta_phi", lambda v: two_slit_spectrum(TABLE, "transmitted", v), True, FINITE),
     "two_slit_power_limit.cover_ratio": ("cover_ratio", lambda v: two_slit_power_limit(v, "reflected"), False, UNIT),
     "two_slit_power_limit.delta_phi": ("delta_phi", lambda v: two_slit_power_limit(0.3, "reflected", v), True, FINITE),
     "OrderSpectrum.orders": ("orders", lambda v: OrderSpectrum("transmitted", [v], [0.5]), False, []),
@@ -142,7 +141,6 @@ def test_a_value_out_of_range_is_a_value_error(entry, bad):
 # the parameters that take one-dimensional arrays only, called with a value of the given shape
 ONE_DIMENSIONAL = {
     "cover_ratio": complementarity_sweep,
-    "half": lambda v: two_slit_probabilities(v, 0.0),
     "orders": lambda v: OrderSpectrum("transmitted", v, np.zeros(np.size(v))),
     "probabilities": lambda v: OrderSpectrum("transmitted", np.zeros(np.size(v)), v),
 }

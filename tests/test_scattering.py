@@ -26,7 +26,6 @@ from slitgrid.scattering import (
     single_slit_spectrum,
     synthesize_field,
     two_slit_power_limit,
-    two_slit_probabilities,
     two_slit_spectrum,
 )
 
@@ -76,11 +75,11 @@ class TestInterferenceIntensity:
         # every function that takes a phase, not only the configuration class
         with pytest.raises(ValueError) as config:
             TwoSlitConfig(GratingSpec(0.3), bad)
-        half = AmplitudeTable.build(0.3, 5).t
+        table = AmplitudeTable.build(0.3, 5)
         for call in (
             lambda: interference_intensity(np.zeros(3), bad),
             lambda: two_slit_power_limit(0.3, "transmitted", bad),
-            lambda: two_slit_probabilities(half, bad),
+            lambda: two_slit_spectrum(table, "transmitted", bad),
         ):
             with pytest.raises(ValueError, match="delta_phi must be finite") as error:
                 call()
@@ -89,20 +88,28 @@ class TestInterferenceIntensity:
 
 class TestSingleSlitSpectrum:
     def test_reflected_zeroth_order(self):
-        spectrum = single_slit_spectrum(GratingSpec(0.06, truncation=30), "reflected")
+        spectrum = single_slit_spectrum(AmplitudeTable.build(0.06, 30), "reflected")
         assert spectrum.probability(0) == 0.06 * 0.06
 
-    def test_reflected_first_order(self):
-        spectrum = single_slit_spectrum(GratingSpec(0.06, truncation=30), "reflected")
-        assert spectrum.probability(1) == pytest.approx(P_SS_R1_006, rel=1e-12)
+    @pytest.mark.parametrize("bias", [0.0, 1e-3], ids=["built", "r1 biased"])
+    def test_reflected_first_order(self, bias):
+        # a hand-made table, as verify's --perturb makes, reaches the spectrum
+        built = AmplitudeTable.build(0.06, 30)
+        r = built.r.copy()
+        r[1] += bias
+        table = AmplitudeTable(built.cover_ratio, r, built.t)
+        spectrum = single_slit_spectrum(table, "reflected")
+        assert spectrum.probability(1) == spectrum.probability(-1) == r[1] ** 2
+        assert spectrum.probability(1) == pytest.approx((math.sqrt(P_SS_R1_006) + bias) ** 2, rel=1e-12)
+        assert single_slit_spectrum(table, "transmitted").probability(1) == built.t[1] ** 2
 
     def test_no_grating_transmits_straight_through(self):
-        spectrum = single_slit_spectrum(GratingSpec(0.0, truncation=10), "transmitted")
+        spectrum = single_slit_spectrum(AmplitudeTable.build(0.0, 10), "transmitted")
         assert spectrum.probability(0) == 1.0
         assert spectrum.total() == 1.0
 
     def test_orders_span_symmetric_range(self):
-        spectrum = single_slit_spectrum(GratingSpec(0.2, truncation=5), "transmitted")
+        spectrum = single_slit_spectrum(AmplitudeTable.build(0.2, 5), "transmitted")
         assert list(spectrum.orders) == [-5, -4, -3, -2, -1, 0, 1, 2, 3, 4, 5]
         assert not spectrum.two_slit
         np.testing.assert_array_equal(spectrum.probabilities, spectrum.probabilities[::-1])
@@ -110,7 +117,7 @@ class TestSingleSlitSpectrum:
     @pytest.mark.parametrize("a", [0.06, 0.5])
     @pytest.mark.parametrize("channel", ["transmitted", "reflected"])
     def test_totals_tend_to_geometric_split(self, a, channel):
-        spectrum = single_slit_spectrum(GratingSpec(a, truncation=2000), channel)
+        spectrum = single_slit_spectrum(AmplitudeTable.build(a, 2000), channel)
         limit, _ = sampling_window(a, channel)
         assert spectrum.total() == pytest.approx(limit, abs=2.0 / (math.pi**2 * 2000))
 
@@ -131,61 +138,90 @@ class TestOrderSpectrum:
 
 class TestTwoSlitSpectrum:
     def test_transmitted_half_order(self):
-        config = TwoSlitConfig(GratingSpec(0.06, truncation=30))
-        spectrum = two_slit_spectrum(config, "transmitted")
+        spectrum = two_slit_spectrum(AmplitudeTable.build(0.06, 30), "transmitted")
         assert spectrum.probability(0.5) == pytest.approx(P_TWO_T_HALF_006, rel=1e-12)
 
     def test_reflected_half_order_is_strongly_suppressed(self):
-        config = TwoSlitConfig(GratingSpec(0.06, truncation=30))
-        spectrum = two_slit_spectrum(config, "reflected")
+        spectrum = two_slit_spectrum(AmplitudeTable.build(0.06, 30), "reflected")
         assert spectrum.probability(0.5) == pytest.approx(P_TWO_R_HALF_006, rel=1e-10)
-        single = single_slit_spectrum(GratingSpec(0.06, truncation=30), "reflected")
+        single = single_slit_spectrum(AmplitudeTable.build(0.06, 30), "reflected")
         assert single.probability(1) / spectrum.probability(0.5) > 5e4
 
     def test_half_odd_integer_orders(self):
-        config = TwoSlitConfig(GratingSpec(0.3, truncation=4))
-        spectrum = two_slit_spectrum(config, "transmitted")
+        spectrum = two_slit_spectrum(AmplitudeTable.build(0.3, 4), "transmitted")
         assert list(spectrum.orders) == [-3.5, -2.5, -1.5, -0.5, 0.5, 1.5, 2.5, 3.5]
         assert spectrum.two_slit
 
+    @pytest.mark.parametrize("spectrum", [single_slit_spectrum, two_slit_spectrum])
     @pytest.mark.parametrize(
-        "half", [np.array([0.5 + 1j, 0.2]), np.array(["0.5", "0.2"])], ids=["complex", "str"]
+        "amps, error, message",
+        [
+            (np.array([0.5 + 1j, 0.2]), TypeError, "must be real, got "),
+            (np.zeros((3, 2)), ValueError, "must be one-dimensional"),
+        ],
+        ids=["complex", "2-d"],
     )
-    def test_amplitudes_that_are_not_real_are_refused_by_name(self, half):
-        with pytest.raises(TypeError, match="^half must be real, got "):
-            two_slit_probabilities(half, 0.0)
+    def test_a_table_that_is_not_real_or_not_one_dimensional_is_refused(self, spectrum, amps, error, message):
+        # a hand-made table is checked where its bins become an OrderSpectrum
+        with pytest.raises(error, match=f"^probabilities {message}"):
+            spectrum(AmplitudeTable(0.3, amps, amps), "transmitted")
 
     @given(cover_ratios, phases)
     def test_symmetric_under_order_reversal(self, a, dphi):
-        config = TwoSlitConfig(GratingSpec(a, truncation=12), delta_phi=dphi)
+        table = AmplitudeTable.build(a, 12)
         for channel in ("transmitted", "reflected"):
-            probs = two_slit_spectrum(config, channel).probabilities
+            probs = two_slit_spectrum(table, channel, dphi).probabilities
             np.testing.assert_array_equal(probs, probs[::-1])
 
     def test_zero_phase_reduces_to_adjacent_sum(self):
         a, N = 0.17, 9
-        config = TwoSlitConfig(GratingSpec(a, truncation=N))
-        spectrum = two_slit_spectrum(config, "transmitted")
-        t = AmplitudeTable.build(a, N).t
+        table = AmplitudeTable.build(a, N)
+        spectrum = two_slit_spectrum(table, "transmitted")
+        t = table.t
         for n in range(-N, N):
             expected = (t[abs(n)] + t[abs(n + 1)]) ** 2 / 2.0
             assert spectrum.probability(n + 0.5) == pytest.approx(expected, abs=1e-15)
+
+    @pytest.mark.parametrize("dphi", [0.9, -2.5, 7.0])
+    @pytest.mark.parametrize("bias", [0.0, 1e-3], ids=["built", "r1 biased"])
+    def test_bins_follow_the_bin_formula(self, dphi, bias):
+        # a hand-made table, as verify's --perturb makes, moves exactly the
+        # reflected bins that read r_1: m = +-1/2 and +-3/2
+        a, N = 0.17, 9
+        built = AmplitudeTable.build(a, N)
+        r = built.r.copy()
+        r[1] += bias
+        table = AmplitudeTable(built.cover_ratio, r, built.t)
+        cos_phi = math.cos(dphi)
+        for channel, u in (("transmitted", table.t), ("reflected", table.r)):
+            spectrum = two_slit_spectrum(table, channel, dphi)
+            for n in range(-N, N):
+                lower, upper = u[abs(n)], u[abs(n + 1)]
+                expected = (lower * lower + upper * upper + 2.0 * cos_phi * lower * upper) / 2.0
+                assert spectrum.probability(n + 0.5) == pytest.approx(expected, rel=1e-13, abs=1e-17)
+        biased, clean = (two_slit_spectrum(t, "reflected", dphi) for t in (table, built))
+        moved = clean.orders[biased.probabilities != clean.probabilities]
+        assert moved.tolist() == ([-1.5, -0.5, 0.5, 1.5] if bias else [])
 
     def test_phase_wraps_around(self):
         spec = GratingSpec(0.2, truncation=8)
         assert TwoSlitConfig(spec, -math.pi).delta_phi == pytest.approx(math.pi)
         assert TwoSlitConfig(spec, 2.0 * math.pi).delta_phi == 0.0
-        base = two_slit_spectrum(TwoSlitConfig(spec, 0.7), "transmitted").probabilities
-        wrapped = two_slit_spectrum(
-            TwoSlitConfig(spec, 0.7 + 2.0 * math.pi), "transmitted"
-        ).probabilities
+        table = AmplitudeTable.build(0.2, 8)
+        base = two_slit_spectrum(table, "transmitted", 0.7).probabilities
+        wrapped = two_slit_spectrum(table, "transmitted", 0.7 + 2.0 * math.pi).probabilities
         np.testing.assert_allclose(wrapped, base, rtol=0.0, atol=1e-15)
+        # the phase is reduced to [0, 2*pi) first, as TwoSlitConfig reduces it
+        for dphi in (-2.5, 7.0, 2.0 * math.pi):
+            reduced = TwoSlitConfig(spec, dphi).delta_phi
+            got = two_slit_spectrum(table, "transmitted", dphi).probabilities
+            assert got.tobytes() == two_slit_spectrum(table, "transmitted", reduced).probabilities.tobytes()
 
     @pytest.mark.parametrize("a", [0.06, 0.25, 0.5, 0.75])
     def test_totals_match_closed_limits(self, a):
-        config = TwoSlitConfig(GratingSpec(a, truncation=2000))
-        total_t = two_slit_spectrum(config, "transmitted").total()
-        total_r = two_slit_spectrum(config, "reflected").total()
+        table = AmplitudeTable.build(a, 2000)
+        total_t = two_slit_spectrum(table, "transmitted").total()
+        total_r = two_slit_spectrum(table, "reflected").total()
         assert total_t == pytest.approx(two_slit_power_limit(a, "transmitted"), abs=2.1e-4)
         assert total_r == pytest.approx(two_slit_power_limit(a, "reflected"), abs=2.1e-4)
         assert total_t + total_r == pytest.approx(1.0, abs=2.1e-4)
@@ -193,22 +229,21 @@ class TestTwoSlitSpectrum:
     def test_opposite_phase_moves_power_onto_the_strips(self):
         # per half-order the gain only holds while adjacent amplitudes
         # alternate in sign, i.e. for sparse gratings (a < 1/N)
-        spec = GratingSpec(0.02, truncation=30)
-        quiet = two_slit_spectrum(TwoSlitConfig(spec, 0.0), "reflected").probabilities
-        lit = two_slit_spectrum(TwoSlitConfig(spec, math.pi), "reflected").probabilities
+        table = AmplitudeTable.build(0.02, 30)
+        quiet = two_slit_spectrum(table, "reflected", 0.0).probabilities
+        lit = two_slit_spectrum(table, "reflected", math.pi).probabilities
         assert np.all(lit >= quiet - 1e-18)
 
     @given(cover_ratios)
     def test_reflected_total_peaks_at_opposite_phase(self, a):
-        spec = GratingSpec(a, truncation=50)
-        quiet = two_slit_spectrum(TwoSlitConfig(spec, 0.0), "reflected").total()
-        lit = two_slit_spectrum(TwoSlitConfig(spec, math.pi), "reflected").total()
+        table = AmplitudeTable.build(a, 50)
+        quiet = two_slit_spectrum(table, "reflected", 0.0).total()
+        lit = two_slit_spectrum(table, "reflected", math.pi).total()
         assert lit >= quiet - 1e-12
 
     def test_transmitted_total_at_opposite_phase_hits_the_minimum_limit(self):
         a = 0.3
-        config = TwoSlitConfig(GratingSpec(a, truncation=2000), delta_phi=math.pi)
-        total = two_slit_spectrum(config, "transmitted").total()
+        total = two_slit_spectrum(AmplitudeTable.build(a, 2000), "transmitted", math.pi).total()
         limit = 1.0 - a - sin_pi(a) / math.pi  # twice the minimum-case fringe integral
         assert total == pytest.approx(limit, abs=2.1e-4)
         assert limit == pytest.approx(two_slit_power_limit(a, "transmitted", math.pi), rel=1e-12)
@@ -217,18 +252,18 @@ class TestTwoSlitSpectrum:
 class TestDetectorSignals:
     def test_perfect_imaging_without_grating(self):
         signal = detector_signal(
-            two_slit_spectrum(TwoSlitConfig(GratingSpec(0.0, truncation=10)), "transmitted")
+            two_slit_spectrum(AmplitudeTable.build(0.0, 10), "transmitted")
         )
         assert (signal.p_d1, signal.p_d2, signal.p_loss) == (0.5, 0.5, 0.0)
 
     def test_mirror_transmits_nothing(self):
         signal = detector_signal(
-            two_slit_spectrum(TwoSlitConfig(GratingSpec(1.0, truncation=10)), "transmitted")
+            two_slit_spectrum(AmplitudeTable.build(1.0, 10), "transmitted")
         )
         assert signal.p_d1 == 0.0 and signal.p_d2 == 0.0
 
     def test_sparse_grating_detector_split(self):
-        spectrum = two_slit_spectrum(TwoSlitConfig(GratingSpec(0.06, truncation=30)), "transmitted")
+        spectrum = two_slit_spectrum(AmplitudeTable.build(0.06, 30), "transmitted")
         signal = detector_signal(spectrum)
         assert signal.p_d1 == pytest.approx(P_TWO_T_HALF_006, rel=1e-12)
         assert signal.p_d2 == signal.p_d1
@@ -243,25 +278,25 @@ class TestDetectorSignals:
     def test_parts_sum_to_the_tabulated_total_within_rounding(self, a, dphi, truncation, channel):
         # p_loss is total - p_d1 - p_d2 rounded, so adding the parts back
         # need not give the total exactly
-        spectrum = two_slit_spectrum(TwoSlitConfig(GratingSpec(a, truncation=truncation), dphi), channel)
+        spectrum = two_slit_spectrum(AmplitudeTable.build(a, truncation), channel, dphi)
         signal = detector_signal(spectrum)
         assert abs(signal.total - spectrum.total()) <= 4.0 * math.ulp(spectrum.total())
 
     def test_rejects_single_slit_spectra(self):
         with pytest.raises(ValueError):
-            detector_signal(single_slit_spectrum(GratingSpec(0.06, truncation=10), "transmitted"))
+            detector_signal(single_slit_spectrum(AmplitudeTable.build(0.06, 10), "transmitted"))
 
     def test_single_slit_clear_view(self):
-        signal = single_slit_detector_signal(GratingSpec(0.0, truncation=10))
+        signal = single_slit_detector_signal(AmplitudeTable.build(0.0, 10))
         assert (signal.p_d1, signal.p_d2, signal.p_loss) == (1.0, 0.0, 0.0)
 
     def test_single_slit_sparse_grating(self):
-        signal = single_slit_detector_signal(GratingSpec(0.06, truncation=30))
+        signal = single_slit_detector_signal(AmplitudeTable.build(0.06, 30))
         assert signal.p_d1 == pytest.approx(0.8836, rel=1e-12)
         assert signal.p_d2 == pytest.approx(P_SS_R1_006, rel=1e-12)
 
     def test_single_slit_half_covered(self):
-        signal = single_slit_detector_signal(GratingSpec(0.5, truncation=30))
+        signal = single_slit_detector_signal(AmplitudeTable.build(0.5, 30))
         assert signal.p_d1 == 0.25
         assert signal.p_d2 == pytest.approx(INV_PI_SQ, rel=1e-12)
 
@@ -443,11 +478,11 @@ class TestFieldSynthesisPerCall:
     def test_the_field_leaves_along_the_spectra_orders(self, side, delta_phi, k_perp):
         # order m leaves at k_x = 2*m*k_perp and propagates for |m| < k/(2*k_perp),
         # here 12.8 or all 30; k_perp is a power of two, so dividing by it is exact
-        spec = GratingSpec(0.3, truncation=30)
+        table = AmplitudeTable.build(0.3, 30)
         if delta_phi is None:
-            orders = single_slit_spectrum(spec, side).orders
+            orders = single_slit_spectrum(table, side).orders
         else:
-            orders = two_slit_spectrum(TwoSlitConfig(spec, delta_phi), side).orders
+            orders = two_slit_spectrum(table, side, delta_phi).orders
         ik_x = _plane_waves(0.3, 30, delta_phi, side, k_perp, 0.8)[1]
         directions = ik_x.imag / (2.0 * k_perp)
         assert directions.tobytes() == orders[np.abs(orders) < 0.4 / k_perp].tobytes()
