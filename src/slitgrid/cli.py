@@ -46,7 +46,7 @@ import numpy as np
 
 from . import complementarity, scattering, verify
 from .grating import (
-    DEFAULT_TRUNCATION, SPECTRUM_TRUNCATION, AmplitudeTable, GratingSpec, _coefficients, grid_function,
+    DEFAULT_TRUNCATION, SPECTRUM_TRUNCATION, AmplitudeTable, GratingSpec, _coefficients, _profile, grid_function,
 )
 
 __all__ = ["main", "format_number"]
@@ -62,8 +62,9 @@ PATTERN_SAMPLES = 401  # over two periods each side of the axis
 # Largest accepted requests.  At these caps the slowest request (sweep of
 # 1e6 points on both channels) takes 4.9-5.6 s and peaks at about 132 MB
 # resident on a 2-core x86-64 VM, and coeffs at 1e5 terms, whose 401 x N
-# profile is grid_function's factored sum on one thread, takes 0.31-0.32 s
-# and peaks at about 51 MB resident (a whole process, import included).
+# profile is the factored sum on one thread, takes 0.27-0.40 s in-process
+# (0.60-0.72 s as a whole process, import included) and peaks at about
+# 52 MB resident.
 MAX_POINTS = 1_000_000
 MAX_ORDER = 100_000
 
@@ -193,27 +194,36 @@ def _resolve(parser: _Parser, args: argparse.Namespace) -> argparse.Namespace:
     return config
 
 
-def _cmd_pattern(config: argparse.Namespace) -> list[tuple]:
-    spec = GratingSpec(cover_ratio=config.a, period=1.0, truncation=config.order)
+def _fringe(config: argparse.Namespace) -> tuple:
+    """The pattern's sample positions and fringe column: a bad phase fails here, before any N-term work."""
     # 401 samples across [-2, 2] grating periods; exact decimals keep the
     # fringe zeros/maxima landing on representable positions
     positions = (np.arange(PATTERN_SAMPLES) - 200) / 100.0
+    return positions, scattering.interference_intensity(positions, config.phase)
+
+
+def _pattern(config: argparse.Namespace, positions, profile, fringe) -> tuple:
     label = (
         f"pattern: a={format_number(config.a)} order={config.order}"
         f" phase={format_number(config.phase)} samples={PATTERN_SAMPLES}"
     )
-    fringe = scattering.interference_intensity(positions, config.phase)  # a bad phase fails here
-    profile = grid_function(positions, spec)
-    return [(label, "x_over_Lambda,G,I", [positions, profile, fringe])]
+    return (label, "x_over_Lambda,G,I", [positions, profile, fringe])
+
+
+def _cmd_pattern(config: argparse.Namespace) -> list[tuple]:
+    spec = GratingSpec(cover_ratio=config.a, period=1.0, truncation=config.order)
+    positions, fringe = _fringe(config)
+    return [_pattern(config, positions, grid_function(positions, spec), fringe)]
 
 
 def _cmd_coeffs(config: argparse.Namespace) -> list[tuple]:
-    pattern = _cmd_pattern(config)  # every value is checked before the table is built
-    table = AmplitudeTable.build(config.a, config.order)
+    spec = GratingSpec(cover_ratio=config.a, period=1.0, truncation=config.order)
+    positions, fringe = _fringe(config)  # every value is checked before the table is built
+    table = AmplitudeTable.build(config.a, config.order)  # one table for both sections
     c = np.hstack(_coefficients(table))
     label = f"coefficients: a={format_number(config.a)} order={config.order}"
     coefficients = (label, "n,c_n,r_n,t_n", [np.arange(c.size), c, table.r, table.t])
-    return [coefficients, *pattern]
+    return [coefficients, _pattern(config, positions, _profile(positions, table, spec.period), fringe)]
 
 
 def _cmd_orders(config: argparse.Namespace) -> list[tuple]:

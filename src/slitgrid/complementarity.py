@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grating import AmplitudeTable, Channel, _one_dimensional, _real, _unwrap, sampling_window, sin_pi
+from .grating import AmplitudeTable, Channel, _check_table, _one_dimensional, _real, _unwrap, sampling_window, sin_pi
 
 __all__ = [
     "VisibilityResult",
@@ -160,6 +160,7 @@ def distinguishability_from_amplitudes(
     :meth:`AmplitudeTable.build` it must agree with the closed form to
     machine precision.
     """
+    _check_table(table)
     u0, u1 = table.amplitudes(channel)[:2]
     return float(0.5 * (abs(u0 * u0 - u1 * u1) + abs(u1 * u1 - u0 * u0)))
 

@@ -90,10 +90,21 @@ def sin_pi(u):
     ones reduce to 1.0, of sign +1) and values near integers keep full
     precision instead of inheriting the rounding error of ``pi*u``.  The
     regression gate pins its bits to the C library's ``sin``.
+
+    The remainder by 2 is ``u - 2*floor(u/2)``.  The floor and the doubling
+    are exact, and the one rounding is the subtraction's: it rounds the
+    same exact remainder that ``np.mod`` rounds after its exact ``fmod``, so
+    the bits are ``np.mod``'s.  Halving rounds only a subnormal, and moves
+    the floor only at ``u = -2**-1074``: that half rounds to -0.0, so the
+    remainder is ``u`` itself where ``np.mod`` rounds ``2 + u`` up to 2.0.
+    The fold sends that one negative remainder with (1, 2], where
+    ``|red - 1|`` is 1.0 for it as for 2.0, so it keeps ``np.mod``'s -0.0.
     """
-    red = np.mod(_real("u", u), 2.0)
-    sign = np.where(red > 1.0, -1.0, 1.0)
-    red = np.where(red > 1.0, red - 1.0, red)
+    u = _real("u", u)
+    red = u - 2.0 * np.floor(0.5 * u)
+    over = (red > 1.0) | (red < 0.0)
+    sign = np.where(over, -1.0, 1.0)
+    red = np.where(over, np.abs(red - 1.0), red)
     red = np.where(red > 0.5, 1.0 - red, red)
     return _unwrap(sign * np.sin(np.pi * red))
 
@@ -253,14 +264,19 @@ def grid_function(x, spec: GratingSpec):
     beyond the result does not grow with ``len(x)``.  A non-finite
     position gives a NaN row on either path.
     """
-    c0, coefficients = _coefficients(AmplitudeTable.build(spec.cover_ratio, spec.truncation))
+    return _profile(x, AmplitudeTable.build(spec.cover_ratio, spec.truncation), spec.period)
+
+
+def _profile(x, table: AmplitudeTable, period: float):
+    """:func:`grid_function` on the coefficients of ``table``, for a caller that already holds it."""
+    c0, coefficients = _coefficients(table)
     arr = np.asarray(_real("x", x))
     flat = arr.reshape(-1)
     if flat.size * coefficients.size <= _DENSE_COSINES:
         n = np.arange(1, coefficients.size + 1)
-        values = _cosines(flat, n, 2.0 * math.pi / spec.period) @ coefficients
+        values = _cosines(flat, n, 2.0 * math.pi / period) @ coefficients
     else:
-        values = _factored(flat, spec.period, coefficients)
+        values = _factored(flat, period, coefficients)
     return _unwrap((c0 + values).reshape(arr.shape))
 
 
@@ -303,11 +319,14 @@ class AmplitudeTable:
         """The table at ``cover_ratio``, widened to a Python float first (``1 - a`` rounds in float64)."""
         cover_ratio = _check_cover_ratio(_one_real("cover_ratio", cover_ratio))
         _check_truncation(truncation)
-        n = np.arange(1, truncation + 1)
-        # r_n = t_n = (-1)**(n+1) * sin(a*pi*n)/(pi*n) for n >= 1
-        harmonics = (2.0 * (n % 2) - 1.0) * sin_pi(cover_ratio * n) / (math.pi * n)
-        r = np.concatenate(([-cover_ratio], harmonics))
-        t = np.concatenate(([1.0 - cover_ratio], harmonics))
+        n = np.arange(1.0, truncation + 1)
+        # r_n = t_n = (-1)**(n+1) * sin(a*pi*n)/(pi*n) for n >= 1; division
+        # rounds -x/y to -(x/y), so negating the even orders afterwards is exact
+        r = np.empty(truncation + 1)
+        np.divide(sin_pi(cover_ratio * n), math.pi * n, out=r[1:])
+        r[2::2] *= -1.0
+        t = r.copy()
+        r[0], t[0] = -cover_ratio, 1.0 - cover_ratio
         r.flags.writeable = False
         t.flags.writeable = False
         return cls(cover_ratio=cover_ratio, r=r, t=t)
@@ -316,6 +335,12 @@ class AmplitudeTable:
         """``t`` for the transmitted channel (window sign +1), ``r`` for the reflected one."""
         _, sign = sampling_window(self.cover_ratio, channel)
         return self.t if sign > 0.0 else self.r
+
+
+def _check_table(table) -> None:
+    """Refuse a ``table`` that is not an :class:`AmplitudeTable` with a ``TypeError`` naming it."""
+    if not isinstance(table, AmplitudeTable):
+        raise TypeError(f"table must be an AmplitudeTable, got {table!r:.60}")
 
 
 def _coefficients(table: AmplitudeTable) -> tuple[float, np.ndarray]:
@@ -331,6 +356,7 @@ def normalization_defect(table: AmplitudeTable) -> float:
     bounded by the series tail ``4/(pi**2 * N)``, and exactly zero for the
     degenerate gratings ``cover_ratio`` 0 and 1.
     """
+    _check_table(table)
     head = table.r[0] ** 2 + table.t[0] ** 2
-    tail = 2.0 * float(np.sum(table.r[1:] ** 2 + table.t[1:] ** 2))
+    tail = 2.0 * float((table.r[1:] ** 2 + table.t[1:] ** 2).sum())
     return 1.0 - (head + tail)

@@ -31,7 +31,8 @@ import numpy as np
 
 from .geometry import PARAXIAL_BOUND, ParaxialWarning, SetupGeometry
 from .grating import (
-    AmplitudeTable, Channel, GratingSpec, _one_dimensional, _one_real, _real, _unwrap, sampling_window, sin_pi,
+    AmplitudeTable, Channel, GratingSpec, _check_table, _one_dimensional, _one_real, _real, _unwrap, sampling_window,
+    sin_pi,
 )
 
 __all__ = [
@@ -160,6 +161,7 @@ def _orders(truncation: int, two_slit: bool) -> np.ndarray:
 
 def single_slit_spectrum(table: AmplitudeTable, channel: Channel) -> OrderSpectrum:
     """Stage with one slit open: ``P(n) = u_n**2`` for ``n`` in [-N, N], ``u`` the amplitudes of ``channel``."""
+    _check_table(table)
     amps = table.amplitudes(channel)
     return OrderSpectrum(channel, _orders(amps.size - 1, False), _mirrored(amps) ** 2)
 
@@ -172,6 +174,7 @@ def two_slit_spectrum(table: AmplitudeTable, channel: Channel, delta_phi: float 
     contributing orders are inside the truncated table.  ``delta_phi`` is
     one finite number, reduced to [0, 2*pi) before its cosine is taken.
     """
+    _check_table(table)
     cos_phi = math.cos(_check_phase(delta_phi) % math.tau)
     amps = table.amplitudes(channel)
     full = _mirrored(amps)

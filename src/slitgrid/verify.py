@@ -237,11 +237,12 @@ def run_verification(
     # through its module: perfbench times every _check_* name of this module as a check
     grating._check_truncation(truncation)
     grid = _cover_grid(DEFAULT_GRID)
-    parseval_at = [grid.tolist().index(a) for a in PARSEVAL_COVER_RATIOS]  # ValueError off the grid
+    ratios = grid.tolist()  # Python floats, which the table build takes without numpy
+    parseval_at = [ratios.index(a) for a in PARSEVAL_COVER_RATIOS]  # ValueError off the grid
     # one N-term table per ratio, read by every amplitude check before the next is
     # built; heads keeps copies of orders 0 and 1, as views would keep every table
     heads, defects, totals = [], [], {}
-    for i, a in enumerate(grid):
+    for i, a in enumerate(ratios):
         table = _table(a, truncation, perturb)
         heads.append(AmplitudeTable(table.cover_ratio, table.r[:2].copy(), table.t[:2].copy()))
         defects.append(normalization_defect(table))

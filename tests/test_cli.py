@@ -220,6 +220,15 @@ class TestCoeffsCommand:
         assert first.read_bytes() == second.read_bytes()
         assert b"\r" not in first.read_bytes()
 
+    def test_builds_one_table_per_request(self, monkeypatch, capsys):
+        # the coefficient columns and the profile read the one table
+        builds = []
+        build = grating.AmplitudeTable.build
+        monkeypatch.setattr(grating.AmplitudeTable, "build", lambda *args: builds.append(args) or build(*args))
+        assert run_cli("coeffs", "--a", "0.3", "--order", "40") == EXIT_OK
+        assert builds == [(0.3, 40)]
+        assert capsys.readouterr().out.count("\n# ") == 1
+
 
 class TestPatternCommand:
     def test_single_section(self, tmp_path):
@@ -475,10 +484,11 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["coeffs", "pattern"])
     def test_bad_phase_is_rejected_before_the_profile(self, command, monkeypatch, capsys):
-        profiles = []
-        monkeypatch.setattr(cli, "grid_function", lambda *args: profiles.append(args))
+        calls = []  # the profile's and the table's: coeffs builds its table, pattern reads grid_function
+        monkeypatch.setattr(cli, "grid_function", lambda *args: calls.append(args))
+        monkeypatch.setattr(grating.AmplitudeTable, "build", lambda *args: calls.append(args))
         assert run_cli(command, "--phase", "nan", "--order", str(MAX_ORDER)) == EXIT_USAGE
-        assert profiles == []
+        assert calls == []
         assert capsys.readouterr().err == "error: delta_phi must be finite, got nan\n"
 
     def test_stdout_output(self, capsys):
@@ -640,8 +650,11 @@ class TestBoundedRequests:
         "argv, owner, name",
         [
             (["sweep", "--points", "11", "--out", "-"], complementarity, "complementarity_sweep"),
-            (["coeffs", "--out", "-"], cli, "grid_function"),
-            (["coeffs", "--out", "out.csv"], cli, "grid_function"),
+            (["pattern", "--out", "-"], cli, "grid_function"),
+            (["pattern", "--out", "out.csv"], cli, "grid_function"),
+            # coeffs builds its table once and hands it to the profile
+            (["coeffs", "--out", "-"], cli, "_profile"),
+            (["coeffs", "--out", "out.csv"], cli, "_profile"),
         ],
     )
     def test_memory_error_is_a_usage_error(self, argv, owner, name, monkeypatch, capsys, tmp_path):

@@ -11,15 +11,17 @@ from hypothesis import strategies as st
 from slitgrid.complementarity import (
     complementarity_sweep,
     distinguishability_closed,
+    distinguishability_from_amplitudes,
     visibility_closed,
     visibility_quadrature,
 )
 from slitgrid.geometry import ParaxialWarning, SetupGeometry
-from slitgrid.grating import AmplitudeTable, GratingSpec, grid_function, sampling_window, sin_pi
+from slitgrid.grating import AmplitudeTable, GratingSpec, grid_function, normalization_defect, sampling_window, sin_pi
 from slitgrid.scattering import (
     OrderSpectrum,
     TwoSlitConfig,
     interference_intensity,
+    single_slit_detector_signal,
     single_slit_spectrum,
     synthesize_field,
     two_slit_power_limit,
@@ -152,6 +154,23 @@ def test_a_value_that_is_not_one_dimensional_is_refused_by_its_name(name, value)
     shape = re.escape(str(np.shape(value)))
     with pytest.raises(ValueError, match=f"^{name} must be one-dimensional, got shape {shape}$"):
         ONE_DIMENSIONAL[name](value)
+
+
+# every public entry point that reads an amplitude table
+TABLE_ENTRIES = {
+    "normalization_defect": normalization_defect,
+    "distinguishability_from_amplitudes": distinguishability_from_amplitudes,
+    "single_slit_spectrum": lambda v: single_slit_spectrum(v, "transmitted"),
+    "two_slit_spectrum": lambda v: two_slit_spectrum(v, "transmitted"),
+    "single_slit_detector_signal": single_slit_detector_signal,
+}
+
+
+@pytest.mark.parametrize("entry", TABLE_ENTRIES)
+@pytest.mark.parametrize("value", [SPEC, 0.3, None], ids=["GratingSpec", "float", "None"])
+def test_a_value_that_is_not_a_table_is_refused_by_its_name(entry, value):
+    with pytest.raises(TypeError, match="^table must be an AmplitudeTable, got "):
+        TABLE_ENTRIES[entry](value)
 
 
 @pytest.mark.parametrize("kind", [np.array, np.float64], ids=["0-d array", "float64"])

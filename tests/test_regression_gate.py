@@ -20,7 +20,9 @@ value, as it moved the default report's.  The field digest was recorded
 before ``synthesize_field`` memoised its plane-wave decomposition, and
 ``seed_synthesize_field`` keeps that formula as the bit-level reference,
 as ``seed_sin_pi`` keeps the scalar ``math.sin`` reduction that ``sin_pi``
-replaced and ``seed_duality`` the Python-float ``max`` and ``**`` of the
+replaced, ``mod_sin_pi`` the array ``np.mod`` reduction that its exact floor
+replaced, ``seed_table`` the per-order sign array that ``AmplitudeTable.build``
+dropped and ``seed_duality`` the Python-float ``max`` and ``**`` of the
 closed forms.
 
 Bit-level pins (the verify report, and the closed forms equal to those
@@ -141,6 +143,22 @@ def seed_sin_pi(u: float) -> float:
     if red > 0.5:
         red = 1.0 - red
     return sign * math.sin(math.pi * red)
+
+
+def mod_sin_pi(u):
+    """``seed_sin_pi`` on an array: ``np.mod`` for ``%``, as ``sin_pi`` reduced before its floor form."""
+    red = np.mod(np.asarray(u, dtype=float), 2.0)
+    sign = np.where(red > 1.0, -1.0, 1.0)
+    red = np.where(red > 1.0, red - 1.0, red)
+    red = np.where(red > 0.5, 1.0 - red, red)
+    return sign * np.sin(np.pi * red)
+
+
+def seed_table(cover_ratio, truncation):
+    """``(r, t)`` of ``AmplitudeTable.build`` as written with a per-order sign array, as the reference."""
+    n = np.arange(1, truncation + 1)
+    harmonics = (2.0 * (n % 2) - 1.0) * mod_sin_pi(cover_ratio * n) / (math.pi * n)
+    return np.concatenate(([-cover_ratio], harmonics)), np.concatenate(([1.0 - cover_ratio], harmonics))
 
 
 def seed_duality(a: float, channel: str) -> tuple[float, float, float, float]:
@@ -491,6 +509,48 @@ def test_sin_pi_arrays_equal_the_scalar_calls_bit_for_bit(us):
     assert bits(sin_pi(np.array(us))) == want
     assert bits([sin_pi(x) for x in us]) == want
     assert all(type(sin_pi(x)) is float for x in us)
+
+
+def sin_pi_draws():
+    """Seeded arguments where a reduction can round apart: signed zeros and subnormals, one
+    ulp either side of integers and half-integers, and magnitudes up to 2**60."""
+    rng = np.random.default_rng(27)
+    halves = np.concatenate((rng.integers(-(2**21), 2**21, 20000) / 2.0, 2.0 ** rng.integers(-1, 61, 2000)))
+    halves = np.concatenate((halves, -halves))
+    return np.concatenate((
+        [0.0, -0.0, 5e-324, -5e-324, 1e-323, -1e-323, 2.0**-1022, -(2.0**-1022), 2.0**60, -(2.0**60)],
+        rng.uniform(-1.0, 1.0, 20000) * 2.0**-1022,  # subnormals of both signs
+        halves,
+        np.nextafter(halves, math.inf),
+        np.nextafter(halves, -math.inf),
+        rng.uniform(-10.0, 10.0, 20000),
+        rng.choice([-1.0, 1.0], 20000) * 2.0 ** rng.uniform(-60.0, 60.0, 20000),
+    ))
+
+
+def test_sin_pi_has_the_bits_of_the_mod_reduction():
+    # the floor reduction rounds where np.mod does, -2**-1074 included
+    us = sin_pi_draws()
+    assert bits(sin_pi(us)) == bits(mod_sin_pi(us))
+    assert bits(mod_sin_pi(us[::50])) == bits([seed_sin_pi(u) for u in us[::50].tolist()])
+
+
+@pytest.mark.parametrize("u", [math.inf, -math.inf, math.nan])
+def test_sin_pi_of_a_value_that_is_not_finite_is_nan(u):
+    # either reduction warns of the invalid operation on an infinity, and neither on NaN
+    for f in (sin_pi, mod_sin_pi):
+        for us in (u, np.array([u, 0.5])):
+            with pytest.warns(RuntimeWarning, match="invalid value") if math.isinf(u) else warnings.catch_warnings():
+                assert np.isnan(f(us)).tolist() in (True, [True, False])
+
+
+@pytest.mark.parametrize("truncation", [1, 2, 3, 30, 2000])
+def test_amplitude_table_has_the_bytes_of_the_sign_array_formula(truncation):
+    # bytes, so the sign of every zero counts: the even orders at a = 0, 1/2, 1 are -0.0
+    for a in [*(np.arange(1001) / 1000).tolist(), 0.0, 0.5, 1.0, 5e-324]:
+        table = AmplitudeTable.build(a, truncation)
+        r, t = seed_table(a, truncation)
+        assert (table.r.tobytes(), table.t.tobytes()) == (r.tobytes(), t.tobytes()), a
 
 
 # every closed form on its one numpy path: a scalar gives a Python float
