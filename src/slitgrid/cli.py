@@ -12,8 +12,13 @@ Commands
 Each CSV command returns its tables, and ``_write_output`` (which
 describes the format) writes them, formatting each chunk of rows with one
 ``%`` template: re-running a command with the same configuration rewrites
-byte-identical output.  Flags override config-file values, which override
-the built-in defaults.  Config-file values are parsed exactly like the
+byte-identical output.  An even table, one whose label column is
+ascending and antisymmetric and whose other columns read the same in
+reverse, has only its upper half formatted, and its lower half is
+written as the signed mirror of that text: every ``orders`` table is
+even, and so is ``pattern`` at zero phase, while the sweep and the
+coefficient table never are.  Flags override config-file values, which
+override the built-in defaults.  Config-file values are parsed exactly like the
 flags of the same name, and a value that does not parse names the file.
 ``main`` builds its argument parser once per process, on its first call,
 and keeps no per-request state: each call parses into a fresh namespace,
@@ -68,8 +73,10 @@ PATTERN_SAMPLES = 401  # over two periods each side of the axis
 MAX_POINTS = 1_000_000
 MAX_ORDER = 100_000
 
-# rows formatted and written at a time by _write_output
+# rows formatted and written at a time by _write_output, and the characters
+# of an even table's upper half that it mirrors at a time
 _CHUNK_ROWS = 1 << 16
+_MIRROR_CHARS = 1 << 16
 
 _CHANNEL_FLAGS = {"t": ("transmitted",), "r": ("reflected",), "both": ("transmitted", "reflected")}
 
@@ -293,19 +300,79 @@ def _write_output(tables: list[tuple], out: str | None) -> None:
     digits.  Tables are separated by one blank line, every line ends in
     ``\\n``, and nothing else (no timestamp) is written, so the same
     tables always give the same bytes.  Rows are formatted and written
-    ``_CHUNK_ROWS`` at a time, so memory does not grow with the output.
+    ``_CHUNK_ROWS`` at a time, so memory does not grow with the output,
+    except for the upper half of an even table (below).
     A chunk is formatted by one ``%``: its template joins one row
     template per row, picked by a row code with one bit per float column
     (set where :func:`_float_cells` asks for ``_SCIENTIFIC``), and its
     cells are the chunk's values interleaved row by row.  The file is
     opened by :func:`_opened` only here, after the command has computed
     every table, so a request that fails writes nothing.
+
+    A table is even when its first column is strictly ascending and
+    exactly antisymmetric and every other column equals its own reverse
+    (so a NaN never matches), as the order spectra are.  Only its rows
+    with label >= 0 are formatted, in chunks, and their text is held
+    (at most ``MAX_ORDER + 1`` rows, about 2.5 MB).  The rows with label < 0
+    are written first, each as ``-`` and the text of its mirror row, in
+    reverse order and without the zero row; then the held upper half.
+    ``%d``, ``_FIXED`` and ``_SCIENTIFIC`` print -v as ``-`` and the
+    text of v, and :func:`_float_cells` picks the format by ``|v|``, so
+    these are the bytes of formatting every row.
     """
     with _opened(out) as handle:
         for index, (label, header, columns) in enumerate(tables):
             handle.write(("\n" if index else "") + f"# {label}\n{header}\n")
-            for start in range(0, len(columns[0]), _CHUNK_ROWS):
-                handle.write(_format_rows([column[start:start + _CHUNK_ROWS] for column in columns]))
+            half = _upper_half(columns)
+            if half is None:
+                for chunk in _chunks(columns, 0):
+                    handle.write(_format_rows(chunk))
+                continue
+            upper = [_format_rows(chunk) for chunk in _chunks(columns, half)]
+            # an odd table's zero row has no mirror: it is written once, in the upper half
+            zero_row = upper[0].index("\n") + 1 if len(columns[0]) % 2 else 0
+            for position in reversed(range(len(upper))):
+                for piece in _signed_mirror(upper[position], zero_row if position == 0 else 0):
+                    handle.write(piece)
+            for text in upper:
+                handle.write(text)
+
+
+def _upper_half(columns: list[np.ndarray]) -> int | None:
+    """The first row of the upper half if ``columns`` form an even table (see ``_write_output``), else None."""
+    labels = columns[0]
+    # the end labels as Python numbers first, which refuses a sweep or a
+    # coefficient table in O(1); past them no label is the int64 minimum,
+    # whose negation would wrap
+    if len(labels) < 2 or not (labels[0].item() == -labels[-1].item() < labels[-1].item()):
+        return None
+    even = (
+        np.all(labels[1:] > labels[:-1])
+        and np.array_equal(labels, -labels[::-1])
+        and all(np.array_equal(column, column[::-1]) for column in columns[1:])
+    )
+    return len(labels) // 2 if even else None
+
+
+def _signed_mirror(text: str, skip: int):
+    """The rows of ``text`` from its character ``skip`` on, last first and each as ``-`` and its text.
+
+    They come in pieces of about ``_MIRROR_CHARS`` characters, so that a
+    chunk is split into rows a piece at a time.
+    """
+    end = len(text)
+    while end > skip:
+        start = max(text.rfind("\n", skip, max(end - _MIRROR_CHARS, skip)) + 1, skip)
+        rows = text[start:end - 1].split("\n")
+        rows.reverse()
+        yield "-" + "\n-".join(rows) + "\n"
+        end = start
+
+
+def _chunks(columns: list[np.ndarray], start: int):
+    """The rows of ``columns`` from ``start`` on, ``_CHUNK_ROWS`` at a time."""
+    for first in range(start, len(columns[0]), _CHUNK_ROWS):
+        yield [column[first:first + _CHUNK_ROWS] for column in columns]
 
 
 def _format_rows(columns: list[np.ndarray]) -> str:

@@ -93,6 +93,20 @@ def _contrast(difference, total):
     return _unwrap(np.divide(difference, total, out=np.ones(np.shape(total)), where=total != 0.0))
 
 
+# 1 - sin(x)/x = x**2/3! - x**4/5! + ... ; for x < 1 the eleventh term is
+# below 4e-23 of the sum, far under an ulp
+_SINC_SERIES = tuple((-1.0) ** (k + 1) / math.factorial(2 * k + 1) for k in range(1, 11))
+
+
+def _one_minus_sinc(x):
+    """``1 - sin(x)/x`` for ``|x| < 1`` by Horner's rule in ``x**2``, without the cancellation."""
+    x2 = x * x
+    total = 0.0
+    for coefficient in reversed(_SINC_SERIES):
+        total = coefficient + x2 * total
+    return x2 * total
+
+
 def _distinguishability(width, s):
     # float_power is libm pow, as Python's ``**``; width*width rounds
     # differently from pow on about 0.1 % of inputs, in pinned sweep rows
@@ -105,13 +119,22 @@ def visibility_closed(cover_ratio, channel: Channel = "transmitted") -> Visibili
     The contrast is ``sin(pi*a)/(pi*w)`` of the window width ``w`` (gap
     ``1-a`` transmitted, strip ``a`` reflected), 1 at ``w = 0``.  The sine
     reads ``a`` itself, not the rounded ``1-a``, so V is accurate to a few
-    ulps on both channels.  An array or list of covering ratios gives
+    ulps on both channels.  ``i_min = (pi*w - sin(pi*w))/(2*pi)`` cancels
+    for a narrow window, so below ``pi*w = 1`` it is ``w*m/2`` with
+    ``m = 1 - sin(pi*w)/(pi*w)`` from its Taylor series; there ``w`` is
+    exact (``1-a`` rounds nothing for ``a > 1/2``), so the series and the
+    difference are one function of ``w``, and i_min is accurate to a few
+    ulps of itself.  An array or list of covering ratios gives
     arrays; it is widened to float64 once, here.
     """
     cover_ratio = _real("cover_ratio", cover_ratio)
     width, s = np.asarray(sampling_window(cover_ratio, channel)[0]), sin_pi(cover_ratio)
     i_max = (math.pi * width + s) / (2.0 * math.pi)
-    i_min = (math.pi * width - s) / (2.0 * math.pi)
+    i_min = np.where(
+        math.pi * width < 1.0,
+        0.5 * width * _one_minus_sinc(math.pi * width),
+        (math.pi * width - s) / (2.0 * math.pi),
+    )
     i_min = np.where(i_min > 0.0, i_min, 0.0)  # max(0.0, i_min), NaN included
     return VisibilityResult(i_max=_unwrap(i_max), i_min=_unwrap(i_min), visibility=_contrast(s, math.pi * width))
 

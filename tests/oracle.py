@@ -55,3 +55,16 @@ def visibility(cover_ratio, channel):
         a = mpmath.mpf(cover_ratio)
         width = 1 - a if channel == "transmitted" else a
         return mpmath.mpf(1) if width == 0 else mpmath.sinpi(a) / (mpmath.pi * width)
+
+
+def fringe_minimum_power(cover_ratio, channel):
+    """``(pi*w - sin(pi*a))/(2*pi)``, the power the window ``w`` collects on the fringe minima, as an mpmath number.
+
+    Evaluated at 40 digits, ``1 - a`` included, so that the cancellation of
+    a narrow window costs none of the digits a test counts ulps with.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        a = mpmath.mpf(cover_ratio)
+        width = 1 - a if channel == "transmitted" else a
+        return (mpmath.pi * width - mpmath.sinpi(a)) / (2 * mpmath.pi)

@@ -165,6 +165,91 @@ class TestWriter:
         monkeypatch.setattr(cli, "_CHUNK_ROWS", self.CHUNK)
         assert written_csv(tables, out, tmp_path) == reference_csv(tables)
 
+    # even tables: the writer formats the rows with label >= 0 and writes
+    # the others as their signed mirror
+    EVEN_FLOATS = st.one_of(
+        st.floats(allow_nan=False),
+        st.sampled_from([0.0, -0.0, 1e-300, -3.2e-5, 9.99e-5, 1e-4, 6.02e23, math.inf, -math.inf]),
+    )
+    HALF_ROWS = st.sampled_from([1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK, 2 * CHUNK + 1])
+
+    @staticmethod
+    @st.composite
+    def even_table(draw):
+        """An even table: ascending antisymmetric labels, the other columns mirrored about the middle."""
+        half, zero = draw(TestWriter.HALF_ROWS), int(draw(st.booleans()))  # zero: odd length, a zero row
+        kind = draw(st.sampled_from(["integer", "half-integer", "float"]))
+        if kind == "integer":
+            edges = st.sampled_from([1, 2**62, 2**63 - 2, 2**63 - 1])
+            positive = st.one_of(st.integers(1, 2**63 - 1), edges)
+        elif kind == "half-integer":
+            positive = st.integers(0, 2**40).map(lambda n: n + 0.5)
+        else:  # either format, and inf
+            positive = st.one_of(st.floats(min_value=5e-324), st.sampled_from([1e-5, 1e-4, 0.5, math.inf]))
+        labels = np.array(sorted(draw(st.lists(positive, min_size=half, max_size=half, unique=True))))
+        if kind == "integer":
+            middle = np.zeros(zero, dtype=np.int64)
+        else:
+            middle = np.array([draw(st.sampled_from([0.0, -0.0]))] * zero)
+        columns = [np.concatenate((-labels[::-1], middle, labels))]
+        for _ in range(draw(st.integers(0, 3))):
+            integers = draw(st.booleans())
+            cells = st.integers(-(2**63), 2**63 - 1) if integers else TestWriter.EVEN_FLOATS
+            upper = np.array(draw(st.lists(cells, min_size=half + zero, max_size=half + zero)), dtype=np.int64 if integers else float)
+            lower = upper[zero:][::-1]
+            if not integers:
+                # a zero's mirror may carry the other sign: still the same cell
+                flips = np.array(draw(st.lists(st.booleans(), min_size=half, max_size=half)), dtype=bool)
+                lower = np.where(flips & (lower == 0.0), -lower, lower)
+            columns.append(np.concatenate((lower, upper)))
+        return columns
+
+    # _MIRROR_CHARS in these tests: a row, a few rows, a chunk at a time
+    @given(first=even_table(), second=even_table(), mirror_chars=st.sampled_from([1, 30, 1 << 16]))
+    def test_even_tables_match_the_per_cell_reference(self, first, second, mirror_chars, tmp_path_factory):
+        assert cli._upper_half(first) == len(first[0]) // 2
+        tables = [("even", ",".join(f"c{j}" for j in range(len(first))), first), ("also even", "x", second[:1])]
+        directory = tmp_path_factory.mktemp("writer")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "_CHUNK_ROWS", self.CHUNK)
+            patch.setattr(cli, "_MIRROR_CHARS", mirror_chars)
+            for out in (None, "-", "file"):
+                assert written_csv(tables, out, directory) == reference_csv(tables)
+
+    @staticmethod
+    def near_even(case):
+        """An even table of 2 * CHUNK + 3 rows broken by ``case``, which the writer must format whole."""
+        half = TestWriter.CHUNK + 1
+        labels = np.arange(-half, half + 1).astype(float)
+        values = np.array([*TestFormatNumber.EDGES[:half], 0.5], dtype=float)
+        values = np.concatenate((values, values[:-1][::-1]))
+        if case == "one ulp off":
+            values[1] = np.nextafter(values[1], math.inf)
+        elif case == "nan pair":
+            values[2] = values[-3] = math.nan
+        elif case == "label not negated":
+            labels[1] = np.nextafter(labels[1], 0.0)
+        elif case == "labels not ascending":
+            labels[[1, 2]], labels[[-2, -3]] = labels[[2, 1]], labels[[-3, -2]]
+        return [labels, values, np.arange(labels.size) % 3 - 1 if case == "integers not mirrored" else values]
+
+    @pytest.mark.parametrize("case", ["one ulp off", "nan pair", "label not negated", "labels not ascending", "integers not mirrored"])
+    def test_near_even_tables_are_formatted_whole(self, case, monkeypatch):
+        columns = self.near_even(case)
+        assert cli._upper_half(columns) is None
+        monkeypatch.setattr(cli, "_CHUNK_ROWS", self.CHUNK)
+        tables = [("near even", "x,y,z", columns)]
+        assert written_csv(tables, None, None) == reference_csv(tables)
+
+    def test_orders_formats_only_the_upper_half(self, monkeypatch, capsys):
+        # 61 single-slit and 60 two-slit rows per channel, of which 31 and 30 are formatted
+        formatted = []
+        format_rows = cli._format_rows
+        monkeypatch.setattr(cli, "_format_rows", lambda columns: formatted.append(len(columns[0])) or format_rows(columns))
+        assert run_cli("orders", "--a", "0.06", "--order", "30", "--channel", "both") == EXIT_OK
+        assert formatted == [31, 30, 31, 30]
+        assert len(capsys.readouterr().out.splitlines()) == 4 * 2 + 3 + 2 * (61 + 60)
+
 
 class TestSharedParser:
     def test_main_builds_its_parser_once(self, capsys):

@@ -94,6 +94,17 @@ class TestVisibilityClosed:
             exact = oracle.visibility(a, channel)
             assert float(abs(v - exact)) <= 3.0 * math.ulp(float(exact)), (a, v)
 
+    @pytest.mark.parametrize("channel", CHANNELS)
+    def test_i_min_within_a_few_ulps_of_itself(self, channel):
+        # window widths log-uniform from 1e-8 to 1 and the dyadic grid: the
+        # difference pi*w - sin(pi*w) put i_min 2.5e15 ulps off at w = 1e-8
+        widths = np.concatenate((10.0 ** np.random.default_rng(5).uniform(-8.0, 0.0, 300), DYADIC[1:]))
+        ratios = 1.0 - widths if channel == "transmitted" else widths
+        got = visibility_closed(ratios, channel).i_min
+        for a, value in zip(ratios.tolist(), got.tolist()):
+            exact = float(oracle.fringe_minimum_power(a, channel))
+            assert abs(value - exact) <= 8.0 * math.ulp(exact), (a, value)
+
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             visibility_closed(-0.2)

@@ -3,8 +3,9 @@
 The numeric checks elsewhere compare closed forms with sums and quadratures
 of the same model, so a wrong formula shared by both sides would pass.
 Here each formula is integrated from its definition: the strip profile for
-the Fourier coefficients, the fringe ``cos(pi*x)**2`` seen through the
-sampling window for the visibility.  The library is then evaluated at
+the Fourier coefficients, the distinguishability and the single-slit
+totals, the fringe ``cos(pi*x)**2`` seen through the sampling window for
+the visibility.  The library is then evaluated at
 exact binary ratios and compared with the derived expression to 30 digits.
 """
 
@@ -12,8 +13,9 @@ import math
 
 import pytest
 
-from slitgrid.complementarity import visibility_closed
+from slitgrid.complementarity import distinguishability_closed, distinguishability_from_amplitudes, visibility_closed
 from slitgrid.grating import CHANNELS, AmplitudeTable, sampling_window
+from slitgrid.scattering import single_slit_spectrum
 
 sp = pytest.importorskip("sympy")
 
@@ -59,6 +61,71 @@ def test_the_visibility_follows_from_the_window_integrals():
             v, high, low = (float(form.subs(w, width).evalf(30)) for form in (derived, i_max, i_min))
             assert abs(result.visibility - v) <= 4 * math.ulp(v), (ratio, channel)
             assert abs(result.i_max - high) <= 4 * math.ulp(high), (ratio, channel)
-            # i_min = (pi*w - sin(pi*w))/(2*pi) cancels for a narrow window,
-            # so it is good to a few ulps of i_max, not of itself
-            assert abs(result.i_min - low) <= 4 * math.ulp(high), (ratio, channel)
+            # i_min = (pi*w - sin(pi*w))/(2*pi) would cancel for a narrow
+            # window; its series there keeps it to a few ulps of itself
+            assert abs(result.i_min - low) <= 8 * math.ulp(low), (ratio, channel)
+
+
+def strip_amplitudes(order):
+    """``(r_n, t_n)`` of order ``n`` as integrals over one period ``[0, 1)`` in the covering ratio ``a``.
+
+    The strip ``[(1 - a)/2, (1 + a)/2]`` reflects with sign -1 and the gap
+    around it transmits: ``r_n = -integral of cos(2*pi*n*x)`` over the
+    strip and ``t_n`` the same integral over the gap, without the sign.
+    """
+    a, x = sp.symbols("a x", positive=True)
+    wave = sp.cos(2 * sp.pi * order * x)
+    strip = (x, (1 - a) / 2, (1 + a) / 2)
+    gap = sp.integrate(wave, (x, 0, (1 - a) / 2)) + sp.integrate(wave, (x, (1 + a) / 2, 1))
+    return a, -sp.integrate(wave, strip), gap
+
+
+def test_the_distinguishability_follows_from_the_zeroth_and_first_orders():
+    # each detector sees u_0 from its own slit and u_1 from the other, so
+    # D = |u_0**2 - u_1**2| for the channel's amplitudes u
+    a, r0, t0 = strip_amplitudes(0)
+    _, r1, t1 = strip_amplitudes(1)
+    assert sp.simplify(t0 - (1 - a)) == 0 and sp.simplify(r0 + a) == 0
+    assert sp.simplify(t1 - r1) == 0 and sp.simplify(t1 - sp.sin(sp.pi * a) / sp.pi) == 0
+    derived = {"transmitted": sp.Abs(t0**2 - t1**2), "reflected": sp.Abs(r0**2 - r1**2)}
+    for ratio in RATIOS:
+        table = AmplitudeTable.build(float(ratio), 1)
+        for channel in CHANNELS:
+            want = float(derived[channel].subs(a, ratio).evalf(30))
+            # w**2 - (sin(pi*a)/pi)**2 cancels for a narrow window, so both
+            # forms are good to a few ulps of the window's w**2, not of D
+            width = sampling_window(float(ratio), channel)[0]
+            bound = 4 * math.ulp(width * width)
+            assert abs(distinguishability_closed(float(ratio), channel) - want) <= bound, (ratio, channel)
+            assert abs(distinguishability_from_amplitudes(table, channel) - want) <= bound, (ratio, channel)
+
+
+def test_the_single_slit_total_follows_from_the_strip():
+    # G is the strip's indicator, 1 on the strip and 0 elsewhere, so G**2 = G;
+    # Parseval for G = c_0 + sum c_n cos(2*pi*n*x) makes the integral of
+    # G**2 over a period c_0**2 + (sum over n >= 1 of c_n**2)/2
+    a, x = sp.symbols("a x", positive=True)
+    strip = (x, (1 - a) / 2, (1 + a) / 2)
+    c0 = sp.integrate(1, strip)  # the mean of G
+    assert c0 == a
+    squares = sp.integrate(1**2, strip) - c0**2  # (sum over n >= 1 of c_n**2)/2
+    # r_0 = -a, t_0 = 1 - a and r_n = t_n = -c_n/2 for n >= 1, each order
+    # n and -n alike, so the single-slit total is u_0**2 + 2 * sum r_n**2
+    totals = {"transmitted": (1 - a) ** 2 + squares, "reflected": a**2 + squares}
+    for channel, total in totals.items():
+        width = 1 - a if channel == "transmitted" else a
+        assert sp.expand(total - width) == 0
+    # the truncated spectrum misses 2 * sum over n > N of (sin(pi*a*n)/(pi*n))**2,
+    # (psi'(N + 1) - Cl_2(2*pi*a) + sum_{n <= N} cos(2*pi*a*n)/n**2)/pi**2 with
+    # the Clausen sum Cl_2(t) = sum cos(n*t)/n**2 that mpmath evaluates
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        for ratio in RATIOS:
+            exact = mpmath.mpf(ratio.p) / ratio.q
+            head = mpmath.fsum(mpmath.cospi(2 * exact * n) / n**2 for n in range(1, TERMS + 1))
+            tail = (mpmath.psi(1, TERMS + 1) - mpmath.clcos(2, 2 * mpmath.pi * exact) + head) / mpmath.pi**2
+            table = AmplitudeTable.build(float(ratio), TERMS)
+            for channel, total in totals.items():
+                want = float(total.subs(a, ratio))
+                got = float(single_slit_spectrum(table, channel).probabilities.sum())
+                assert abs(got + tail - want) <= 4 * math.ulp(want), (ratio, channel)

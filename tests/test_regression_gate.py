@@ -23,7 +23,7 @@ as ``seed_sin_pi`` keeps the scalar ``math.sin`` reduction that ``sin_pi``
 replaced, ``mod_sin_pi`` the array ``np.mod`` reduction that its exact floor
 replaced, ``seed_table`` the per-order sign array that ``AmplitudeTable.build``
 dropped and ``seed_duality`` the Python-float ``max`` and ``**`` of the
-closed forms.
+closed forms, with ``i_min``'s Taylor series for a narrow window.
 
 Bit-level pins (the verify report, and the closed forms equal to those
 scalar ``math``/``pow`` references) depend on the numpy build and the CPU; CI
@@ -162,11 +162,23 @@ def seed_table(cover_ratio, truncation):
 
 
 def seed_duality(a: float, channel: str) -> tuple[float, float, float, float]:
-    """``(i_max, i_min, V, D)`` in Python floats: ``max``, libm ``pow`` and ``V = s/(pi*w)``."""
+    """``(i_max, i_min, V, D)`` in Python floats: ``max``, libm ``pow`` and ``V = s/(pi*w)``.
+
+    Below ``pi*w = 1``, ``i_min`` is ``w*m/2`` with ``m = 1 - sin(x)/x`` at
+    ``x = pi*w`` summed by Horner's rule from the ten terms
+    ``(-1)**(k+1) x**(2k)/(2k+1)!``, not the difference that cancels there.
+    """
     width = 1.0 - a if channel == "transmitted" else a
     s = seed_sin_pi(a)
     i_max = (math.pi * width + s) / (2.0 * math.pi)
-    i_min = max(0.0, (math.pi * width - s) / (2.0 * math.pi))
+    x = math.pi * width
+    if x < 1.0:
+        m = 0.0
+        for k in range(10, 0, -1):
+            m = (-1.0) ** (k + 1) / math.factorial(2 * k + 1) + x * x * m
+        i_min = max(0.0, 0.5 * width * (x * x * m))
+    else:
+        i_min = max(0.0, (x - s) / (2.0 * math.pi))
     leak = s / math.pi
     v = 1.0 if width == 0.0 else s / (math.pi * width)
     return i_max, i_min, v, abs(width**2 - leak * leak)
