@@ -4,7 +4,7 @@ Commands
 --------
   coeffs    coefficient/amplitude table for n = 0..N plus the sampled grid
             profile and fringe intensity (both sections in one file)
-  pattern   just the sampled profile/intensity table
+  pattern   the second section of ``coeffs`` alone, the same bytes
   orders    single-slit and two-slit order spectra per channel
   sweep     covering-ratio sweep of (V, D, V**2 + D**2)
   verify    run the invariant suite and report each check
@@ -15,11 +15,12 @@ describes the format) writes them, formatting each chunk of rows with one
 byte-identical output.  An even table, one whose label column is
 ascending and antisymmetric and whose other columns read the same in
 reverse, has only its upper half formatted, and its lower half is
-written as the signed mirror of that text: every ``orders`` table is
-even, and so is ``pattern`` at zero phase, while the sweep and the
-coefficient table never are.  Flags override config-file values, which
-override the built-in defaults.  Config-file values are parsed exactly like the
-flags of the same name, and a value that does not parse names the file.
+written as the signed mirror of that text, a chunk at a time: every
+``orders`` table is even, and so is the pattern section at zero phase,
+while the sweep and the coefficient table never are.  Flags override
+config-file values, which override the built-in defaults.  Config-file
+values are parsed exactly like the flags of the same name, and a value
+that does not parse names the file.
 ``main`` builds its argument parser once per process, on its first call,
 and keeps no per-request state: each call parses into a fresh namespace,
 so calls may follow one another or run on several threads at once.  Each
@@ -50,9 +51,7 @@ from pathlib import Path
 import numpy as np
 
 from . import complementarity, scattering, verify
-from .grating import (
-    DEFAULT_TRUNCATION, SPECTRUM_TRUNCATION, AmplitudeTable, GratingSpec, _coefficients, _profile, grid_function,
-)
+from .grating import DEFAULT_TRUNCATION, SPECTRUM_TRUNCATION, AmplitudeTable, GratingSpec, _coefficients, _profile
 
 __all__ = ["main", "format_number"]
 
@@ -65,18 +64,17 @@ EXIT_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a writer that a close
 PATTERN_SAMPLES = 401  # over two periods each side of the axis
 
 # Largest accepted requests.  At these caps the slowest request (sweep of
-# 1e6 points on both channels) takes 4.9-5.6 s and peaks at about 132 MB
+# 1e6 points on both channels) takes 3.2-4.0 s and peaks at about 116 MB
 # resident on a 2-core x86-64 VM, and coeffs at 1e5 terms, whose 401 x N
-# profile is the factored sum on one thread, takes 0.17-0.32 s in-process
-# (0.39-0.62 s as a whole process, import included) and peaks at about
-# 52 MB resident.
+# profile is the factored sum on one thread, takes 0.24-0.39 s in-process
+# (0.36-0.58 s as a whole process, import included) and peaks at about
+# 36 MB resident.
 MAX_POINTS = 1_000_000
 MAX_ORDER = 100_000
 
-# rows formatted and written at a time by _write_output, and the characters
-# of an even table's upper half that it mirrors at a time
-_CHUNK_ROWS = 1 << 16
-_MIRROR_CHARS = 1 << 16
+# rows formatted and written at a time by _write_output; every table of
+# the reference requests (at most 4001 rows) is one chunk
+_CHUNK_ROWS = 1 << 12
 
 _CHANNEL_FLAGS = {"t": ("transmitted",), "r": ("reflected",), "both": ("transmitted", "reflected")}
 
@@ -201,36 +199,25 @@ def _resolve(parser: _Parser, args: argparse.Namespace) -> argparse.Namespace:
     return config
 
 
-def _fringe(config: argparse.Namespace) -> tuple:
-    """The pattern's sample positions and fringe column: a bad phase fails here, before any N-term work."""
+def _cmd_coeffs(config: argparse.Namespace) -> list[tuple]:
+    spec = GratingSpec(cover_ratio=config.a, period=1.0, truncation=config.order)
     # 401 samples across [-2, 2] grating periods; exact decimals keep the
     # fringe zeros/maxima landing on representable positions
     positions = (np.arange(PATTERN_SAMPLES) - 200) / 100.0
-    return positions, scattering.interference_intensity(positions, config.phase)
-
-
-def _pattern(config: argparse.Namespace, positions, profile, fringe) -> tuple:
-    label = (
-        f"pattern: a={format_number(config.a)} order={config.order}"
-        f" phase={format_number(config.phase)} samples={PATTERN_SAMPLES}"
-    )
-    return (label, "x_over_Lambda,G,I", [positions, profile, fringe])
+    fringe = scattering.interference_intensity(positions, config.phase)  # a bad phase fails before the table
+    table = AmplitudeTable.build(config.a, config.order)  # one table for both sections
+    profile = _profile(positions, table, spec.period)  # before the coefficient columns, off its peak
+    c = np.hstack(_coefficients(table))
+    a = format_number(config.a)
+    pattern = f"pattern: a={a} order={config.order} phase={format_number(config.phase)} samples={PATTERN_SAMPLES}"
+    return [
+        (f"coefficients: a={a} order={config.order}", "n,c_n,r_n,t_n", [np.arange(c.size), c, table.r, table.t]),
+        (pattern, "x_over_Lambda,G,I", [positions, profile, fringe]),
+    ]
 
 
 def _cmd_pattern(config: argparse.Namespace) -> list[tuple]:
-    spec = GratingSpec(cover_ratio=config.a, period=1.0, truncation=config.order)
-    positions, fringe = _fringe(config)
-    return [_pattern(config, positions, grid_function(positions, spec), fringe)]
-
-
-def _cmd_coeffs(config: argparse.Namespace) -> list[tuple]:
-    spec = GratingSpec(cover_ratio=config.a, period=1.0, truncation=config.order)
-    positions, fringe = _fringe(config)  # every value is checked before the table is built
-    table = AmplitudeTable.build(config.a, config.order)  # one table for both sections
-    c = np.hstack(_coefficients(table))
-    label = f"coefficients: a={format_number(config.a)} order={config.order}"
-    coefficients = (label, "n,c_n,r_n,t_n", [np.arange(c.size), c, table.r, table.t])
-    return [coefficients, _pattern(config, positions, _profile(positions, table, spec.period), fringe)]
+    return _cmd_coeffs(config)[1:]  # the tables are formatted only when written
 
 
 def _cmd_orders(config: argparse.Namespace) -> list[tuple]:
@@ -315,7 +302,8 @@ def _write_output(tables: list[tuple], out: str | None) -> None:
     with label >= 0 are formatted, in chunks, and their text is held
     (at most ``MAX_ORDER + 1`` rows, about 2.5 MB).  The rows with label < 0
     are written first, each as ``-`` and the text of its mirror row, in
-    reverse order and without the zero row; then the held upper half.
+    reverse order and without the zero row, one chunk's text split into
+    rows at a time; then the held upper half.
     ``%d``, ``_FIXED`` and ``_SCIENTIFIC`` print -v as ``-`` and the
     text of v, and :func:`_float_cells` picks the format by ``|v|``, so
     these are the bytes of formatting every row.
@@ -332,8 +320,9 @@ def _write_output(tables: list[tuple], out: str | None) -> None:
             # an odd table's zero row has no mirror: it is written once, in the upper half
             zero_row = upper[0].index("\n") + 1 if len(columns[0]) % 2 else 0
             for position in reversed(range(len(upper))):
-                for piece in _signed_mirror(upper[position], zero_row if position == 0 else 0):
-                    handle.write(piece)
+                rows = upper[position][zero_row if position == 0 else 0:-1].split("\n")
+                rows.reverse()
+                handle.write("-" + "\n-".join(rows) + "\n")
             for text in upper:
                 handle.write(text)
 
@@ -352,21 +341,6 @@ def _upper_half(columns: list[np.ndarray]) -> int | None:
         and all(np.array_equal(column, column[::-1]) for column in columns[1:])
     )
     return len(labels) // 2 if even else None
-
-
-def _signed_mirror(text: str, skip: int):
-    """The rows of ``text`` from its character ``skip`` on, last first and each as ``-`` and its text.
-
-    They come in pieces of about ``_MIRROR_CHARS`` characters, so that a
-    chunk is split into rows a piece at a time.
-    """
-    end = len(text)
-    while end > skip:
-        start = max(text.rfind("\n", skip, max(end - _MIRROR_CHARS, skip)) + 1, skip)
-        rows = text[start:end - 1].split("\n")
-        rows.reverse()
-        yield "-" + "\n-".join(rows) + "\n"
-        end = start
 
 
 def _chunks(columns: list[np.ndarray], start: int):

@@ -50,11 +50,11 @@ __all__ = [
 
 
 def _check_phase(delta_phi) -> float:
-    """``delta_phi`` as one finite Python float, by :func:`grating._one_real`."""
+    """``delta_phi`` as one finite Python float, by :func:`grating._one_real`, reduced to [0, 2*pi)."""
     delta_phi = _one_real("delta_phi", delta_phi)
     if not math.isfinite(delta_phi):
         raise ValueError(f"delta_phi must be finite, got {delta_phi!r}")
-    return delta_phi
+    return delta_phi % math.tau
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,7 @@ class TwoSlitConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.spec, GratingSpec):
             raise TypeError(f"spec must be a GratingSpec, got {self.spec!r:.60}")
-        object.__setattr__(self, "delta_phi", _check_phase(self.delta_phi) % math.tau)
+        object.__setattr__(self, "delta_phi", _check_phase(self.delta_phi))
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,7 +141,8 @@ def interference_intensity(x, delta_phi: float = 0.0):
     ``|x| < 1.26e7`` exactly 0.0 (the first miss, ``12605631.5``, gives
     5.6e-17); ``pi*x`` rounds before any reduction, so ``2**40 + 0.5``
     gives 1.7e-8.  A scalar ``x`` gives a float, an array an array;
-    ``delta_phi`` must be one finite number.
+    ``delta_phi`` must be one finite number, and is reduced to [0, 2*pi)
+    first, so that a huge phase still gives a finite fringe.
     """
     delta_phi = _check_phase(delta_phi)
     return _unwrap(0.5 * (1.0 + np.cos(2.0 * (np.pi * _real("x", x) + delta_phi))))
@@ -175,7 +176,7 @@ def two_slit_spectrum(table: AmplitudeTable, channel: Channel, delta_phi: float 
     one finite number, reduced to [0, 2*pi) before its cosine is taken.
     """
     _check_table(table)
-    cos_phi = math.cos(_check_phase(delta_phi) % math.tau)
+    cos_phi = math.cos(_check_phase(delta_phi))
     amps = table.amplitudes(channel)
     full = _mirrored(amps)
     lower, upper = full[:-1], full[1:]

@@ -3,9 +3,9 @@
 The numeric checks elsewhere compare closed forms with sums and quadratures
 of the same model, so a wrong formula shared by both sides would pass.
 Here each formula is integrated from its definition: the strip profile for
-the Fourier coefficients, the distinguishability and the single-slit
-totals, the fringe ``cos(pi*x)**2`` seen through the sampling window for
-the visibility.  The library is then evaluated at
+the Fourier coefficients, the distinguishability, the single-slit totals
+and the two-slit cross term, the fringe ``cos(pi*x)**2`` seen through the
+sampling window for the visibility.  The library is then evaluated at
 exact binary ratios and compared with the derived expression to 30 digits.
 """
 
@@ -15,7 +15,7 @@ import pytest
 
 from slitgrid.complementarity import distinguishability_closed, distinguishability_from_amplitudes, visibility_closed
 from slitgrid.grating import CHANNELS, AmplitudeTable, sampling_window
-from slitgrid.scattering import single_slit_spectrum
+from slitgrid.scattering import single_slit_spectrum, two_slit_power_limit
 
 sp = pytest.importorskip("sympy")
 
@@ -129,3 +129,35 @@ def test_the_single_slit_total_follows_from_the_strip():
                 want = float(total.subs(a, ratio))
                 got = float(single_slit_spectrum(table, channel).probabilities.sum())
                 assert abs(got + tail - want) <= 4 * math.ulp(want), (ratio, channel)
+
+
+def test_the_two_slit_cross_term_follows_from_the_window():
+    # the channel's amplitudes are the Fourier coefficients of its window
+    # W = sum u_n exp(2*pi*i*n*x): the gap's indicator transmitted and minus
+    # the strip's reflected, so W**2 is the indicator either way, and u_n =
+    # u_{-n} makes sum u_n*u_{n+1} = integral of W**2 * exp(-2*pi*i*x)
+    # over a period, the window integral of exp(-2*pi*i*x)
+    a, x = sp.symbols("a x", positive=True)
+    wave = sp.exp(-2 * sp.I * sp.pi * x)
+    windows = {
+        "transmitted": sp.integrate(wave, (x, 0, (1 - a) / 2)) + sp.integrate(wave, (x, (1 + a) / 2, 1)),
+        "reflected": sp.integrate(wave, (x, (1 - a) / 2, (1 + a) / 2)),
+    }
+    for channel, integral in windows.items():
+        sign = sampling_window(0.5, channel)[1]
+        derived = sp.simplify(sp.expand_complex(integral))
+        assert sp.simplify(derived - sign * sp.sin(sp.pi * a) / sp.pi) == 0, channel
+        for ratio in RATIOS:
+            width = sampling_window(float(ratio), channel)[0]
+            want = float(derived.subs(a, ratio).evalf(30))
+            # the pairs (n, n + 1) and (-n - 1, -n) are equal, so the sum over
+            # [-N, N] is twice the sum from n = 0; it misses the pairs past N,
+            # each below 1/(pi**2 * n*(n + 1)) since |u_n| <= 1/(pi*n)
+            u = AmplitudeTable.build(float(ratio), 4096).amplitudes(channel)
+            assert abs(2.0 * float(u[:-1] @ u[1:]) - want) <= 2 / (math.pi**2 * 4096), (ratio, channel)
+            # two_slit_power_limit is width + cos(phi) * cross, so the cross
+            # term is good to a few ulps of the limit over |cos(phi)|
+            for phase in (0.0, 1.0, 2.5, -2.0):
+                limit = two_slit_power_limit(float(ratio), channel, phase)
+                bound = 4 * (math.ulp(limit) + math.ulp(want)) / abs(math.cos(phase))
+                assert abs((limit - width) / math.cos(phase) - want) <= bound, (ratio, channel, phase)
