@@ -2,14 +2,13 @@
 
 Analytical model of a double slit whose interference fringes are sampled by
 a matched strip grating: grating Fourier decomposition, single- and
-two-slit diffraction-order spectra, detector signals, scattered-field
-synthesis, and the visibility/distinguishability duality measures, all with
-independent numerical oracles.
+two-slit diffraction-order spectra and their closed-form totals,
+scattered-field synthesis, and the visibility/distinguishability duality
+measures, all with independent numerical oracles.
 """
 
 from .complementarity import (
     SweepColumns,
-    VisibilityResult,
     complementarity_sweep,
     distinguishability_closed,
     distinguishability_from_amplitudes,
@@ -26,12 +25,9 @@ from .grating import (
     normalization_defect,
 )
 from .scattering import (
-    DetectorSignal,
     OrderSpectrum,
     TwoSlitConfig,
-    detector_signal,
     interference_intensity,
-    single_slit_detector_signal,
     single_slit_spectrum,
     synthesize_field,
     two_slit_power_limit,
@@ -46,23 +42,19 @@ __all__ = [
     "CHANNELS",
     "Channel",
     "CheckResult",
-    "DetectorSignal",
     "GratingSpec",
     "OrderSpectrum",
     "ParaxialWarning",
     "SetupGeometry",
     "SweepColumns",
     "TwoSlitConfig",
-    "VisibilityResult",
     "complementarity_sweep",
-    "detector_signal",
     "distinguishability_closed",
     "distinguishability_from_amplitudes",
     "grid_function",
     "interference_intensity",
     "normalization_defect",
     "run_verification",
-    "single_slit_detector_signal",
     "single_slit_spectrum",
     "synthesize_field",
     "two_slit_power_limit",

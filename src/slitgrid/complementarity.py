@@ -28,7 +28,7 @@ subensembles; each channel is normalized on its own and the two are never
 combined.
 
 The closed forms and the quadrature oracle are each one numpy path: a
-scalar ratio is a 0-d array and gives floats, an array gives arrays.
+scalar ratio is a 0-d array and gives a float, an array gives an array.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ import numpy as np
 from .grating import AmplitudeTable, Channel, _check_table, _one_dimensional, _real, _unwrap, sampling_window, sin_pi
 
 __all__ = [
-    "VisibilityResult",
     "SweepColumns",
     "visibility_closed",
     "visibility_quadrature",
@@ -53,23 +52,6 @@ __all__ = [
 # nodes on [-1, 1] and positive weights summing to 2; the integrands are
 # entire, so this one rule is accurate to rounding at every window width
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(16)
-
-
-@dataclass(frozen=True)
-class VisibilityResult:
-    """Channel power at the two grating positions and the fringe contrast.
-
-    ``i_max`` is the total with the sampling windows on the fringe maxima
-    of their channel, ``i_min`` with them on the minima;
-    ``visibility = (i_max - i_min)/(i_max + i_min)`` whenever the
-    denominator is positive, and the analytic limit 1 where both
-    integrals vanish.  The fields are Python floats for a scalar covering
-    ratio, a 0-d array included, else arrays.
-    """
-
-    i_max: float
-    i_min: float
-    visibility: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,70 +75,47 @@ def _contrast(difference, total):
     return _unwrap(np.divide(difference, total, out=np.ones(np.shape(total)), where=total != 0.0))
 
 
-# 1 - sin(x)/x = x**2/3! - x**4/5! + ... ; for x < 1 the eleventh term is
-# below 4e-23 of the sum, far under an ulp
-_SINC_SERIES = tuple((-1.0) ** (k + 1) / math.factorial(2 * k + 1) for k in range(1, 11))
-
-
-def _one_minus_sinc(x):
-    """``1 - sin(x)/x`` for ``|x| < 1`` by Horner's rule in ``x**2``, without the cancellation."""
-    x2 = x * x
-    total = 0.0
-    for coefficient in reversed(_SINC_SERIES):
-        total = coefficient + x2 * total
-    return x2 * total
-
-
 def _distinguishability(width, s):
     # float_power is libm pow, as Python's ``**``; width*width rounds
     # differently from pow on about 0.1 % of inputs, in pinned sweep rows
     return _unwrap(np.abs(np.float_power(width, 2) - np.square(s / math.pi)))
 
 
-def visibility_closed(cover_ratio, channel: Channel = "transmitted") -> VisibilityResult:
+def visibility_closed(cover_ratio, channel: Channel = "transmitted"):
     """Closed-form visibility for one channel.
 
     The contrast is ``sin(pi*a)/(pi*w)`` of the window width ``w`` (gap
     ``1-a`` transmitted, strip ``a`` reflected), 1 at ``w = 0``.  The sine
     reads ``a`` itself, not the rounded ``1-a``, so V is accurate to a few
-    ulps on both channels.  ``i_min = (pi*w - sin(pi*w))/(2*pi)`` cancels
-    for a narrow window, so below ``pi*w = 1`` it is ``w*m/2`` with
-    ``m = 1 - sin(pi*w)/(pi*w)`` from its Taylor series; there ``w`` is
-    exact (``1-a`` rounds nothing for ``a > 1/2``), so the series and the
-    difference are one function of ``w``, and i_min is accurate to a few
-    ulps of itself.  An array or list of covering ratios gives
-    arrays; it is widened to float64 once, here.
+    ulps on both channels.  A scalar covering ratio, a 0-d array included,
+    gives a Python float; an array or list gives an array, widened to
+    float64 once, here.
     """
     cover_ratio = _real("cover_ratio", cover_ratio)
-    width, s = np.asarray(sampling_window(cover_ratio, channel)[0]), sin_pi(cover_ratio)
-    i_max = (math.pi * width + s) / (2.0 * math.pi)
-    i_min = np.where(
-        math.pi * width < 1.0,
-        0.5 * width * _one_minus_sinc(math.pi * width),
-        (math.pi * width - s) / (2.0 * math.pi),
-    )
-    i_min = np.where(i_min > 0.0, i_min, 0.0)  # max(0.0, i_min), NaN included
-    return VisibilityResult(i_max=_unwrap(i_max), i_min=_unwrap(i_min), visibility=_contrast(s, math.pi * width))
+    width = sampling_window(cover_ratio, channel)[0]  # checks the ratio before sin_pi reads it
+    return _contrast(sin_pi(cover_ratio), math.pi * width)
 
 
-def visibility_quadrature(cover_ratio, channel: Channel = "transmitted") -> VisibilityResult:
+def visibility_quadrature(cover_ratio, channel: Channel = "transmitted"):
     """Visibility from direct fringe-intensity integrals (numerical oracle).
 
-    Integrates ``cos(pi*x)**2`` and ``sin(pi*x)**2`` over the sampling
-    window ``[-w/2, w/2]`` (one period normalized to 1) with a fixed
-    16-node Gauss-Legendre rule: deterministic, no adaptivity, and no use
-    of the closed forms.  Where the window is too narrow for its half to
-    be non-zero, both integrals vanish and the visibility takes its
-    analytic limit 1, matching the closed form.
+    Integrates ``cos(pi*x)**2`` (the fringe maxima) and ``sin(pi*x)**2``
+    (the minima) over the sampling window ``[-w/2, w/2]`` (one period
+    normalized to 1) with a fixed 16-node Gauss-Legendre rule:
+    deterministic, no adaptivity, and no use of the closed forms.  V is
+    their difference over their sum.  Where the window is too narrow for
+    its half to be non-zero, both integrals vanish and the visibility
+    takes its analytic limit 1, matching the closed form.  Scalars and
+    arrays give what :func:`visibility_closed` gives.
     """
     width, _ = sampling_window(cover_ratio, channel)
     half = 0.5 * np.asarray(width)
     angles = np.pi * (half[..., None] * _NODES)
     # one (1 x 16) @ (16,) dot per ratio rounds as the pinned verify report;
     # einsum, a 2-d @ and a sum over the last axis each round differently
-    i_max = half * np.matmul(np.cos(angles)[..., None, :] ** 2, _WEIGHTS)[..., 0]
-    i_min = half * np.matmul(np.sin(angles)[..., None, :] ** 2, _WEIGHTS)[..., 0]
-    return VisibilityResult(_unwrap(i_max), _unwrap(i_min), _contrast(i_max - i_min, i_max + i_min))
+    on_maxima = half * np.matmul(np.cos(angles)[..., None, :] ** 2, _WEIGHTS)[..., 0]
+    on_minima = half * np.matmul(np.sin(angles)[..., None, :] ** 2, _WEIGHTS)[..., 0]
+    return _contrast(on_maxima - on_minima, on_maxima + on_minima)
 
 
 def distinguishability_closed(cover_ratio, channel: Channel = "transmitted"):

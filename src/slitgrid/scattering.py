@@ -15,9 +15,11 @@ alternate, which is what makes the grating nearly invisible in the
 two-slit configuration.
 
 Conventions: slit one carries the +1/2 offset, slit two the -1/2 offset,
-detector one collects the ``m = +1/2`` bin and detector two the
-``m = -1/2`` bin.  Both slits are illuminated equally (amplitude
-``1/sqrt(2)`` each).
+so the ``m = +1/2`` bin takes slit one's zeroth order and slit two's
+first, and ``m = -1/2`` the reverse.  These two directions are the
+slit-image detectors, whose single-slit powers ``u_0**2`` and ``u_1**2``
+the distinguishability compares.  Both slits are illuminated equally
+(amplitude ``1/sqrt(2)`` each).
 """
 
 from __future__ import annotations
@@ -38,12 +40,9 @@ from .grating import (
 __all__ = [
     "TwoSlitConfig",
     "OrderSpectrum",
-    "DetectorSignal",
     "interference_intensity",
     "single_slit_spectrum",
     "two_slit_spectrum",
-    "detector_signal",
-    "single_slit_detector_signal",
     "two_slit_power_limit",
     "synthesize_field",
 ]
@@ -54,7 +53,8 @@ def _check_phase(delta_phi) -> float:
     delta_phi = _one_real("delta_phi", delta_phi)
     if not math.isfinite(delta_phi):
         raise ValueError(f"delta_phi must be finite, got {delta_phi!r}")
-    return delta_phi % math.tau
+    reduced = delta_phi % math.tau
+    return 0.0 if reduced == math.tau else reduced  # a tiny negative phase rounds up to tau
 
 
 @dataclass(frozen=True)
@@ -98,11 +98,6 @@ class OrderSpectrum:
         if not np.all(self.probabilities >= 0.0):  # also false for NaN
             raise ValueError("probabilities must be non-negative")
 
-    @property
-    def two_slit(self) -> bool:
-        """True when the spectrum is indexed by half-odd-integer orders."""
-        return bool(np.all(np.mod(self.orders, 1.0) == 0.5))
-
     def probability(self, order: float) -> float:
         """Probability at one order (exact index match); ``order`` is one real number."""
         order = _one_real("order", order)
@@ -114,23 +109,6 @@ class OrderSpectrum:
     def total(self) -> float:
         """Summed probability over all tabulated orders."""
         return float(np.sum(self.probabilities))
-
-
-@dataclass(frozen=True)
-class DetectorSignal:
-    """Power reaching each slit-image detector plus everything else.
-
-    ``p_loss`` is the power in all other diffraction orders; the three
-    parts sum to the channel's tabulated total to within rounding.
-    """
-
-    p_d1: float
-    p_d2: float
-    p_loss: float
-
-    @property
-    def total(self) -> float:
-        return self.p_d1 + self.p_d2 + self.p_loss
 
 
 def interference_intensity(x, delta_phi: float = 0.0):
@@ -184,34 +162,6 @@ def two_slit_spectrum(table: AmplitudeTable, channel: Channel, delta_phi: float 
     # the clamp absorbs the last-ulp negatives of fully destructive bins
     probs = np.maximum(0.5 * (lower**2 + upper**2 + 2.0 * cos_phi * (lower * upper)), 0.0)
     return OrderSpectrum(channel, _orders(amps.size - 1, True), probs)
-
-
-def detector_signal(spectrum: OrderSpectrum) -> DetectorSignal:
-    """Bin a two-slit spectrum onto the two slit-image detectors.
-
-    Detector one is the ``m = +1/2`` bin, detector two the ``m = -1/2``
-    bin; every other order counts as loss.  Rejects integer-indexed
-    (single-slit) spectra.
-    """
-    if not spectrum.two_slit:
-        raise ValueError("detector binning needs a two-slit (half-odd-integer) spectrum")
-    return _binned(spectrum, 0.5, -0.5)
-
-
-def single_slit_detector_signal(table: AmplitudeTable) -> DetectorSignal:
-    """Transmitted-channel detector split of ``table`` with only slit one open.
-
-    The zeroth order goes to the slit's own detector; the first order
-    points at the other detector (one side only), everything else is loss.
-    """
-    return _binned(single_slit_spectrum(table, "transmitted"), 0, 1)
-
-
-def _binned(spectrum: OrderSpectrum, first_order: float, second_order: float) -> DetectorSignal:
-    """Detector one at ``first_order``, detector two at ``second_order``, the rest of the total as loss."""
-    p_d1 = spectrum.probability(first_order)
-    p_d2 = spectrum.probability(second_order)
-    return DetectorSignal(p_d1=p_d1, p_d2=p_d2, p_loss=max(0.0, spectrum.total() - p_d1 - p_d2))
 
 
 def two_slit_power_limit(cover_ratio: float, channel: Channel, delta_phi: float = 0.0) -> float:

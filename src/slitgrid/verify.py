@@ -97,18 +97,19 @@ def _check_visibility_oracle(grid):
     """Closed-form V against the 16-node Gauss-Legendre oracle.
 
     The tolerance 1e-13 is a bound at every window width w in [0, 1].
-    ``V = (i_max - i_min)/(i_max + i_min)`` with ``i_max + i_min = w``, so
-    errors e in the integrals move V by at most ``2 (|e_max| + |e_min|)/w``.
-    Quadrature: on ``x = (w/2) s`` each ``i/w`` is half the integral over
+    ``V = (I+ - I-)/(I+ + I-)`` of the window's integrals on the fringe
+    maxima and minima, with ``I+ + I- = w``, so errors e in the integrals
+    move V by at most ``2 (|e+| + |e-|)/w``.
+    Quadrature: on ``x = (w/2) s`` each ``I/w`` is half the integral over
     [-1, 1] of ``cos**2`` or ``sin**2`` of ``pi w s/2``, entire and bounded
     by ``M = cosh(pi w (rho - 1/rho)/4)**2`` on the Bernstein ellipse E_rho.
     The 16-node error is at most ``64 M/(15 (rho**2 - 1) rho**32)``
     (Trefethen, Approximation Theory and Approximation Practice, Thm 19.3):
-    5.1e-26 at rho = 8 and w = 1, its largest, so each ``i/w`` is within
+    5.1e-26 at rho = 8 and w = 1, its largest, so each ``I/w`` is within
     2.6e-26 and V within 1.1e-25.  Rounding, with u = 2**-53: each node
     value carries about 7u (scaled node, times pi, cos or sin, square),
     nodes and weights a few u, and the dot product with positive weights
-    summing to 2 adds Higham's gamma_16 ~ 16u, so each ``i/w`` is within
+    summing to 2 adds Higham's gamma_16 ~ 16u, so each ``I/w`` is within
     30u.  The closed form ``s/(pi w)`` rounds by at most 7u: fl(pi) and the
     product u each in sin's argument and in ``pi w``, sin one ulp (2u), the
     quotient u.  Its ``s`` reads the exact ``a`` where the quadrature has the
@@ -117,7 +118,7 @@ def _check_visibility_oracle(grid):
     within 131u = 1.45e-14; 1e-13 leaves a factor of 6 for loose constants.
     """
     closed, quad = complementarity.visibility_closed, complementarity.visibility_quadrature
-    worst = max(_worst(closed(grid, c).visibility, quad(grid, c).visibility) for c in CHANNELS)
+    worst = max(_worst(closed(grid, c), quad(grid, c)) for c in CHANNELS)
     return _bounded(
         "visibility-oracle", worst, 1e-13,
         f"max |closed - quadrature| over {len(grid)} ratios x both channels, 16-node Gauss-Legendre",
@@ -125,9 +126,7 @@ def _check_visibility_oracle(grid):
 
 
 def _check_visibility_spot():
-    deviation = abs(
-        complementarity.visibility_closed(0.5, "transmitted").visibility - 2.0 / math.pi
-    )
+    deviation = abs(complementarity.visibility_closed(0.5, "transmitted") - 2.0 / math.pi)
     return _bounded("visibility-spot", deviation, 1e-12, "|V_t(1/2) - 2/pi|")
 
 
@@ -190,27 +189,22 @@ def _check_endpoints():
             values = [grid_function(0.25, GratingSpec(cover_ratio=a, truncation=30)), normalization_defect(table)]
             for channel in CHANNELS:
                 values.append(scattering.single_slit_spectrum(table, channel).total())
-                two = scattering.two_slit_spectrum(table, channel)
-                values.append(two.total())
-                signal = scattering.detector_signal(two)
-                values.extend((signal.p_d1, signal.p_d2, signal.p_loss))
-                values.append(complementarity.visibility_closed(a, channel).visibility)
-                values.append(complementarity.visibility_quadrature(a, channel).visibility)
+                values.append(scattering.two_slit_spectrum(table, channel).total())
+                values.append(complementarity.visibility_closed(a, channel))
+                values.append(complementarity.visibility_quadrature(a, channel))
                 values.append(complementarity.distinguishability_closed(a, channel))
                 values.append(complementarity.distinguishability_from_amplitudes(table, channel))
-            single = scattering.single_slit_detector_signal(table)
-            values.extend((single.p_d1, single.p_d2, single.p_loss))
             if not all(math.isfinite(v) for v in values):
                 failures.append(f"non-finite value at a={a}")
         except Exception as exc:  # noqa: BLE001 - the check is "does not fault"
             failures.append(f"a={a}: {exc!r}")
-    if complementarity.visibility_closed(1.0, "transmitted").visibility != 1.0:
+    if complementarity.visibility_closed(1.0, "transmitted") != 1.0:
         failures.append("V_t(1) != 1")
-    if complementarity.visibility_closed(0.0, "reflected").visibility != 1.0:
+    if complementarity.visibility_closed(0.0, "reflected") != 1.0:
         failures.append("V_r(0) != 1")
-    if complementarity.visibility_quadrature(1.0, "transmitted").visibility != 1.0:
+    if complementarity.visibility_quadrature(1.0, "transmitted") != 1.0:
         failures.append("quadrature V_t(1) != 1")
-    if complementarity.visibility_quadrature(0.0, "reflected").visibility != 1.0:
+    if complementarity.visibility_quadrature(0.0, "reflected") != 1.0:
         failures.append("quadrature V_r(0) != 1")
     return _bounded(
         "endpoint-degenerate",

@@ -21,7 +21,6 @@ from slitgrid.scattering import (
     OrderSpectrum,
     TwoSlitConfig,
     interference_intensity,
-    single_slit_detector_signal,
     single_slit_spectrum,
     synthesize_field,
     two_slit_power_limit,
@@ -162,7 +161,6 @@ TABLE_ENTRIES = {
     "distinguishability_from_amplitudes": distinguishability_from_amplitudes,
     "single_slit_spectrum": lambda v: single_slit_spectrum(v, "transmitted"),
     "two_slit_spectrum": lambda v: two_slit_spectrum(v, "transmitted"),
-    "single_slit_detector_signal": single_slit_detector_signal,
 }
 
 

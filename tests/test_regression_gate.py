@@ -22,8 +22,7 @@ before ``synthesize_field`` memoised its plane-wave decomposition, and
 as ``seed_sin_pi`` keeps the scalar ``math.sin`` reduction that ``sin_pi``
 replaced, ``mod_sin_pi`` the array ``np.mod`` reduction that its exact floor
 replaced, ``seed_table`` the per-order sign array that ``AmplitudeTable.build``
-dropped and ``seed_duality`` the Python-float ``max`` and ``**`` of the
-closed forms, with ``i_min``'s Taylor series for a narrow window.
+dropped and ``seed_duality`` the Python-float ``**`` of the closed forms.
 
 Bit-level pins (the verify report, and the closed forms equal to those
 scalar ``math``/``pow`` references) depend on the numpy build and the CPU; CI
@@ -161,27 +160,13 @@ def seed_table(cover_ratio, truncation):
     return np.concatenate(([-cover_ratio], harmonics)), np.concatenate(([1.0 - cover_ratio], harmonics))
 
 
-def seed_duality(a: float, channel: str) -> tuple[float, float, float, float]:
-    """``(i_max, i_min, V, D)`` in Python floats: ``max``, libm ``pow`` and ``V = s/(pi*w)``.
-
-    Below ``pi*w = 1``, ``i_min`` is ``w*m/2`` with ``m = 1 - sin(x)/x`` at
-    ``x = pi*w`` summed by Horner's rule from the ten terms
-    ``(-1)**(k+1) x**(2k)/(2k+1)!``, not the difference that cancels there.
-    """
+def seed_duality(a: float, channel: str) -> tuple[float, float]:
+    """``(V, D)`` in Python floats: ``V = s/(pi*w)`` and libm ``pow``."""
     width = 1.0 - a if channel == "transmitted" else a
     s = seed_sin_pi(a)
-    i_max = (math.pi * width + s) / (2.0 * math.pi)
-    x = math.pi * width
-    if x < 1.0:
-        m = 0.0
-        for k in range(10, 0, -1):
-            m = (-1.0) ** (k + 1) / math.factorial(2 * k + 1) + x * x * m
-        i_min = max(0.0, 0.5 * width * (x * x * m))
-    else:
-        i_min = max(0.0, (x - s) / (2.0 * math.pi))
     leak = s / math.pi
     v = 1.0 if width == 0.0 else s / (math.pi * width)
-    return i_max, i_min, v, abs(width**2 - leak * leak)
+    return v, abs(width**2 - leak * leak)
 
 
 def seed_grid_function(x, cover_ratio, truncation, period):
@@ -512,19 +497,16 @@ def test_duality_kernel_arrays_equal_the_scalar_calls_bit_for_bit(ratios, channe
     # both equal the Python-float reference, whose pow and max the sweep
     # digests were recorded under
     seed = [seed_duality(x, channel) for x in ratios]
-    i_max, i_min, v, d = (bits(column) for column in zip(*seed))
+    v, d = (bits(column) for column in zip(*seed))
     a = np.array(ratios)
-    result = visibility_closed(a, channel)
     scalar = [visibility_closed(x, channel) for x in ratios]
-    assert bits(result.visibility) == bits([r.visibility for r in scalar]) == v
-    assert bits(result.i_max) == bits([r.i_max for r in scalar]) == i_max
-    assert bits(result.i_min) == bits([r.i_min for r in scalar]) == i_min
+    assert bits(visibility_closed(a, channel)) == bits(scalar) == v
     d_scalar = [distinguishability_closed(x, channel) for x in ratios]
     assert bits(distinguishability_closed(a, channel)) == bits(d_scalar) == d
     assert bits(sin_pi(a)) == bits([sin_pi(x) for x in ratios])
     columns = complementarity_sweep(a, channel)
     assert len(columns) == len(ratios)
-    dualities = [v_x * v_x + d_x * d_x for _, _, v_x, d_x in seed]
+    dualities = [v_x * v_x + d_x * d_x for v_x, d_x in seed]
     assert bits(columns.duality) == bits(dualities)
 
 
@@ -536,10 +518,8 @@ def test_duality_kernel_arrays_equal_the_scalar_calls_bit_for_bit(ratios, channe
 def test_quadrature_arrays_equal_the_scalar_calls_bit_for_bit(ratios):
     a = np.array(ratios)
     for channel in ("transmitted", "reflected"):
-        result = visibility_quadrature(a, channel)
         scalar = [visibility_quadrature(x, channel) for x in ratios]
-        for field in ("i_max", "i_min", "visibility"):
-            assert bits(getattr(result, field)) == bits([getattr(r, field) for r in scalar])
+        assert bits(visibility_quadrature(a, channel)) == bits(scalar)
 
 
 @pytest.mark.parametrize("channel", ["transmitted", "reflected"])
@@ -548,12 +528,12 @@ def test_duality_kernel_equals_the_scalar_calls_on_a_dense_draw(channel):
     # w*w round apart are about 0.1 % of uniform draws, so look at many
     ratios = np.random.default_rng(3).random(20000).tolist()
     columns = complementarity_sweep(ratios, channel)
-    seed = [seed_duality(x, channel)[2:] for x in ratios]
+    seed = [seed_duality(x, channel) for x in ratios]
     v, d = zip(*seed)
     assert bits(columns.visibility) == bits(v)
     assert bits(columns.distinguishability) == bits(d)
     assert bits(columns.duality) == bits([v_x * v_x + d_x * d_x for v_x, d_x in seed])
-    scalar = [(visibility_closed(x, channel).visibility, distinguishability_closed(x, channel)) for x in ratios]
+    scalar = [(visibility_closed(x, channel), distinguishability_closed(x, channel)) for x in ratios]
     assert bits(scalar) == bits(seed)
 
 
@@ -613,16 +593,14 @@ def test_amplitude_table_has_the_bytes_of_the_sign_array_formula(truncation):
 # every closed form on its one numpy path: a scalar gives a Python float
 ONE_PATH = {
     "sin_pi": sin_pi,
-    "visibility_closed.i_max": lambda a: visibility_closed(a).i_max,
-    "visibility_closed.i_min": lambda a: visibility_closed(a).i_min,
-    "visibility_closed.visibility": lambda a: visibility_closed(a).visibility,
-    "visibility_quadrature.i_max": lambda a: visibility_quadrature(a).i_max,
-    "visibility_quadrature.i_min": lambda a: visibility_quadrature(a).i_min,
-    "visibility_quadrature.visibility": lambda a: visibility_quadrature(a).visibility,
+    "visibility_closed": visibility_closed,
+    "visibility_quadrature": visibility_quadrature,
     "distinguishability_closed": distinguishability_closed,
     "interference_intensity": interference_intensity,
     "grid_function": lambda x: grid_function(x, GratingSpec(cover_ratio=0.3, truncation=20)),
     "two_slit_power_limit": lambda a: two_slit_power_limit(a, "reflected", 0.4),
+    "sampling_window.transmitted": lambda a: sampling_window(a, "transmitted")[0],
+    "sampling_window.reflected": lambda a: sampling_window(a, "reflected")[0],
 }
 SCALARS = {"float": 0.3, "float32": np.float32(0.3), "float64": np.float64(0.3), "0-d": np.array(0.3)}
 
@@ -780,10 +758,10 @@ def test_float32_cover_ratios_give_the_bits_of_their_float64_value(a, channel):
     # sampling_window widens a float32 ratio, scalar or array, before the
     # closed forms round 1 - a or pi*width; float64 inputs keep their bits
     def values(ratio):
-        closed = visibility_closed(ratio, channel)
+        v = visibility_closed(ratio, channel)
         d = distinguishability_closed(ratio, channel)
         limit = two_slit_power_limit(ratio, channel)
-        return [bits(value) for value in (closed.i_max, closed.i_min, closed.visibility, d, limit)]
+        return [bits(value) for value in (v, d, limit)]
 
     wide = float(np.float32(a))
     want = values(wide)

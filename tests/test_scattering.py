@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from slitgrid.geometry import ParaxialWarning, SetupGeometry
@@ -17,12 +17,11 @@ from slitgrid.grating import (
     sin_pi,
 )
 from slitgrid.scattering import (
+    _check_phase,
     _plane_waves,
     OrderSpectrum,
     TwoSlitConfig,
-    detector_signal,
     interference_intensity,
-    single_slit_detector_signal,
     single_slit_spectrum,
     synthesize_field,
     two_slit_power_limit,
@@ -111,7 +110,6 @@ class TestSingleSlitSpectrum:
     def test_orders_span_symmetric_range(self):
         spectrum = single_slit_spectrum(AmplitudeTable.build(0.2, 5), "transmitted")
         assert list(spectrum.orders) == [-5, -4, -3, -2, -1, 0, 1, 2, 3, 4, 5]
-        assert not spectrum.two_slit
         np.testing.assert_array_equal(spectrum.probabilities, spectrum.probabilities[::-1])
 
     @pytest.mark.parametrize("a", [0.06, 0.5])
@@ -135,6 +133,60 @@ class TestOrderSpectrum:
         with pytest.raises(ValueError, match="non-negative"):
             OrderSpectrum("transmitted", np.array([0.0, 1.0]), np.array([0.5, bad]))
 
+    @pytest.mark.parametrize(
+        "spectrum, order",
+        [(single_slit_spectrum, 0.5), (single_slit_spectrum, 6.0), (two_slit_spectrum, 0.0), (two_slit_spectrum, 5.5)],
+        ids=["single half order", "single beyond N", "two whole order", "two beyond N"],
+    )
+    def test_an_order_that_is_not_tabulated_is_a_key_error(self, spectrum, order):
+        with pytest.raises(KeyError, match="not present in spectrum"):
+            spectrum(AmplitudeTable.build(0.3, 5), "transmitted").probability(order)
+
+    @pytest.mark.parametrize("kind", [int, np.int64, np.float32, np.array], ids=["int", "int64", "float32", "0-d"])
+    def test_an_order_of_another_real_type_reads_the_bin_of_its_float(self, kind):
+        spectrum = single_slit_spectrum(AmplitudeTable.build(0.3, 5), "transmitted")
+        assert spectrum.probability(kind(1)) == spectrum.probability(1.0) == spectrum.probabilities[6]
+
+    @pytest.mark.parametrize(
+        "order, message",
+        [(np.array([0.5]), r"one number, got an array of shape \(1,\)"), ([0.5, 1.5], "one number"), ("0.5", "real")],
+        ids=["1-d", "list", "str"],
+    )
+    def test_an_order_that_is_not_one_real_number_is_a_type_error(self, order, message):
+        spectrum = two_slit_spectrum(AmplitudeTable.build(0.3, 5), "transmitted")
+        with pytest.raises(TypeError, match=f"^order must be {message}"):
+            spectrum.probability(order)
+
+
+class TestSlitImageOrders:
+    # the orders that image the slits: m = +-1/2 with both slits open, and
+    # n = 0 with one (its first order is what the other slit's image reads)
+    @pytest.mark.parametrize("a, channel", [(0.0, "transmitted"), (1.0, "reflected")])
+    def test_the_open_channel_images_each_slit_whole(self, a, channel):
+        table = AmplitudeTable.build(a, 10)
+        two = two_slit_spectrum(table, channel)
+        assert (two.probability(-0.5), two.probability(0.5), two.total()) == (0.5, 0.5, 1.0)
+        single = single_slit_spectrum(table, channel)
+        assert (single.probability(0), single.probability(1), single.total()) == (1.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("a, channel", [(1.0, "transmitted"), (0.0, "reflected")])
+    def test_the_closed_channel_carries_nothing(self, a, channel):
+        table = AmplitudeTable.build(a, 10)
+        for spectrum in (single_slit_spectrum(table, channel), two_slit_spectrum(table, channel, 0.7)):
+            assert not np.any(spectrum.probabilities)
+
+    @pytest.mark.parametrize("channel", CHANNELS)
+    def test_a_half_covered_grating_splits_one_slit_alike_in_both_channels(self, channel):
+        # each channel sees half of every period: |u_0| = 1/2 and |u_1| = 1/pi
+        spectrum = single_slit_spectrum(AmplitudeTable.build(0.5, 30), channel)
+        assert spectrum.probability(0) == 0.25
+        assert spectrum.probability(1) == spectrum.probability(-1) == pytest.approx(INV_PI_SQ, rel=1e-12)
+
+    def test_a_sparse_grating_passes_one_slit_nearly_whole(self):
+        spectrum = single_slit_spectrum(AmplitudeTable.build(0.06, 30), "transmitted")
+        assert spectrum.probability(0) == pytest.approx(0.8836, rel=1e-12)
+        assert spectrum.probability(1) == pytest.approx(P_SS_R1_006, rel=1e-12)
+
 
 class TestTwoSlitSpectrum:
     def test_transmitted_half_order(self):
@@ -150,7 +202,6 @@ class TestTwoSlitSpectrum:
     def test_half_odd_integer_orders(self):
         spectrum = two_slit_spectrum(AmplitudeTable.build(0.3, 4), "transmitted")
         assert list(spectrum.orders) == [-3.5, -2.5, -1.5, -0.5, 0.5, 1.5, 2.5, 3.5]
-        assert spectrum.two_slit
 
     @pytest.mark.parametrize("spectrum", [single_slit_spectrum, two_slit_spectrum])
     @pytest.mark.parametrize(
@@ -217,6 +268,22 @@ class TestTwoSlitSpectrum:
             got = two_slit_spectrum(table, "transmitted", dphi).probabilities
             assert got.tobytes() == two_slit_spectrum(table, "transmitted", reduced).probabilities.tobytes()
 
+    @pytest.mark.parametrize("dphi", [-5e-324, -1e-300, -1e-17, -math.ulp(math.tau) / 4.0])
+    def test_a_tiny_negative_phase_reduces_to_zero(self, dphi):
+        # below half an ulp of tau, dphi % tau rounds up to tau itself, outside [0, 2*pi)
+        assert _check_phase(dphi) == 0.0
+        assert TwoSlitConfig(GratingSpec(0.3), dphi).delta_phi == 0.0
+
+    def test_a_negative_phase_of_one_ulp_stays_below_two_pi(self):
+        # tau - ulp(tau) is a float, so only the phases that round up move
+        assert _check_phase(-math.ulp(math.tau)) == math.tau - math.ulp(math.tau)
+
+    @given(st.floats(allow_nan=False, allow_infinity=False) | st.floats(min_value=-1e-15, max_value=0.0))
+    @example(-5e-324)
+    @example(-math.ulp(math.tau) / 4.0)
+    def test_the_reduced_phase_lies_in_zero_to_two_pi(self, dphi):
+        assert 0.0 <= _check_phase(dphi) < math.tau
+
     @pytest.mark.parametrize("a", [0.06, 0.25, 0.5, 0.75])
     def test_totals_match_closed_limits(self, a):
         table = AmplitudeTable.build(a, 2000)
@@ -247,58 +314,6 @@ class TestTwoSlitSpectrum:
         limit = 1.0 - a - sin_pi(a) / math.pi  # twice the minimum-case fringe integral
         assert total == pytest.approx(limit, abs=2.1e-4)
         assert limit == pytest.approx(two_slit_power_limit(a, "transmitted", math.pi), rel=1e-12)
-
-
-class TestDetectorSignals:
-    def test_perfect_imaging_without_grating(self):
-        signal = detector_signal(
-            two_slit_spectrum(AmplitudeTable.build(0.0, 10), "transmitted")
-        )
-        assert (signal.p_d1, signal.p_d2, signal.p_loss) == (0.5, 0.5, 0.0)
-
-    def test_mirror_transmits_nothing(self):
-        signal = detector_signal(
-            two_slit_spectrum(AmplitudeTable.build(1.0, 10), "transmitted")
-        )
-        assert signal.p_d1 == 0.0 and signal.p_d2 == 0.0
-
-    def test_sparse_grating_detector_split(self):
-        spectrum = two_slit_spectrum(AmplitudeTable.build(0.06, 30), "transmitted")
-        signal = detector_signal(spectrum)
-        assert signal.p_d1 == pytest.approx(P_TWO_T_HALF_006, rel=1e-12)
-        assert signal.p_d2 == signal.p_d1
-        assert signal.total == pytest.approx(spectrum.total(), abs=1e-15)
-
-    @given(
-        cover_ratios,
-        phases,
-        st.integers(min_value=1, max_value=200),
-        st.sampled_from(CHANNELS),
-    )
-    def test_parts_sum_to_the_tabulated_total_within_rounding(self, a, dphi, truncation, channel):
-        # p_loss is total - p_d1 - p_d2 rounded, so adding the parts back
-        # need not give the total exactly
-        spectrum = two_slit_spectrum(AmplitudeTable.build(a, truncation), channel, dphi)
-        signal = detector_signal(spectrum)
-        assert abs(signal.total - spectrum.total()) <= 4.0 * math.ulp(spectrum.total())
-
-    def test_rejects_single_slit_spectra(self):
-        with pytest.raises(ValueError):
-            detector_signal(single_slit_spectrum(AmplitudeTable.build(0.06, 10), "transmitted"))
-
-    def test_single_slit_clear_view(self):
-        signal = single_slit_detector_signal(AmplitudeTable.build(0.0, 10))
-        assert (signal.p_d1, signal.p_d2, signal.p_loss) == (1.0, 0.0, 0.0)
-
-    def test_single_slit_sparse_grating(self):
-        signal = single_slit_detector_signal(AmplitudeTable.build(0.06, 30))
-        assert signal.p_d1 == pytest.approx(0.8836, rel=1e-12)
-        assert signal.p_d2 == pytest.approx(P_SS_R1_006, rel=1e-12)
-
-    def test_single_slit_half_covered(self):
-        signal = single_slit_detector_signal(AmplitudeTable.build(0.5, 30))
-        assert signal.p_d1 == 0.25
-        assert signal.p_d2 == pytest.approx(INV_PI_SQ, rel=1e-12)
 
 
 class TestPowerLimits:
