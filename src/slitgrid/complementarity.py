@@ -111,10 +111,8 @@ def visibility_quadrature(cover_ratio, channel: Channel = "transmitted"):
     width, _ = sampling_window(cover_ratio, channel)
     half = 0.5 * np.asarray(width)
     angles = np.pi * (half[..., None] * _NODES)
-    # one (1 x 16) @ (16,) dot per ratio rounds as the pinned verify report;
-    # einsum, a 2-d @ and a sum over the last axis each round differently
-    on_maxima = half * np.matmul(np.cos(angles)[..., None, :] ** 2, _WEIGHTS)[..., 0]
-    on_minima = half * np.matmul(np.sin(angles)[..., None, :] ** 2, _WEIGHTS)[..., 0]
+    on_maxima = half * (np.cos(angles) ** 2 * _WEIGHTS).sum(axis=-1)
+    on_minima = half * (np.sin(angles) ** 2 * _WEIGHTS).sum(axis=-1)
     return _contrast(on_maxima - on_minima, on_maxima + on_minima)
 
 

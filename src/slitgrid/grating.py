@@ -85,28 +85,26 @@ def _one_dimensional(name: str, value) -> np.ndarray:
 def sin_pi(u):
     """sin(pi*u), exact at integers; a float for a scalar, an array for an array.
 
-    The argument is widened by :func:`_real` and reduced to [0, 1/2]
-    before multiplying by pi, so integer ``u`` returns exactly +0.0 (odd
-    ones reduce to 1.0, of sign +1) and values near integers keep full
-    precision instead of inheriting the rounding error of ``pi*u``.  The
-    regression gate pins its bits to the C library's ``sin``.
+    The argument is widened by :func:`_real` and reduced by its nearest
+    integer ``k`` before multiplying by pi, so integer ``u`` returns exactly
+    +0.0 and values near integers keep full precision instead of inheriting
+    the rounding error of ``pi*u``; ``sin(pi*(u - k))`` changes sign for
+    odd ``k``, and ``0.0 - s`` keeps every zero +0.0.  The function is odd,
+    bit for bit, since ``rint`` and ``sin`` are.
 
-    The remainder by 2 is ``u - 2*floor(u/2)``.  The floor and the doubling
-    are exact, and the one rounding is the subtraction's: it rounds the
-    same exact remainder that ``np.mod`` rounds after its exact ``fmod``, so
-    the bits are ``np.mod``'s.  Halving rounds only a subnormal, and moves
-    the floor only at ``u = -2**-1074``: that half rounds to -0.0, so the
-    remainder is ``u`` itself where ``np.mod`` rounds ``2 + u`` up to 2.0.
-    The fold sends that one negative remainder with (1, 2], where
-    ``|red - 1|`` is 1.0 for it as for 2.0, so it keeps ``np.mod``'s -0.0.
+    Error bound, with eps = 2**-53: the remainder ``r = u - k`` is exact
+    for every finite double (|r| <= min(|u|, 1/2) and r is a multiple of
+    ulp(u)).  ``fl(pi)`` is within 0.36 eps of pi and the product
+    ``fl(pi)*r`` rounds by eps, so the argument of ``sin`` is within
+    1.36 eps of ``pi*r`` relatively; ``x cot x <= 1`` on [0, pi/2], so the
+    sine moves by at most 1.36 eps relatively, below 1.36 ulp of the result
+    (a subnormal product rounds by half an ulp absolutely).  ``sin`` itself
+    is within 1 ulp, so the result is within 2.4 ulp of sin(pi*u).
     """
     u = _real("u", u)
-    red = u - 2.0 * np.floor(0.5 * u)
-    over = (red > 1.0) | (red < 0.0)
-    sign = np.where(over, -1.0, 1.0)
-    red = np.where(over, np.abs(red - 1.0), red)
-    red = np.where(red > 0.5, 1.0 - red, red)
-    return _unwrap(sign * np.sin(np.pi * red))
+    k = np.rint(u)
+    s = np.sin(np.pi * (u - k))
+    return _unwrap(np.where(np.floor(0.5 * k) != 0.5 * k, 0.0 - s, s))
 
 
 def _check_cover_ratio(cover_ratio):

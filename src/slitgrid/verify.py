@@ -108,11 +108,11 @@ def _check_visibility_oracle(grid):
     5.1e-26 at rho = 8 and w = 1, its largest, so each ``I/w`` is within
     2.6e-26 and V within 1.1e-25.  Rounding, with u = 2**-53: each node
     value carries about 7u (scaled node, times pi, cos or sin, square),
-    nodes and weights a few u, and the dot product with positive weights
-    summing to 2 adds Higham's gamma_16 ~ 16u, so each ``I/w`` is within
-    30u.  The closed form ``s/(pi w)`` rounds by at most 7u: fl(pi) and the
-    product u each in sin's argument and in ``pi w``, sin one ulp (2u), the
-    quotient u.  Its ``s`` reads the exact ``a`` where the quadrature has the
+    nodes and weights a few u, and the sum with positive weights summing
+    to 2, in any order, adds Higham's gamma_16 ~ 16u, so each ``I/w`` is
+    within 30u.  The closed form ``s/(pi w)`` rounds by at most 7u: fl(pi)
+    and the product u each in sin's argument and in ``pi w``, sin one ulp
+    (2u), the quotient u.  Its ``s`` reads the exact ``a`` where the quadrature has the
     rounded ``w``: ``1 - a`` rounds only for w > 1/2, by u/2, which adds at
     most ``(u/2)/w <= u``.  With 3u for the quotient of the integrals, V is
     within 131u = 1.45e-14; 1e-13 leaves a factor of 6 for loose constants.

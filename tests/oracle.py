@@ -29,6 +29,16 @@ def grid_profile(xs, cover_ratio, truncation, period):
         return profile
 
 
+def sin_pi(u):
+    """``sin(pi*u)`` of the exact binary value of ``u``, at 200 bits, as an mpmath number.
+
+    mpmath reduces ``u`` exactly, so the bits cover ``|u|`` up to 2**60 with
+    room to spare.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workprec(200):
+        return mpmath.sinpi(mpmath.mpf(u))
+
 
 def plane_wave_sum(amps, k_x, k_z, x, z):
     """``sum_j amps_j * exp(i*(k_z_j*z + k_x_j*x))``, the field at ``(x, z)``, as an mpmath complex number.

@@ -4,9 +4,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+import oracle
 from slitgrid import grating
 from slitgrid.cli import MAX_ORDER
 from slitgrid.grating import (
@@ -30,6 +31,16 @@ G50_CENTER_006 = 1.06598636472208
 G50_ZERO_006 = -0.000601661529935158
 
 cover_ratios = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+
+# half-integers up to 2**60 in magnitude, and the doubles one ulp either side
+near_halves = st.builds(
+    lambda halves, toward: halves / 2.0 if toward is None else math.nextafter(halves / 2.0, toward),
+    st.integers(min_value=-(2**61), max_value=2**61),
+    st.sampled_from([None, -math.inf, math.inf]),
+)
+
+# sin_pi's error bound in ulps of the exact value, derived in its docstring
+SIN_PI_ULPS = 2.4
 
 
 def brute_coefficient(n, cover_ratio):
@@ -71,6 +82,25 @@ class TestSinPi:
     @given(st.floats(min_value=-4.0, max_value=4.0, allow_nan=False))
     def test_matches_plain_sin(self, u):
         assert sin_pi(u) == pytest.approx(math.sin(math.pi * u), abs=1e-12)
+
+    @given(st.one_of(st.floats(min_value=-(2.0**60), max_value=2.0**60), near_halves))
+    @example(u=5e-324)
+    @example(u=-5e-324)
+    @example(u=-1e-20)
+    @example(u=-1e-10)
+    @example(u=-0.999999)
+    @example(u=-1.416e-308)
+    @example(u=math.nextafter(0.5, 1.0))
+    @example(u=math.nextafter(-(2.0**52) + 0.5, 0.0))
+    def test_is_within_its_ulp_bound_of_the_exact_value(self, u):
+        # the bound is derived in sin_pi's docstring; integers are exact
+        # zeros, and +0.0 whatever the sign of u
+        got = sin_pi(u)
+        if u == math.floor(u):
+            assert math.copysign(1.0, got) == 1.0 and got == 0.0
+            return
+        exact = oracle.sin_pi(u)
+        assert abs(exact - got) <= SIN_PI_ULPS * math.ulp(float(exact))
 
 
 class TestFourierCoefficient:

@@ -14,20 +14,23 @@ of the exact ratio instead of ``sinc`` of the rounded gap width.
 The digest of a non-default ``orders`` request, at a non-zero phase, was
 recorded before the commands handed ``format_number`` Python floats
 instead of numpy scalars and before ``main`` shared one parser between
-calls.  The non-default verify reports were recorded at the same change
-as the 100001-point sweep, which moved only their ``visibility-oracle``
-value, as it moved the default report's.  The field digest was recorded
+calls.  The verify reports were recorded when ``visibility_quadrature``
+summed its 16 nodes with numpy instead of a BLAS dot, which moved only
+their ``visibility-oracle`` value.  The field digest was recorded
 before ``synthesize_field`` memoised its plane-wave decomposition, and
 ``seed_synthesize_field`` keeps that formula as the bit-level reference,
 as ``seed_sin_pi`` keeps the scalar ``math.sin`` reduction that ``sin_pi``
-replaced, ``mod_sin_pi`` the array ``np.mod`` reduction that its exact floor
-replaced, ``seed_table`` the per-order sign array that ``AmplitudeTable.build``
-dropped and ``seed_duality`` the Python-float ``**`` of the closed forms.
+replaced, ``mod_sin_pi`` the array ``np.mod`` reduction (both have the
+bits of ``sin_pi`` at u >= 0; at u < 0 it is odd instead), ``seed_table`` the
+per-order sign array that ``AmplitudeTable.build`` dropped and
+``seed_duality`` the Python-float ``**`` of the closed forms.
 
-Bit-level pins (the verify report, and the closed forms equal to those
-scalar ``math``/``pow`` references) depend on the numpy build and the CPU; CI
-prints both before running the tests.  An input of at most 2**15 cosines stays
-bit for bit the dense reference.  A larger one takes the factored sum,
+Bit-level pins (the closed forms equal to those scalar ``math``/``pow``
+references) depend on the numpy build and the CPU; CI prints both before
+running the tests.  No BLAS call reaches the verify report, the sweep or
+the order spectra: a subprocess test checks their bytes under several
+OpenBLAS kernels.  A profile of at most 2**15 cosines stays bit for bit
+the dense reference, a BLAS gemv.  A larger one takes the factored sum,
 which calls no BLAS: a subprocess test checks that its bytes are the same
 under one and two BLAS threads, and an mpmath test (``tests/oracle.py``)
 bounds its distance from the exact series.  CI runs the whole suite under
@@ -39,6 +42,7 @@ import importlib
 import json
 import math
 import os
+import platform
 import random
 import subprocess
 import sys
@@ -99,7 +103,7 @@ REFERENCE_COEFFS = ("coeffs", "--a", "0.06", "--order", "50")
 DEFAULT_VERIFY_REPORT = (
     "PASS  normalization-identity   value=2.220446e-16  tolerance=1.000000e-14  max |r0^2 + t0^2 + 2(a - a^2) - 1| over 101 covering ratios\n"
     "PASS  normalization-defect     value=1.013212e-04  tolerance=2.026424e-04  max |defect| at 2000 terms over 101 covering ratios\n"
-    "PASS  visibility-oracle        value=7.216450e-16  tolerance=1.000000e-13  max |closed - quadrature| over 101 ratios x both channels, 16-node Gauss-Legendre\n"
+    "PASS  visibility-oracle        value=7.771561e-16  tolerance=1.000000e-13  max |closed - quadrature| over 101 ratios x both channels, 16-node Gauss-Legendre\n"
     "PASS  visibility-spot          value=0.000000e+00  tolerance=1.000000e-12  |V_t(1/2) - 2/pi|\n"
     "PASS  distinguishability-dual  value=0.000000e+00  tolerance=1.000000e-14  max |amplitude route - closed form| over 101 ratios x both channels\n"
     "PASS  distinguishability-spot  value=5.647847e-07  tolerance=1.000000e-06  |D_t(0.06) - 0.880043|\n"
@@ -303,9 +307,9 @@ def test_a_verify_request_that_fails_writes_no_out_file(tmp_path):
 # SHA-256 of the stdout of non-default verify requests; each exits 2
 # (at --order 1, parseval-two-slit is the known failure of its tolerance)
 VERIFY_REPORT_DIGESTS = {
-    ("--order", "1"): "f2b5c7ddec4896b95b23bf41b876bf1b9319f2b5254d62805f13f44d432de24c",
-    ("--order", "7", "--perturb", "r1"): "0f6c7276c541e3726e9b9cb13297bcc5e4c8a5ea186cbd432f914884b1bdb1aa",
-    ("--order", "400", "--perturb", "t1"): "9973e60a389e5b55f2bd40c257f81825ebaaed22bcd67dcd3d196be16c7b6c08",
+    ("--order", "1"): "30fc12f782fd43f6e849df0c665cef2e044089952cad9d4b7a711d04a94af4ec",
+    ("--order", "7", "--perturb", "r1"): "7ee0e812ac658c880187ccec9125509b914ed1fe57368f12f1bb3c405f7f8e13",
+    ("--order", "400", "--perturb", "t1"): "178c07abc60f2ad88132b214489ce316722da4bbcd8083f12bc52a1b0fbca16a",
 }
 
 
@@ -482,6 +486,61 @@ def test_profile_bits_do_not_depend_on_the_blas_thread_count():
     assert runs[0] == runs[1]
 
 
+PORTABLE_REQUESTS = [
+    ["verify"],
+    ["verify", "--order", "7", "--perturb", "r1"],
+    ["orders", "--a", "0.3127", "--order", "245", "--phase", "1.2345", "--channel", "both"],
+    ["sweep", "--points", "1001", "--channel", "t"],
+]
+
+KERNEL_CHECK = """
+import contextlib, io, json, sys
+from slitgrid.cli import main
+
+outputs = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main(argv)
+    outputs.append([code, out.getvalue()])
+print(json.dumps(outputs))
+"""
+
+
+def openblas_kernels():
+    """The OpenBLAS kernels this CPU can run; the test is skipped unless
+    ``OPENBLAS_CORETYPE`` selects them, in numpy's DYNAMIC_ARCH OpenBLAS."""
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        pytest.skip("the kernels named are x86-64 ones")
+    try:
+        config = np.show_config(mode="dicts")
+    except TypeError:
+        pytest.skip("numpy before 1.26 shows no build configuration")
+    if "DYNAMIC_ARCH" not in config["Build Dependencies"]["blas"].get("openblas configuration", ""):
+        pytest.skip("numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS")
+    features = {*config["SIMD Extensions"]["baseline"], *config["SIMD Extensions"]["found"]}
+    haswell = "X86_V3" in features or {"AVX2", "FMA3"} <= features
+    return ["Prescott", "Sandybridge", *(["Haswell"] if haswell else [])]
+
+
+def test_requests_without_blas_have_the_same_bytes_under_every_openblas_kernel(capsys):
+    # OpenBLAS kernels add a dot product up in different orders, so any BLAS
+    # call on these paths would move their bytes from one CPU to another
+    kernels = openblas_kernels()
+    want = []
+    for argv in PORTABLE_REQUESTS:
+        code = main(argv)
+        want.append([code, capsys.readouterr().out])
+    src = os.path.dirname(os.path.dirname(slitgrid.__file__))
+    for kernel in kernels:
+        env = {**os.environ, "OPENBLAS_CORETYPE": kernel}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-c", KERNEL_CHECK, json.dumps(PORTABLE_REQUESTS)],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert json.loads(run.stdout) == want, kernel
+
+
 SUBNORMAL = 2.2250738585072014e-308 / 3.0
 
 
@@ -541,8 +600,10 @@ def test_duality_kernel_equals_the_scalar_calls_on_a_dense_draw(channel):
 @example(us=[0.0, -0.0, 0.5, -0.5, 1.0, 1.5, 2.0, -3.0, 5e-324, -5e-324])
 def test_sin_pi_arrays_equal_the_scalar_calls_bit_for_bit(us):
     # numpy's sin on the reduced range rounds as the C library's, on arrays
-    # and on scalars alike; the sweep digests were recorded under it
-    want = bits([seed_sin_pi(x) for x in us])
+    # and on scalars alike; the sweep digests were recorded under it.  A
+    # negative u has the bits of -sin_pi(-u): the reference's remainder by 2
+    # rounds there
+    want = bits([0.0 - seed_sin_pi(-x) if x < 0.0 else seed_sin_pi(x) for x in us])
     assert bits(sin_pi(np.array(us))) == want
     assert bits([sin_pi(x) for x in us]) == want
     assert all(type(sin_pi(x)) is float for x in us)
@@ -566,9 +627,12 @@ def sin_pi_draws():
 
 
 def test_sin_pi_has_the_bits_of_the_mod_reduction():
-    # the floor reduction rounds where np.mod does, -2**-1074 included
+    # np.mod's remainder is exact at u >= 0, as sin_pi's is at every u;
+    # sin_pi is odd bit for bit, since rint and sin are
     us = sin_pi_draws()
-    assert bits(sin_pi(us)) == bits(mod_sin_pi(us))
+    positive, negative = us[us >= 0.0], us[us < 0.0]
+    assert bits(sin_pi(positive)) == bits(mod_sin_pi(positive))
+    assert bits(sin_pi(negative)) == bits(0.0 - sin_pi(-negative))
     assert bits(mod_sin_pi(us[::50])) == bits([seed_sin_pi(u) for u in us[::50].tolist()])
 
 
