@@ -17,7 +17,13 @@ ascending and antisymmetric and whose other columns read the same in
 reverse, has only its upper half formatted, and its lower half is
 written as the signed mirror of that text, a chunk at a time: every
 ``orders`` table is even, and so is the pattern section at zero phase,
-while the sweep and the coefficient table never are.  Flags override
+while the sweep and the coefficient table never are.  The writer holds
+the upper-half text of the last even table of each header in the
+request; a later even table with that header, length, label column and
+column dtypes reuses it for every row whose cells are equal and formats
+only the others, so the reflected ``orders`` tables format only the rows
+of order zero and ``m = 1/2``, where ``r_0 = -a`` and ``t_0 = 1 - a``
+differ.  Flags override
 config-file values, which override the built-in defaults.  Config-file
 values are parsed exactly like the flags of the same name, and a value
 that does not parse names the file.
@@ -66,9 +72,9 @@ PATTERN_SAMPLES = 401  # over two periods each side of the axis
 # Largest accepted requests.  At these caps the slowest request (sweep of
 # 1e6 points on both channels) takes 3.2-4.0 s and peaks at about 116 MB
 # resident on a 2-core x86-64 VM, and coeffs at 1e5 terms, whose 401 x N
-# profile is the factored sum on one thread, takes 0.24-0.39 s in-process
-# (0.36-0.58 s as a whole process, import included) and peaks at about
-# 36 MB resident.
+# profile is the factored sum on one thread over its 107 distinct reduced
+# positions, takes 0.13-0.18 s in-process (0.29-0.32 s as a whole process,
+# import included) and peaks at about 36 MB resident.
 MAX_POINTS = 1_000_000
 MAX_ORDER = 100_000
 
@@ -299,15 +305,20 @@ def _write_output(tables: list[tuple], out: str | None) -> None:
     A table is even when its first column is strictly ascending and
     exactly antisymmetric and every other column equals its own reverse
     (so a NaN never matches), as the order spectra are.  Only its rows
-    with label >= 0 are formatted, in chunks, and their text is held
-    (at most ``MAX_ORDER + 1`` rows, about 2.5 MB).  The rows with label < 0
-    are written first, each as ``-`` and the text of its mirror row, in
-    reverse order and without the zero row, one chunk's text split into
-    rows at a time; then the held upper half.
+    with label >= 0 make up its text, in chunks, by :func:`_upper_text`,
+    which formats only the rows it cannot reuse from the last even table
+    with the same header.  That text is held (at most ``MAX_ORDER + 1``
+    rows, about 2.5 MB) until the next even table with the header
+    replaces it, so at most one upper half per header is held.  The rows
+    with label < 0 are written first, each as ``-`` and the text of its
+    mirror row, in reverse order and without the zero row, one chunk's
+    text split into rows at a time; then the upper half.
     ``%d``, ``_FIXED`` and ``_SCIENTIFIC`` print -v as ``-`` and the
-    text of v, and :func:`_float_cells` picks the format by ``|v|``, so
-    these are the bytes of formatting every row.
+    text of v, :func:`_float_cells` picks the format by ``|v|``, and
+    cells that are ``==`` in columns of one dtype print alike (both zeros
+    as ``0``), so these are the bytes of formatting every row.
     """
+    held = {}  # header: (columns, upper-half text) of the last even table with that header
     with _opened(out) as handle:
         for index, (label, header, columns) in enumerate(tables):
             handle.write(("\n" if index else "") + f"# {label}\n{header}\n")
@@ -316,7 +327,8 @@ def _write_output(tables: list[tuple], out: str | None) -> None:
                 for chunk in _chunks(columns, 0):
                     handle.write(_format_rows(chunk))
                 continue
-            upper = [_format_rows(chunk) for chunk in _chunks(columns, half)]
+            upper = _upper_text(columns, half, held.get(header))
+            held[header] = columns, upper
             # an odd table's zero row has no mirror: it is written once, in the upper half
             zero_row = upper[0].index("\n") + 1 if len(columns[0]) % 2 else 0
             for position in reversed(range(len(upper))):
@@ -341,6 +353,34 @@ def _upper_half(columns: list[np.ndarray]) -> int | None:
         and all(np.array_equal(column, column[::-1]) for column in columns[1:])
     )
     return len(labels) // 2 if even else None
+
+
+def _upper_text(columns: list[np.ndarray], half: int, held: tuple | None) -> list[str]:
+    """The text of the rows of an even table from ``half`` on, one string per chunk.
+
+    ``held`` is ``(columns, text)`` of the last even table with the same
+    header, or None.  If it has the same column dtypes, length and label
+    column, its text is reused for every row whose cells equal these
+    (``==``, which formats alike: ``_float_cells`` prints both zeros as
+    ``0``), and only the other rows are formatted, one ``%`` per chunk
+    that has any; otherwise every row is formatted.
+    """
+    same_dtypes = held is not None and [column.dtype for column in held[0]] == [column.dtype for column in columns]
+    if not (same_dtypes and np.array_equal(held[0][0], columns[0])):  # equal labels, so equal lengths
+        return [_format_rows(chunk) for chunk in _chunks(columns, half)]
+    texts = []
+    for chunk, previous, text in zip(_chunks(columns, half), _chunks(held[0], half), held[1]):
+        differ = np.zeros(len(chunk[0]), dtype=bool)
+        for new, old in zip(chunk[1:], previous[1:]):
+            differ |= new != old
+        differ = np.flatnonzero(differ)
+        if differ.size:
+            rows = text.split("\n")
+            for row, line in zip(differ.tolist(), _format_rows([column[differ] for column in chunk]).split("\n")):
+                rows[row] = line
+            text = "\n".join(rows)
+        texts.append(text)
+    return texts
 
 
 def _chunks(columns: list[np.ndarray], start: int):

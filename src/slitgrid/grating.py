@@ -158,10 +158,11 @@ class GratingSpec:
 # An input of at most this many cosines (positions times terms) is one
 # dense gemv, a larger one the factored sum.  Under one BLAS thread the
 # gemv is faster below about 2**14 cosines and the factored sum above it
-# (401 rows, gemv against factored: 201 against 225 us at 35 terms, 214
-# against 172 us at 40, 12.0 against 0.95 ms at 2000); the bound sits at
-# 2**15 so that the 401 x 50 profile of the reference coeffs table keeps
-# its dense bits.
+# (401 distinct positions, gemv against factored: 139 against 158 us at 30
+# terms, 186 against 165 us at 40, 8.8 against 0.93 ms at 2000; the 401 CLI
+# positions, 107 distinct reduced ones, take 95 us at 30 terms); the bound
+# sits at 2**15 so that the 401 x 50 profile of the reference coeffs table
+# keeps its dense bits.
 _DENSE_COSINES = 1 << 15
 
 # The factored sum goes in row blocks of at most this many bytes of
@@ -218,8 +219,16 @@ def _factored(x, period: float, coefficients):
     place of ``N`` cosines, and about ``N`` multiply-adds.  The phases are
     reduced by :func:`_turns`.  The sums over ``r`` and ``q`` are
     ``np.einsum`` calls, numpy's own loops with no BLAS, each over the last
-    axis of both operands.  The rows go in blocks of :func:`_block_rows`,
-    with a few arrays of ``h + 1`` or ``Q`` values per row.
+    axis of both operands.
+
+    The positions go in chunks of ``_block_rows(1)`` = 8192.  The sum is
+    even in ``t`` bit for bit (``fmod``, ``round`` and :func:`_turns` are
+    odd, ``cos`` even, ``sin`` odd, and each sine term a product of two
+    sines), so each distinct ``|t|`` of a chunk is evaluated once and the
+    chunk's rows are gathered from those; a non-finite position is a NaN
+    row, whose sign bit may differ.  The distinct values go in blocks of
+    :func:`_block_rows`, with a few arrays of ``h + 1`` or ``Q`` values per
+    row, so the memory beyond the result does not grow with ``len(x)``.
     """
     terms = coefficients.size
     half = math.isqrt(terms // 2)
@@ -235,20 +244,25 @@ def _factored(x, period: float, coefficients):
     plus[:, 0] = upper[:, 0]  # r = 0 is one order, counted once
     minus = upper[:, 1:] - lower[:, 1:]
     values = np.empty(x.size)
-    rows = _block_rows(giant)  # giant >= half + 1, the widest temporaries
-    for start in range(0, x.size, rows):
+    chunk, rows = _block_rows(1), _block_rows(giant)  # giant >= half + 1, the widest temporaries
+    for first in range(0, x.size, chunk):
         # the remainder of x by the period is exact, and one division rounds it
-        block = np.fmod(x[start : start + rows], period) / period
-        block -= np.round(block)
-        angles = _turns(block, np.arange(half + 1))
-        angles *= 2.0 * math.pi
-        cosines = np.einsum("ir,qr->iq", np.cos(angles), plus)
-        sines = np.einsum("ir,qr->iq", np.sin(angles[:, 1:]), minus)
-        angles = _turns(block, width * np.arange(giant))
-        angles *= 2.0 * math.pi
-        cosines *= np.cos(angles)
-        sines *= np.sin(angles)
-        values[start : start + rows] = np.einsum("iq->i", cosines) - np.einsum("iq->i", sines)
+        t = np.fmod(x[first : first + chunk], period) / period
+        t -= np.round(t)
+        t, inverse = np.unique(np.abs(t, out=t), return_inverse=True)
+        distinct = np.empty(t.size)
+        for start in range(0, t.size, rows):
+            block = t[start : start + rows]
+            angles = _turns(block, np.arange(half + 1))
+            angles *= 2.0 * math.pi
+            cosines = np.einsum("ir,qr->iq", np.cos(angles), plus)
+            sines = np.einsum("ir,qr->iq", np.sin(angles[:, 1:]), minus)
+            angles = _turns(block, width * np.arange(giant))
+            angles *= 2.0 * math.pi
+            cosines *= np.cos(angles)
+            sines *= np.sin(angles)
+            distinct[start : start + rows] = np.einsum("iq->i", cosines) - np.einsum("iq->i", sines)
+        values[first : first + chunk] = distinct[inverse]
     return values
 
 
@@ -277,9 +291,12 @@ def grid_function(x, spec: GratingSpec):
     bits do not depend on the BLAS thread count, and its phases are
     reduced to a fraction of a turn before any rounding grows with the
     order, so it is as close to the exact sum as the dense formula or
-    closer.  Its rows are evaluated in blocks, so the memory
-    beyond the result does not grow with ``len(x)``.  A non-finite
-    position gives a NaN row on either path.
+    closer.  The sum is even in the reduced position ``t`` bit for bit,
+    so it evaluates each distinct ``|t|`` of a chunk of 8192 positions
+    once (the 401 CLI positions are 107 of them) and gathers the rows.
+    Its chunks and rows are evaluated in blocks and ``c0`` is added in
+    place, so the memory beyond the result does not grow with
+    ``len(x)``.  A non-finite position gives a NaN row on either path.
     """
     return _profile(x, AmplitudeTable.build(spec.cover_ratio, spec.truncation), spec.period)
 
@@ -294,7 +311,8 @@ def _profile(x, table: AmplitudeTable, period: float):
         values = _cosines(flat, n, 2.0 * math.pi / period) @ coefficients
     else:
         values = _factored(flat, period, coefficients)
-    return _unwrap((c0 + values).reshape(arr.shape))
+    values += c0  # in place, the bits of c0 + values: one result-sized array, not two
+    return _unwrap(values.reshape(arr.shape))
 
 
 def sampling_window(cover_ratio, channel: Channel) -> tuple:

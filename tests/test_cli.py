@@ -240,14 +240,63 @@ class TestWriter:
         tables = [("near even", "x,y,z", columns)]
         assert written_csv(tables, None, None) == reference_csv(tables)
 
+    @staticmethod
+    @st.composite
+    def even_pair(draw):
+        """An even table and a second with its labels, changed in a drawn set of mirrored row pairs."""
+        first = draw(TestWriter.even_table())
+        size, half = len(first[0]), len(first[0]) // 2
+        second = [first[0].copy()]
+        for column in first[1:]:
+            cells = st.integers(-(2**63), 2**63 - 1) if column.dtype.kind == "i" else TestWriter.EVEN_FLOATS
+            changed = np.array(draw(st.lists(st.booleans(), min_size=size - half, max_size=size - half)), dtype=bool)
+            fresh = np.array(draw(st.lists(cells, min_size=size - half, max_size=size - half)), dtype=column.dtype)
+            upper = np.where(changed, fresh, column[half:])
+            second.append(np.concatenate((upper[size % 2:][::-1], upper)))
+        return first, second
+
+    @given(pair=even_pair())
+    def test_an_even_table_reuses_the_text_of_the_last_with_its_header(self, pair):
+        # the table between has another header, so the third reuses the first's text
+        first, second = pair
+        header = ",".join(f"c{j}" for j in range(len(first)))
+        tables = [("even", header, first), ("between", "x", first[:1]), ("again", header, second)]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "_CHUNK_ROWS", self.CHUNK)
+            assert written_csv(tables, None, None) == reference_csv(tables)
+
+    def test_text_is_reused_only_between_columns_of_one_dtype(self, monkeypatch):
+        # 10**13 prints as an integer and as a float differently
+        labels = np.array([-(10**13), 0, 10**13])
+        values = np.array([0.25, -0.0, 0.25])
+        tables = [("int", "n,P", [labels, values]), ("float", "n,P", [labels.astype(float), values])]
+        formatted = []
+        format_rows = cli._format_rows
+        monkeypatch.setattr(cli, "_format_rows", lambda columns: formatted.append(len(columns[0])) or format_rows(columns))
+        assert written_csv(tables, None, None) == reference_csv(tables)
+        assert formatted == [2, 2]
+
     def test_orders_formats_only_the_upper_half(self, monkeypatch, capsys):
-        # 61 single-slit and 60 two-slit rows per channel, of which 31 and 30 are formatted
+        # 61 single-slit and 60 two-slit rows per channel, of which 31 and 30
+        # are formatted; the reflected tables reuse the transmitted text but
+        # for the rows of n = 0 and m = 1/2, where r_0 = -a and t_0 = 1 - a
         formatted = []
         format_rows = cli._format_rows
         monkeypatch.setattr(cli, "_format_rows", lambda columns: formatted.append(len(columns[0])) or format_rows(columns))
         assert run_cli("orders", "--a", "0.06", "--order", "30", "--channel", "both") == EXIT_OK
-        assert formatted == [31, 30, 31, 30]
+        assert formatted == [31, 30, 1, 1]
         assert len(capsys.readouterr().out.splitlines()) == 4 * 2 + 3 + 2 * (61 + 60)
+
+    @pytest.mark.parametrize("phase", ["0", repr(math.pi / 2.0), "1.2345"])
+    @pytest.mark.parametrize("order", [1, 2, 4095, 4096, 4097])
+    @pytest.mark.parametrize("a", ["0", "0.5", "1", "0.3127"])
+    def test_orders_on_both_channels_writes_the_bytes_of_each_channel_alone(self, a, order, phase, capsys):
+        # the reflected tables reuse the transmitted text, across the 4096-row chunks at the larger orders
+        outputs = {}
+        for channel in ("both", "t", "r"):
+            assert run_cli("orders", "--a", a, "--order", str(order), "--phase", phase, "--channel", channel) == EXIT_OK
+            outputs[channel] = capsys.readouterr().out
+        assert outputs["both"] == outputs["t"] + "\n" + outputs["r"]
 
 
 class TestSharedParser:

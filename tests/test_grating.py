@@ -192,6 +192,14 @@ class TestGridFunction:
             tracemalloc.stop()
         assert peak < 3 * _BLOCK_BYTES + values.nbytes
 
+    def test_a_large_input_holds_one_result_sized_array(self):
+        # 200000 positions, 1.6 MB of result: c_0 is added in place, and the
+        # distinct reduced positions are found per chunk of 8192, not over
+        # the whole input (an np.unique of all of it holds about 11 MB more)
+        xs = np.random.default_rng(9).uniform(-3.0, 3.0, 200000)
+        values, peak = traced_peak(grid_function, xs, GratingSpec(cover_ratio=0.37, truncation=2000))
+        assert peak < values.nbytes + 3 * _BLOCK_BYTES
+
     def test_a_factored_call_keeps_under_one_block_in_flight(self):
         # a few arrays of about sqrt(N) values per row, in blocks of rows
         xs = np.random.default_rng(2).uniform(-3.0, 3.0, 20000)

@@ -22,8 +22,10 @@ before ``synthesize_field`` memoised its plane-wave decomposition, and
 as ``seed_sin_pi`` keeps the scalar ``math.sin`` reduction that ``sin_pi``
 replaced, ``mod_sin_pi`` the array ``np.mod`` reduction (both have the
 bits of ``sin_pi`` at u >= 0; at u < 0 it is odd instead), ``seed_table`` the
-per-order sign array that ``AmplitudeTable.build`` dropped and
-``seed_duality`` the Python-float ``**`` of the closed forms.
+per-order sign array that ``AmplitudeTable.build`` dropped,
+``seed_duality`` the Python-float ``**`` of the closed forms and
+``seed_factored`` the factored sum that evaluated every position, before
+it evaluated each distinct reduced ``|t|`` of a chunk once.
 
 Bit-level pins (the closed forms equal to those scalar ``math``/``pow``
 references) depend on the numpy build and the CPU; CI prints both before
@@ -65,11 +67,14 @@ from slitgrid.complementarity import (
     visibility_quadrature,
 )
 from slitgrid.geometry import ParaxialWarning, SetupGeometry
+from slitgrid import grating
 from slitgrid.grating import (
     _DENSE_COSINES,
     CHANNELS,
     AmplitudeTable,
+    _block_rows,
     _factored,
+    _turns,
     GratingSpec,
     grid_function,
     sampling_window,
@@ -180,6 +185,39 @@ def seed_grid_function(x, cover_ratio, truncation, period):
     c = 2.0 * signs * sin_pi(cover_ratio * n) / (math.pi * n)
     angles = (2.0 * math.pi / period) * np.multiply.outer(np.asarray(x, dtype=float), n)
     return float(cover_ratio) + np.cos(angles) @ c
+
+
+def seed_factored(x, period, coefficients):
+    """``_factored`` as it was before it evaluated each distinct ``|t|`` once, as the reference."""
+    terms = coefficients.size
+    half = math.isqrt(terms // 2)
+    width = 2 * half + 1
+    giant = (terms + half) // width + 1
+    # row q holds the coefficients of orders q*width - half .. q*width + half,
+    # zero outside 1..terms
+    table = np.zeros(giant * width)
+    table[half + 1 : half + 1 + terms] = coefficients
+    table = table.reshape(giant, width)
+    upper, lower = table[:, half:], table[:, half::-1]  # orders q*width + r and q*width - r
+    plus = upper + lower
+    plus[:, 0] = upper[:, 0]  # r = 0 is one order, counted once
+    minus = upper[:, 1:] - lower[:, 1:]
+    values = np.empty(x.size)
+    rows = _block_rows(giant)  # giant >= half + 1, the widest temporaries
+    for start in range(0, x.size, rows):
+        # the remainder of x by the period is exact, and one division rounds it
+        block = np.fmod(x[start : start + rows], period) / period
+        block -= np.round(block)
+        angles = _turns(block, np.arange(half + 1))
+        angles *= 2.0 * math.pi
+        cosines = np.einsum("ir,qr->iq", np.cos(angles), plus)
+        sines = np.einsum("ir,qr->iq", np.sin(angles[:, 1:]), minus)
+        angles = _turns(block, width * np.arange(giant))
+        angles *= 2.0 * math.pi
+        cosines *= np.cos(angles)
+        sines *= np.sin(angles)
+        values[start : start + rows] = np.einsum("iq->i", cosines) - np.einsum("iq->i", sines)
+    return values
 
 
 def seed_synthesize_field(x, z, config, side, setup):
@@ -410,6 +448,49 @@ def test_cli_rows_past_81_terms_are_within_the_factored_bound(terms):
     rng = np.random.default_rng(terms)
     x = rng.choice((np.arange(cli.PATTERN_SAMPLES) - 200) / 100.0, 8, replace=False)
     check_factored_rows(x, rng.uniform(0.02, 0.98), terms, 1.0)
+
+
+CLI_POSITIONS = (np.arange(cli.PATTERN_SAMPLES) - 200) / 100.0
+
+
+def factored_bit_cases():
+    """Positions for the pin of ``_factored`` on ``seed_factored``."""
+    rng = np.random.default_rng(33)
+    return {
+        "cli grid and negatives": np.concatenate((CLI_POSITIONS, -CLI_POSITIONS)),
+        "three chunks": rng.uniform(-3.0, 3.0, 20000),
+        "repeated": np.repeat(rng.uniform(-3.0, 3.0, 40), 300),
+        "zeros, halves, tiny": np.array([0.0, -0.0, 0.5, -0.5, 1e-300, -1e-300, 1.5, -2.5]),
+    }
+
+
+@pytest.mark.parametrize("period", [1.0, 0.7])
+@pytest.mark.parametrize("terms", [82, 245, 2000, 20000])
+def test_factored_sum_has_the_bits_of_the_seed_kernel(terms, period):
+    # the sum is even in t bit for bit, so evaluating each distinct |t| of a
+    # chunk once and gathering keeps every row's bytes
+    coefficients = -2.0 * AmplitudeTable.build(0.3127, terms).r[1:]
+    for name, x in factored_bit_cases().items():
+        assert bits(_factored(x, period, coefficients)) == bits(seed_factored(x, period, coefficients)), name
+
+
+def test_factored_non_finite_positions_stay_nan_rows():
+    # the sign bit of a NaN row may differ from the seed kernel's
+    coefficients = -2.0 * AmplitudeTable.build(0.3127, 2000).r[1:]
+    x = np.array([math.nan, 0.3, math.inf, -0.3, -math.inf, -math.nan])
+    with np.errstate(invalid="ignore"):
+        got, want = _factored(x, 1.0, coefficients), seed_factored(x, 1.0, coefficients)
+    assert np.array_equal(np.isnan(got), np.isnan(want)) and np.isnan(got).sum() == 4
+    assert bits(got[[1, 3]]) == bits(want[[1, 3]])
+
+
+def test_the_cli_grid_evaluates_each_distinct_reduced_position_once(monkeypatch):
+    # the 401 positions reduce to 213 distinct x mod 1 and to 107 distinct
+    # |x mod 1|; _turns takes each evaluated row twice, baby and giant steps
+    rows = []
+    monkeypatch.setattr(grating, "_turns", lambda t, steps: rows.append(t.size) or _turns(t, steps))
+    grid_function(CLI_POSITIONS, GratingSpec(cover_ratio=0.06, truncation=2000))
+    assert sum(rows) == 2 * 107
 
 
 # the fold's half-width h = isqrt(N//2) steps up at N = 2*h**2, so orders
