@@ -32,7 +32,7 @@ and keeps no per-request state: each call parses into a fresh namespace,
 so calls may follow one another or run on several threads at once.  Each
 command reads only its own settings (the keys of ``_DEFAULTS``) and
 ignores the rest.  A value is range-checked once, by the library code
-that reads it (``GratingSpec``, ``AmplitudeTable.build``,
+that reads it (``AmplitudeTable.build``, ``interference_intensity``,
 ``two_slit_spectrum``, ``run_verification``), before any output is written;
 its ``ValueError`` text is the error message.  The CLI checks only what no
 library function knows: ``--points >= 2`` and the caps on ``--points``
@@ -57,7 +57,7 @@ from pathlib import Path
 import numpy as np
 
 from . import complementarity, scattering, verify
-from .grating import DEFAULT_TRUNCATION, SPECTRUM_TRUNCATION, AmplitudeTable, GratingSpec, _coefficients, _profile
+from .grating import DEFAULT_TRUNCATION, SPECTRUM_TRUNCATION, AmplitudeTable, _coefficients, _profile
 
 __all__ = ["main", "format_number"]
 
@@ -206,13 +206,12 @@ def _resolve(parser: _Parser, args: argparse.Namespace) -> argparse.Namespace:
 
 
 def _cmd_coeffs(config: argparse.Namespace) -> list[tuple]:
-    spec = GratingSpec(cover_ratio=config.a, period=1.0, truncation=config.order)
+    table = AmplitudeTable.build(config.a, config.order)  # one table for both sections; checks --a, then --order
     # 401 samples across [-2, 2] grating periods; exact decimals keep the
     # fringe zeros/maxima landing on representable positions
     positions = (np.arange(PATTERN_SAMPLES) - 200) / 100.0
-    fringe = scattering.interference_intensity(positions, config.phase)  # a bad phase fails before the table
-    table = AmplitudeTable.build(config.a, config.order)  # one table for both sections
-    profile = _profile(positions, table, spec.period)  # before the coefficient columns, off its peak
+    fringe = scattering.interference_intensity(positions, config.phase)  # a bad phase fails before the profile
+    profile = _profile(positions, table, 1.0)  # before the coefficient columns, off its peak
     c = np.hstack(_coefficients(table))
     a = format_number(config.a)
     pattern = f"pattern: a={a} order={config.order} phase={format_number(config.phase)} samples={PATTERN_SAMPLES}"
@@ -302,12 +301,12 @@ def _write_output(tables: list[tuple], out: str | None) -> None:
     opened by :func:`_opened` only here, after the command has computed
     every table, so a request that fails writes nothing.
 
-    A table is even when its first column is strictly ascending and
-    exactly antisymmetric and every other column equals its own reverse
-    (so a NaN never matches), as the order spectra are.  Only its rows
-    with label >= 0 make up its text, in chunks, by :func:`_upper_text`,
-    which formats only the rows it cannot reuse from the last even table
-    with the same header.  That text is held (at most ``MAX_ORDER + 1``
+    A table is even when it has two rows or more, its first column is
+    strictly ascending and exactly antisymmetric and every other column
+    equals its own reverse (so a NaN never matches), as the order spectra
+    are.  Only its rows with label >= 0 make up its text, in chunks, by
+    :func:`_upper_text`, which formats only the rows it cannot reuse from
+    the last even table with the same header.  That text is held (at most ``MAX_ORDER + 1``
     rows, about 2.5 MB) until the next even table with the header
     replaces it, so at most one upper half per header is held.  The rows
     with label < 0 are written first, each as ``-`` and the text of its
@@ -342,13 +341,11 @@ def _write_output(tables: list[tuple], out: str | None) -> None:
 def _upper_half(columns: list[np.ndarray]) -> int | None:
     """The first row of the upper half if ``columns`` form an even table (see ``_write_output``), else None."""
     labels = columns[0]
-    # the end labels as Python numbers first, which refuses a sweep or a
-    # coefficient table in O(1); past them no label is the int64 minimum,
-    # whose negation would wrap
-    if len(labels) < 2 or not (labels[0].item() == -labels[-1].item() < labels[-1].item()):
-        return None
     even = (
-        np.all(labels[1:] > labels[:-1])
+        len(labels) >= 2
+        and np.all(labels[1:] > labels[:-1])
+        # past the ascending test only the first label may be the int64
+        # minimum, whose negation wraps to itself, and the last never matches it
         and np.array_equal(labels, -labels[::-1])
         and all(np.array_equal(column, column[::-1]) for column in columns[1:])
     )

@@ -13,7 +13,7 @@ channel, with the bits of the scalar calls:
   distinguishability-spot  D_t(0.06)                             <= 1e-6
   duality-bound            max(V**2 + D**2) over the sweep       <= 1 + 1e-12
   duality-endpoints        exactly 1 at both ends, interior min < 1/2
-  parseval-two-slit        spectrum totals vs closed limits      <= 2.1e-4 (N=2000)
+  parseval-two-slit        each channel's total vs its limit     <= 2(2N+1)/(pi**2*N**2) + gamma_2N
   endpoint-degenerate      every operation runs at a = 0 and 1
 
 The four amplitude-driven checks read one N-term table per grid ratio, which
@@ -167,12 +167,34 @@ def _check_duality():
 
 
 def _check_parseval(truncation, totals):
+    """Each channel's N-term two-slit total against its closed limit.
+
+    The tolerance ``2(2N + 1)/(pi**2 N**2) + gamma_2N`` is a bound at
+    every N >= 1 and phase: 0.608 at N = 1, 2.027e-4 at N = 2000.  The
+    spectrum keeps the bins ``m = n + 1/2`` for n in [-N, N-1], and
+    ``two_slit_power_limit`` sums them all.  The amplitudes are even in n
+    and a bin ``|u_n + e^{i phi} u_{n+1}|**2 / 2`` is symmetric in its two
+    real amplitudes, so the dropped bins, n >= N and their mirrors, sum to
+    ``sum_{n>=N} |u_n + e^{i phi} u_{n+1}|**2 <= 2 sum_{n>=N} (u_n**2 + u_{n+1}**2)``.
+    Both channels have ``|u_n| = |sin(pi n a)|/(pi n) <= 1/(pi n)`` for
+    n >= 1, and ``sum_{n>=N+1} 1/n**2 < 1/N`` (so ``sum_{n>=N} 1/n**2 <
+    1/N**2 + 1/N``), which bounds the tail by ``2(1/N**2 + 2/N)/pi**2``.
+    Rounding, with u = 2**-53: the 2N non-negative bins sum to at most 1,
+    and any order of adding them is within Higham's gamma_{2N-1} of the sum
+    of the computed bins (Accuracy and Stability of Numerical Algorithms,
+    sec. 4.2), hence gamma_2N.  Each bin, its amplitudes and the limit round
+    by a few tens of u in all, below the slack of the step ``< 1/N``:
+    ``1/N - sum_{n>=N+1} 1/n**2 > 1/(3 N**2)``, so the bound keeps at least
+    ``2/(3 pi**2 N**2)``, 6.7e-12 at the order cap of 1e5.
+    The two limits add to one, so the channel sum is within twice the
+    tolerance of 1 and needs no term of its own.
+    """
     worst = 0.0
     for a, channel_totals in zip(PARSEVAL_COVER_RATIOS, totals, strict=True):
         for channel, total in zip(CHANNELS, channel_totals, strict=True):
             worst = max(worst, abs(total - scattering.two_slit_power_limit(a, channel)))
-        worst = max(worst, abs(sum(channel_totals) - 1.0))
-    tol = 0.42 / truncation  # 2.1e-4 at the default 2000 terms, scaling with the tail
+    rounding = 2 * truncation * 2.0**-53  # n u of gamma_n = n u/(1 - n u), n = 2N
+    tol = 2.0 * (2 * truncation + 1) / (math.pi**2 * truncation**2) + rounding / (1.0 - rounding)
     return _bounded(
         "parseval-two-slit", worst, tol,
         f"two-slit totals vs closed limits at {truncation} terms, "

@@ -10,7 +10,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import slitgrid
@@ -239,6 +239,56 @@ class TestWriter:
         monkeypatch.setattr(cli, "_CHUNK_ROWS", self.CHUNK)
         tables = [("near even", "x,y,z", columns)]
         assert written_csv(tables, None, None) == reference_csv(tables)
+
+    INT64_CELLS = st.sampled_from([-(2**63), -(2**63) + 1, -1, 0, 1, 2**63 - 1])
+    FLOAT_CELLS = st.sampled_from([-math.inf, -1.5, -0.0, 0.0, 1.5, math.inf, math.nan])
+
+    @staticmethod
+    @st.composite
+    def small_table(draw):
+        """0 to 5 rows of int64 or float cells at the edges, half the draws mirrored about the middle.
+
+        A mirrored table has its upper half drawn, its labels distinct and
+        sorted, and its lower half mirrored by numpy, whose negation wraps
+        the int64 minimum; it is even unless a cell breaks the definition.
+        """
+        rows, mirrored = draw(st.integers(0, 5)), draw(st.booleans())
+        columns = []
+        for j in range(draw(st.integers(1, 3))):
+            dtype = np.int64 if draw(st.booleans()) else float
+            cells = TestWriter.INT64_CELLS if dtype is np.int64 else TestWriter.FLOAT_CELLS
+            size = rows - rows // 2 if mirrored else rows
+            unique = mirrored and j == 0
+            column = np.array(draw(st.lists(cells, min_size=size, max_size=size, unique=unique)), dtype=dtype)
+            if mirrored:
+                upper = np.sort(column) if j == 0 else column
+                lower = upper[rows % 2:][::-1]
+                column = np.concatenate((-lower if j == 0 else lower, upper))
+            columns.append(column)
+        return columns
+
+    @staticmethod
+    def brute_upper_half(columns):
+        """``cli._upper_half`` by its definition, on Python numbers, whose negation does not wrap."""
+        rows = len(columns[0])
+        labels, *others = (column.tolist() for column in columns)
+        even = (
+            rows >= 2
+            and all(x < y for x, y in zip(labels, labels[1:]))
+            and all(labels[i] == -labels[rows - 1 - i] for i in range(rows))
+            and all(cells[i] == cells[rows - 1 - i] for cells in others for i in range(rows))
+        )
+        return rows // 2 if even else None
+
+    @given(columns=small_table())
+    @example(columns=[np.array([], dtype=np.int64)])
+    @example(columns=[np.array([0.0]), np.array([1.5])])
+    @example(columns=[np.array([-(2**63) + 1, 2**63 - 1])])
+    @example(columns=[np.array([-(2**63), 2**63 - 1])])
+    @example(columns=[np.array([-math.inf, -0.0, math.inf]), np.array([0.0, -0.0, -0.0])])
+    @example(columns=[np.array([-1.5, 0.0, 1.5]), np.array([1.5, math.nan, 1.5])])
+    def test_upper_half_is_the_definition_of_an_even_table(self, columns):
+        assert cli._upper_half(columns) == self.brute_upper_half(columns)
 
     @staticmethod
     @st.composite
@@ -632,7 +682,7 @@ class TestExitCodes:
         (["orders", "--order", "0"], "truncation order must be an integer >= 1, got 0"),
         (["coeffs", "--order", "-3"], "truncation order must be an integer >= 1, got -3"),
         (["verify", "--order", "0"], "truncation order must be an integer >= 1, got 0"),
-        # the grating is checked first, then the phase, then the table is built
+        # building the table checks the ratio, then the order; the phase comes after
         (["coeffs", "--a", "1.5", "--phase", "nan"], "cover ratio must lie in [0, 1], got 1.5"),
         (["coeffs", "--order", "0", "--phase", "nan"], "truncation order must be an integer >= 1, got 0"),
     ]
@@ -649,11 +699,13 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["coeffs", "pattern"])
     def test_bad_phase_is_rejected_before_the_profile(self, command, monkeypatch, capsys):
-        calls = []  # the profile's and the table's: pattern is the second section of coeffs
-        monkeypatch.setattr(cli, "_profile", lambda *args: calls.append(args))
-        monkeypatch.setattr(grating.AmplitudeTable, "build", lambda *args: calls.append(args))
+        # the table, which checks --a and --order, is built first and the
+        # profile never: pattern is the second section of coeffs
+        calls = []
+        monkeypatch.setattr(cli, "_profile", lambda *args: calls.append(("profile", *args)))
+        monkeypatch.setattr(grating.AmplitudeTable, "build", lambda *args: calls.append(("table", *args)))
         assert run_cli(command, "--phase", "nan", "--order", str(MAX_ORDER)) == EXIT_USAGE
-        assert calls == []
+        assert calls == [("table", 0.06, MAX_ORDER)]
         assert capsys.readouterr().err == "error: delta_phi must be finite, got nan\n"
 
     def test_stdout_output(self, capsys):
@@ -930,7 +982,7 @@ SURFACE_REQUESTS = [
     (["sweep", "--points", "101", "--channel", "both"], EXIT_OK),
     (["verify"], EXIT_OK),
     (["verify", "--perturb", "r0"], EXIT_VERIFY),
-    (["verify", "--order", "1"], EXIT_VERIFY),
+    (["verify", "--order", "1"], EXIT_OK),
     (["coeffs", "--a", "1.5"], EXIT_USAGE),
 ]
 

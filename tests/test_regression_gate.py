@@ -114,7 +114,7 @@ DEFAULT_VERIFY_REPORT = (
     "PASS  distinguishability-spot  value=5.647847e-07  tolerance=1.000000e-06  |D_t(0.06) - 0.880043|\n"
     "PASS  duality-bound            value=1.000000e+00  tolerance=1.000000e+00  max V^2 + D^2 over 1001 covering ratios\n"
     "PASS  duality-endpoints        value=3.066137e-01  tolerance=5.000000e-01  exactly 1 at a = 0 and a = 1, interior minimum strictly below 1/2\n"
-    "PASS  parseval-two-slit        value=1.729660e-04  tolerance=2.100000e-04  two-slit totals vs closed limits at 2000 terms, ratios (0.06, 0.25, 0.5, 0.75)\n"
+    "PASS  parseval-two-slit        value=8.648302e-05  tolerance=2.026930e-04  two-slit totals vs closed limits at 2000 terms, ratios (0.06, 0.25, 0.5, 0.75)\n"
     "PASS  endpoint-degenerate      value=0.000000e+00  tolerance=0.000000e+00  a = 0 and a = 1 run through every operation\n"
     "10/10 checks passed\n"
 )
@@ -342,19 +342,18 @@ def test_a_verify_request_that_fails_writes_no_out_file(tmp_path):
     assert not out.exists()
 
 
-# SHA-256 of the stdout of non-default verify requests; each exits 2
-# (at --order 1, parseval-two-slit is the known failure of its tolerance)
+# (exit code, SHA-256 of the stdout) of non-default verify requests
 VERIFY_REPORT_DIGESTS = {
-    ("--order", "1"): "30fc12f782fd43f6e849df0c665cef2e044089952cad9d4b7a711d04a94af4ec",
-    ("--order", "7", "--perturb", "r1"): "7ee0e812ac658c880187ccec9125509b914ed1fe57368f12f1bb3c405f7f8e13",
-    ("--order", "400", "--perturb", "t1"): "178c07abc60f2ad88132b214489ce316722da4bbcd8083f12bc52a1b0fbca16a",
+    ("--order", "1"): (0, "cfee0dca7cfcab9120b9848adc52963f0ba2fbbc6ce5f79710dc9d2d79e27f93"),
+    ("--order", "7", "--perturb", "r1"): (2, "eb3fd7a93a1d0460ec0f313455141b9ba7ae9c7f17ea801ad1ba283d60899aa4"),
+    ("--order", "400", "--perturb", "t1"): (2, "a827aef19ef8620c4de3ecd6cc3f40f0112bb8dfe05c004b0f984d8d997b36b1"),
 }
 
 
 @pytest.mark.parametrize("argv", list(VERIFY_REPORT_DIGESTS), ids=" ".join)
 def test_non_default_verify_report_is_unchanged(argv, capsys):
-    assert main(["verify", *argv]) == 2
-    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == VERIFY_REPORT_DIGESTS[argv]
+    code = main(["verify", *argv])
+    assert (code, hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()) == VERIFY_REPORT_DIGESTS[argv]
 
 
 @pytest.mark.parametrize("points", ["16", "64"])

@@ -27,6 +27,7 @@ from slitgrid.scattering import (
     two_slit_power_limit,
     two_slit_spectrum,
 )
+from slitgrid.verify import PARSEVAL_COVER_RATIOS
 
 # 30-digit reference evaluations of the defining formulas
 P_SS_R1_006 = 0.00355756478466339
@@ -317,6 +318,20 @@ class TestTwoSlitSpectrum:
 
 
 class TestPowerLimits:
+    @pytest.mark.parametrize("a", PARSEVAL_COVER_RATIOS)
+    def test_the_parseval_tail_bound_holds_at_every_order(self, a):
+        # verify's parseval-two-slit tolerance without its rounding term, at
+        # zero phase for every N in 1..2000 and at three more phases for a
+        # few; the limits add to one, so the channel sum is within twice it
+        for n in range(1, 2001):
+            table = AmplitudeTable.build(a, n)
+            bound = 2.0 * (2 * n + 1) / (math.pi**2 * n**2)
+            for phase in (0.0, math.pi / 2.0, 1.2345, math.pi) if n in (1, 2, 7, 245, 2000) else (0.0,):
+                totals = [two_slit_spectrum(table, channel, phase).total() for channel in CHANNELS]
+                for channel, total in zip(CHANNELS, totals):
+                    assert abs(total - two_slit_power_limit(a, channel, phase)) <= bound
+                assert abs(sum(totals) - 1.0) <= 2.0 * bound
+
     @given(cover_ratios, phases)
     def test_channels_always_share_unit_power(self, a, dphi):
         total = two_slit_power_limit(a, "transmitted", dphi) + two_slit_power_limit(
