@@ -129,20 +129,20 @@ def distinguishability_closed(cover_ratio, channel: Channel = "transmitted"):
     return _distinguishability(sampling_window(cover_ratio, channel)[0], sin_pi(cover_ratio))
 
 
-def distinguishability_from_amplitudes(
-    table: AmplitudeTable, channel: Channel = "transmitted"
-) -> float:
+def distinguishability_from_amplitudes(table: AmplitudeTable, channel: Channel = "transmitted"):
     """Distinguishability via the trace-norm sum over both slits.
 
-    Reads the zeroth- and first-order amplitudes of ``table``: detector
-    one sees ``u_0`` from its own slit and ``u_1`` from the other, and
-    symmetrically for detector two.  For a table from
-    :meth:`AmplitudeTable.build` it must agree with the closed form to
-    machine precision.
+    Reads the zeroth- and first-order amplitudes of ``table``, on the last
+    axis: detector one sees ``u_0`` from its own slit and ``u_1`` from the
+    other, and symmetrically for detector two.  A table of one ratio gives
+    a float, a stack one value per row, each with the bits of its row
+    alone.  For a table from :meth:`AmplitudeTable.build` it must agree
+    with the closed form to machine precision.
     """
     _check_table(table)
-    u0, u1 = table.amplitudes(channel)[:2]
-    return float(0.5 * (abs(u0 * u0 - u1 * u1) + abs(u1 * u1 - u0 * u0)))
+    amps = table.amplitudes(channel)
+    u0, u1 = amps[..., 0], amps[..., 1]
+    return _unwrap(0.5 * (np.abs(u0 * u0 - u1 * u1) + np.abs(u1 * u1 - u0 * u0)))
 
 
 def complementarity_sweep(cover_ratios, channel: Channel = "transmitted") -> SweepColumns:

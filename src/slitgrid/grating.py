@@ -110,8 +110,8 @@ def sin_pi(u):
 def _check_cover_ratio(cover_ratio):
     """Reject a ratio outside [0, 1] or not real; return it by :func:`_real`, a float or a float64 array."""
     # The one scalar/array fork left, where a float skips even _real: the
-    # same check on a 0-d array takes about 9.5 us against 0.3 us, and verify
-    # and synthesize_field (per point) check hundreds of scalar ratios.
+    # same check on a 0-d array takes about 9.5 us against 0.3 us, and
+    # synthesize_field checks a scalar ratio per point.
     if type(cover_ratio) is not float:
         cover_ratio = _real("cover_ratio", cover_ratio)
     if type(cover_ratio) is float:
@@ -156,13 +156,14 @@ class GratingSpec:
 
 
 # An input of at most this many cosines (positions times terms) is one
-# dense gemv, a larger one the factored sum.  Under one BLAS thread the
-# gemv is faster below about 2**14 cosines and the factored sum above it
-# (401 distinct positions, gemv against factored: 139 against 158 us at 30
-# terms, 186 against 165 us at 40, 8.8 against 0.93 ms at 2000; the 401 CLI
-# positions, 107 distinct reduced ones, take 95 us at 30 terms); the bound
-# sits at 2**15 so that the 401 x 50 profile of the reference coeffs table
-# keeps its dense bits.
+# dense gemv, a larger one the factored sum.  The route stays only so that
+# the 401 x 50 profile of the reference coeffs table keeps its pinned dense
+# bits: since the factored sum evaluates each distinct reduced position
+# once (107 of the 401 CLI positions), it is the faster one at every order
+# the dense route takes.  On the 401 CLI positions, one BLAS thread, 2-core
+# x86-64 VM, factored against dense (two rounds, whose speed differed):
+# 127-207 against 171-261 us at 30 terms, 132-222 against 269-449 us at 50,
+# 142-226 against 428-715 us at 81.
 _DENSE_COSINES = 1 << 15
 
 # The factored sum goes in row blocks of at most this many bytes of
@@ -339,29 +340,44 @@ def sampling_window(cover_ratio, channel: Channel) -> tuple:
 
 @dataclass(frozen=True, eq=False)
 class AmplitudeTable:
-    """Amplitudes r_0..r_N and t_0..t_N of the non-negative orders.
+    """Amplitudes r_0..r_N and t_0..t_N of the non-negative orders, of one covering ratio or a stack.
 
     Both families are even in the order, so only ``n >= 0`` is stored;
-    order ``n`` of either sign is entry ``abs(n)`` of ``r`` or ``t``.
+    order ``n`` of either sign is entry ``abs(n)`` of the last axis of
+    ``r`` or ``t``.  A table of one ratio holds a Python float and 1-d
+    ``r`` and ``t``; a stack holds a 1-d array of ratios and one row of
+    ``r`` and ``t`` per ratio.  The spectra read one ratio only.
     """
 
-    cover_ratio: float
+    cover_ratio: float | np.ndarray
     r: np.ndarray
     t: np.ndarray
 
     @classmethod
-    def build(cls, cover_ratio: float, truncation: int = DEFAULT_TRUNCATION) -> "AmplitudeTable":
-        """The table at ``cover_ratio``, widened to a Python float first (``1 - a`` rounds in float64)."""
-        cover_ratio = _check_cover_ratio(_one_real("cover_ratio", cover_ratio))
+    def build(cls, cover_ratio, truncation: int = DEFAULT_TRUNCATION) -> "AmplitudeTable":
+        """The table at ``cover_ratio``: one number gives one table, a 1-d array or list a stack.
+
+        One number is widened to a Python float first (``1 - a`` rounds in
+        float64).  An array of ``k`` ratios gives ``r`` and ``t`` of shape
+        ``(k, N + 1)``, each row bit for bit the table of its ratio alone:
+        every entry is the same float64 operations on the same operands.
+        Another shape raises ``TypeError`` naming ``cover_ratio``.  The
+        stack's arrays are ``k`` times as large; a caller that builds many
+        ratios bounds ``k``, as ``verify`` does.
+        """
+        cover_ratio = _check_cover_ratio(cover_ratio)
+        shape = () if type(cover_ratio) is float else cover_ratio.shape  # np.shape(float) takes 1.4 us
+        if len(shape) > 1:
+            raise TypeError(f"cover_ratio must be one number or a one-dimensional array, got an array of shape {shape}")
         _check_truncation(truncation)
         n = np.arange(1.0, truncation + 1)
         # r_n = t_n = (-1)**(n+1) * sin(a*pi*n)/(pi*n) for n >= 1; division
         # rounds -x/y to -(x/y), so negating the even orders afterwards is exact
-        r = np.empty(truncation + 1)
-        np.divide(sin_pi(cover_ratio * n), math.pi * n, out=r[1:])
-        r[2::2] *= -1.0
+        r = np.empty(shape + (truncation + 1,))
+        np.divide(sin_pi(np.multiply.outer(cover_ratio, n)), math.pi * n, out=r[..., 1:])
+        r[..., 2::2] *= -1.0
         t = r.copy()
-        r[0], t[0] = -cover_ratio, 1.0 - cover_ratio
+        r[..., 0], t[..., 0] = -cover_ratio, 1.0 - cover_ratio
         r.flags.writeable = False
         t.flags.writeable = False
         return cls(cover_ratio=cover_ratio, r=r, t=t)
@@ -383,15 +399,18 @@ def _coefficients(table: AmplitudeTable) -> tuple[float, np.ndarray]:
     return table.cover_ratio, -2.0 * table.r[1:]
 
 
-def normalization_defect(table: AmplitudeTable) -> float:
-    """Power unaccounted for by a truncated amplitude table.
+def normalization_defect(table: AmplitudeTable):
+    """Power unaccounted for by a truncated amplitude table, per covering ratio.
 
-    Returns ``1 - (r_0**2 + t_0**2 + sum_{n=1..N} 2*(r_n**2 + t_n**2))``.
-    For a table from :meth:`AmplitudeTable.build` it is non-negative and
-    bounded by the series tail ``4/(pi**2 * N)``, and exactly zero for the
-    degenerate gratings ``cover_ratio`` 0 and 1.
+    Returns ``1 - (r_0**2 + t_0**2 + sum_{n=1..N} 2*(r_n**2 + t_n**2))``
+    over the last axis: a float for a table of one ratio, one value per
+    row for a stack, each with the bits of its row alone.  For a table
+    from :meth:`AmplitudeTable.build` it is non-negative and bounded by the
+    series tail ``4/(pi**2 * N)``, and exactly zero for the degenerate
+    gratings ``cover_ratio`` 0 and 1.
     """
     _check_table(table)
-    head = table.r[0] ** 2 + table.t[0] ** 2
-    tail = 2.0 * float((table.r[1:] ** 2 + table.t[1:] ** 2).sum())
-    return 1.0 - (head + tail)
+    r, t = table.r, table.t
+    head = r[..., 0] ** 2 + t[..., 0] ** 2
+    tail = 2.0 * (r[..., 1:] ** 2 + t[..., 1:] ** 2).sum(axis=-1)
+    return _unwrap(1.0 - (head + tail))

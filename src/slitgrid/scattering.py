@@ -138,9 +138,24 @@ def _orders(truncation: int, two_slit: bool) -> np.ndarray:
     return np.arange(-truncation, truncation + 1, dtype=float)
 
 
-def single_slit_spectrum(table: AmplitudeTable, channel: Channel) -> OrderSpectrum:
-    """Stage with one slit open: ``P(n) = u_n**2`` for ``n`` in [-N, N], ``u`` the amplitudes of ``channel``."""
+def _check_one_table(table) -> None:
+    """:func:`grating._check_table` for a reader of one covering ratio: a stack is a ``TypeError`` naming ``table``.
+
+    A stack is a table whose ``cover_ratio`` is an array; the amplitudes of
+    a hand-made table are checked by the spectrum made from them.
+    """
     _check_table(table)
+    if np.ndim(table.cover_ratio) != 0:
+        raise TypeError(f"table must hold one covering ratio, got a stack of shape {np.shape(table.cover_ratio)}")
+
+
+def single_slit_spectrum(table: AmplitudeTable, channel: Channel) -> OrderSpectrum:
+    """Stage with one slit open: ``P(n) = u_n**2`` for ``n`` in [-N, N].
+
+    ``u`` are the amplitudes of ``channel`` in ``table``, which holds one
+    covering ratio.
+    """
+    _check_one_table(table)
     amps = table.amplitudes(channel)
     return OrderSpectrum(channel, _orders(amps.size - 1, False), _mirrored(amps) ** 2)
 
@@ -150,10 +165,11 @@ def two_slit_spectrum(table: AmplitudeTable, channel: Channel, delta_phi: float 
 
     ``P(m) = |u_n + exp(i*delta_phi)*u_{n+1}|**2 / 2`` expanded for the
     real amplitudes ``u`` of ``channel`` in ``table``: every bin whose two
-    contributing orders are inside the truncated table.  ``delta_phi`` is
-    one finite number, reduced to [0, 2*pi) before its cosine is taken.
+    contributing orders are inside the truncated table, which holds one
+    covering ratio.  ``delta_phi`` is one finite number, reduced to
+    [0, 2*pi) before its cosine is taken.
     """
-    _check_table(table)
+    _check_one_table(table)
     cos_phi = math.cos(_check_phase(delta_phi))
     amps = table.amplitudes(channel)
     full = _mirrored(amps)

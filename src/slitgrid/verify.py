@@ -17,10 +17,14 @@ channel, with the bits of the scalar calls:
   endpoint-degenerate      every operation runs at a = 0 and 1
 
 The four amplitude-driven checks read one N-term table per grid ratio, which
-``run_verification`` builds once and passes to the library functions checked
-(``normalization_defect``, ``distinguishability_from_amplitudes``,
-``two_slit_spectrum``) before it builds the next.  Under ``perturb`` that
-table comes from one biased source, so biasing ``r0``, say, must trip the suite.
+``run_verification`` builds once, in stacks of ``grating._block_rows(N + 1)``
+ratios (the factored profile's 64 KiB per array: 4 at N = 2000, the whole grid
+up to N = 80, one from N = 4096).  Each stack goes to the library functions
+checked (``normalization_defect``, and ``two_slit_spectrum`` as one-ratio
+rows) before the next is built, and its orders 0 and 1 are kept for
+``distinguishability_from_amplitudes``, which reads the whole grid once per
+channel.  Under ``perturb`` every table comes from one biased source, so
+biasing ``r0``, say, must trip the suite.
 """
 
 from __future__ import annotations
@@ -58,14 +62,20 @@ def _bounded(name: str, value: float, tolerance: float, detail: str) -> CheckRes
     return CheckResult(name, value <= tolerance, value, tolerance, detail)
 
 
-def _table(cover_ratio, truncation, perturb):
-    """Amplitude table 0..N, with one amplitude biased when ``perturb`` names it."""
-    table = AmplitudeTable.build(cover_ratio, truncation)
+def _table(cover_ratios, truncation, perturb):
+    """Stacked amplitude tables 0..N, with one amplitude of each row biased when ``perturb`` names it."""
+    table = AmplitudeTable.build(cover_ratios, truncation)
     if perturb is None:
         return table
     r, t = table.r.copy(), table.t.copy()
-    (r if perturb[0] == "r" else t)[int(perturb[1:])] += _PERTURB_OFFSET
+    (r if perturb[0] == "r" else t)[:, int(perturb[1:])] += _PERTURB_OFFSET
     return AmplitudeTable(table.cover_ratio, r, t)
+
+
+def _two_slit_totals(block, row):
+    """Each channel's two-slit total of one row of ``block``, handed over as a one-ratio table."""
+    table = AmplitudeTable(float(block.cover_ratio[row]), block.r[row], block.t[row])
+    return [scattering.two_slit_spectrum(table, c).total() for c in CHANNELS]
 
 
 def _cover_grid(points: int) -> np.ndarray:
@@ -76,9 +86,8 @@ def _worst(got, want) -> float:
     return float(np.max(np.abs(np.subtract(got, want))))
 
 
-def _check_normalization_identity(grid, tables):
-    r0 = np.array([table.r[0] for table in tables])
-    t0 = np.array([table.t[0] for table in tables])
+def _check_normalization_identity(grid, heads):
+    r0, t0 = heads.r[:, 0], heads.t[:, 0]
     return _bounded(
         "normalization-identity", _worst(r0**2 + t0**2 + 2.0 * (grid - grid * grid), 1.0), 1e-14,
         f"max |r0^2 + t0^2 + 2(a - a^2) - 1| over {len(grid)} covering ratios",
@@ -86,7 +95,7 @@ def _check_normalization_identity(grid, tables):
 
 
 def _check_normalization_defect(grid, truncation, defects):
-    worst = max(abs(defect) for defect in defects)
+    worst = np.max(np.abs(defects))
     return _bounded(
         "normalization-defect", worst, 4.0 / (math.pi**2 * truncation),
         f"max |defect| at {truncation} terms over {len(grid)} covering ratios",
@@ -130,11 +139,11 @@ def _check_visibility_spot():
     return _bounded("visibility-spot", deviation, 1e-12, "|V_t(1/2) - 2/pi|")
 
 
-def _check_distinguishability_dual(grid, tables):
+def _check_distinguishability_dual(grid, heads):
     worst = 0.0
     for channel in CHANNELS:
         closed = complementarity.distinguishability_closed(grid, channel)
-        amp_route = [complementarity.distinguishability_from_amplitudes(t, channel) for t in tables]
+        amp_route = complementarity.distinguishability_from_amplitudes(heads, channel)
         worst = max(worst, _worst(amp_route, closed))
     return _bounded(
         "distinguishability-dual", worst, 1e-14,
@@ -253,17 +262,20 @@ def run_verification(
     # through its module: perfbench times every _check_* name of this module as a check
     grating._check_truncation(truncation)
     grid = _cover_grid(DEFAULT_GRID)
-    ratios = grid.tolist()  # Python floats, which the table build takes without numpy
-    parseval_at = [ratios.index(a) for a in PARSEVAL_COVER_RATIOS]  # ValueError off the grid
-    # one N-term table per ratio, read by every amplitude check before the next is
-    # built; heads keeps copies of orders 0 and 1, as views would keep every table
-    heads, defects, totals = [], [], {}
-    for i, a in enumerate(ratios):
-        table = _table(a, truncation, perturb)
-        heads.append(AmplitudeTable(table.cover_ratio, table.r[:2].copy(), table.t[:2].copy()))
-        defects.append(normalization_defect(table))
-        if i in parseval_at:
-            totals[i] = [scattering.two_slit_spectrum(table, c).total() for c in CHANNELS]
+    parseval_at = [grid.tolist().index(a) for a in PARSEVAL_COVER_RATIOS]  # ValueError off the grid
+    # the grid's N-term tables in stacks of `rows` ratios, each read by every
+    # amplitude check before the next is built; heads holds copies of orders
+    # 0 and 1, as views would keep every stack.  A stack is freed only once
+    # the next is built: freed first, its pages at N = 1e5 went back to the
+    # system and faulted in again (twice the minor faults, 1.3x the time).
+    rows = grating._block_rows(truncation + 1)
+    r, t, defects, totals = np.empty((grid.size, 2)), np.empty((grid.size, 2)), np.empty(grid.size), {}
+    for first in range(0, grid.size, rows):
+        part = slice(first, first + rows)
+        block = _table(grid[part], truncation, perturb)
+        r[part], t[part], defects[part] = block.r[:, :2], block.t[:, :2], normalization_defect(block)
+        totals.update((i, _two_slit_totals(block, i - first)) for i in parseval_at if first <= i < first + rows)
+    heads = AmplitudeTable(grid, r, t)
     return [
         _check_normalization_identity(grid, heads),
         _check_normalization_defect(grid, truncation, defects),

@@ -841,8 +841,9 @@ class TestBoundedRequests:
     # the tables are held whole but their rows are written a chunk at a
     # time: traced peaks 17.0 and 9.1 MiB, where formatting the whole
     # output before writing it takes 83.5 and 50.2 MiB; verify holds one
-    # amplitude table at a time (traced peak 7.9 MiB), where holding all
-    # 101 tables of the grid would take about 155 MiB
+    # stack of _block_rows(N + 1) amplitude tables at a time, one table at
+    # this order (traced peak 7.2 MiB), where holding all 101 tables of the
+    # grid would take about 155 MiB
     @pytest.mark.parametrize(
         "argv, bound_mib",
         [
@@ -954,12 +955,46 @@ class TestVerifySuite:
     def test_builds_one_table_per_ratio(self, perturb, monkeypatch):
         # the grid's 101 tables at the suite's truncation, read by every
         # amplitude check, and the endpoint check's 4 small tables: one per
-        # ratio for the spectra and one for each grid_function call
-        builds = []
+        # ratio for the spectra and one for each grid_function call; the
+        # grid's ratios are built in stacks, so each ratio counts once
+        built = []
         build = grating.AmplitudeTable.build
-        monkeypatch.setattr(grating.AmplitudeTable, "build", lambda *args: builds.append(args[1]) or build(*args))
+        monkeypatch.setattr(
+            grating.AmplitudeTable, "build", lambda *args: built.extend([args[1]] * np.size(args[0])) or build(*args)
+        )
         run_verification(perturb=perturb)
-        assert sorted(builds) == [30] * 4 + [2000] * 101
+        assert sorted(built) == [30] * 4 + [2000] * 101
+
+    @pytest.mark.parametrize(
+        "truncation, stacks",
+        [(80, [101]), (81, [99, 2]), (2000, [4] * 25 + [1]), (4096, [1] * 101)],
+    )
+    def test_builds_the_grid_in_stacks_of_the_block_rule(self, truncation, stacks, monkeypatch):
+        # _block_rows(N + 1) ratios a stack, so each array of a stack stays
+        # within 64 KiB: the whole grid up to N = 80, one ratio from N = 4096
+        sizes = []
+        build = grating.AmplitudeTable.build
+        monkeypatch.setattr(
+            grating.AmplitudeTable, "build", lambda *args: sizes.append(np.shape(args[0])) or build(*args)
+        )
+        run_verification(truncation=truncation)
+        assert [size for size in sizes if size] == [(rows,) for rows in stacks]
+
+    def test_memory_stays_within_a_few_stacks_of_tables(self):
+        # one ratio a stack at 20000 terms: a table is 2 x 20001 float64,
+        # 313 KiB, and the build's temporaries, the previous stack and the
+        # two-slit spectra a few more (traced peak 1.4 MiB); the whole grid
+        # as one stack would hold 101 tables, 31 MiB, and 162 MB at the cap
+        truncation = 20000
+        table_bytes = min(grating._block_rows(truncation + 1), 101) * (truncation + 1) * 16
+        tracemalloc.start()
+        try:
+            results = run_verification(truncation=truncation)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(result.passed for result in results)
+        assert peak < 6 * table_bytes
 
     def test_parseval_ratio_off_the_grid_is_an_error(self, monkeypatch):
         monkeypatch.setattr(verify, "PARSEVAL_COVER_RATIOS", (0.06, 0.333, 0.5))

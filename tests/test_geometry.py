@@ -90,7 +90,7 @@ ENTRIES = {
     "SetupGeometry.g": ("g", lambda v: SetupGeometry(k=1000.0, s=0.005, g=v), True, POSITIVE),
     "GratingSpec.cover_ratio": ("cover_ratio", GratingSpec, True, UNIT),
     "GratingSpec.period": ("period", lambda v: GratingSpec(0.3, v), True, POSITIVE),
-    "AmplitudeTable.build": ("cover_ratio", lambda v: AmplitudeTable.build(v, 5), True, UNIT),
+    "AmplitudeTable.build": ("cover_ratio", lambda v: AmplitudeTable.build(v, 5), False, UNIT),
     "TwoSlitConfig.delta_phi": ("delta_phi", lambda v: TwoSlitConfig(SPEC, v), True, FINITE),
     "sin_pi": ("u", sin_pi, False, []),
     "grid_function": ("x", lambda v: grid_function(v, SPEC), False, []),
@@ -130,6 +130,26 @@ def test_a_one_element_array_is_refused_by_its_name(entry, kind):
     name, call, _, _ = ENTRIES[entry]
     with pytest.raises(TypeError, match=rf"^{name} must be one number, got an array of shape \(1,\)$"):
         call(kind([0.3]))
+
+
+@pytest.mark.parametrize("kind", [np.array, list], ids=["array", "list"])
+def test_an_array_of_ratios_builds_one_row_per_ratio(kind):
+    stack = AmplitudeTable.build(kind([0.3, 0.7]), 5)
+    assert stack.r.shape == stack.t.shape == (2, 6)
+    assert stack.cover_ratio.tolist() == [0.3, 0.7]
+    assert stack.r[1].tobytes() == AmplitudeTable.build(0.7, 5).r.tobytes()
+
+
+def test_a_two_dimensional_array_of_ratios_is_refused_by_its_name():
+    message = r"^cover_ratio must be one number or a one-dimensional array, got an array of shape \(1, 1\)$"
+    with pytest.raises(TypeError, match=message):
+        AmplitudeTable.build(np.array([[0.3]]), 5)
+
+
+@pytest.mark.parametrize("spectrum", [single_slit_spectrum, two_slit_spectrum])
+def test_a_stack_of_tables_is_refused_by_the_spectra_by_its_name(spectrum):
+    with pytest.raises(TypeError, match=r"^table must hold one covering ratio, got a stack of shape \(1,\)$"):
+        spectrum(AmplitudeTable.build([0.3], 5), "transmitted")
 
 
 @pytest.mark.parametrize("entry, bad", OUT_OF_RANGE, ids=[f"{entry}-{bad}" for entry, bad in OUT_OF_RANGE])

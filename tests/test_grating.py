@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 import oracle
 from slitgrid import grating
 from slitgrid.cli import MAX_ORDER
+from slitgrid.complementarity import distinguishability_from_amplitudes
 from slitgrid.grating import (
     _BLOCK_BYTES,
+    CHANNELS,
     AmplitudeTable,
     GratingSpec,
     grid_function,
@@ -334,6 +336,68 @@ class TestAmplitudes:
             table.amplitudes("both")
 
 
+# verify's 101-ratio grid, seeded draws and the edge ratios, at truncations
+# that include both sides of each stack size of verify's block rule
+STACKED_RATIOS = np.concatenate(
+    [np.arange(101) / 100, np.random.default_rng(35).uniform(0.0, 1.0, 16), [0.0, 1.0, 0.5, 1e-300]]
+)
+STACKED_TRUNCATIONS = [1, 2, 30, 80, 81, 245, 2000, 2047, 2048, 4095, 4096, 20000]
+
+
+def table_readings(table):
+    """The bytes of ``r``, ``t``, the defect and D of both channels, one tuple per ratio of ``table``."""
+    values = [table.r, table.t, normalization_defect(table)]
+    values += [distinguishability_from_amplitudes(table, channel) for channel in CHANNELS]
+    if table.r.ndim == 1:  # a table of one ratio is one row
+        values = [[value] for value in values]
+    return [tuple(np.asarray(value, dtype=float).tobytes() for value in row) for row in zip(*values)]
+
+
+def one_ratio_readings(ratios, truncation):
+    """:func:`table_readings` of one table per ratio."""
+    return [reading for a in ratios for reading in table_readings(AmplitudeTable.build(a, truncation))]
+
+
+def stacked_readings(ratios, truncation, rows):
+    """:func:`table_readings` of stacks of ``rows`` ratios."""
+    readings = []
+    for first in range(0, len(ratios), rows):
+        readings += table_readings(AmplitudeTable.build(ratios[first : first + rows], truncation))
+    return readings
+
+
+class TestStackedTable:
+    """A stack of covering ratios is the one-ratio tables, row by row, bit for bit."""
+
+    @pytest.mark.parametrize("truncation", STACKED_TRUNCATIONS)
+    def test_every_row_is_the_one_ratio_table(self, truncation):
+        alone = one_ratio_readings(STACKED_RATIOS.tolist(), truncation)
+        for rows in (len(STACKED_RATIOS), 4, 1):
+            assert stacked_readings(STACKED_RATIOS, truncation, rows) == alone, rows
+
+    @given(st.lists(cover_ratios, min_size=1, max_size=6), st.integers(min_value=1, max_value=300))
+    def test_a_drawn_stack_is_its_one_ratio_tables(self, ratios, truncation):
+        assert stacked_readings(np.array(ratios), truncation, len(ratios)) == one_ratio_readings(ratios, truncation)
+
+    def test_one_ratio_reads_as_floats_and_a_stack_as_one_value_per_row(self):
+        one, stack = AmplitudeTable.build(0.3, 7), AmplitudeTable.build([0.3, 0.6, 0.9], 7)
+        assert type(one.cover_ratio) is float and one.r.shape == (8,)
+        assert stack.cover_ratio.shape == (3,) and stack.r.shape == stack.t.shape == (3, 8)
+        assert type(normalization_defect(one)) is float
+        assert type(distinguishability_from_amplitudes(one, "reflected")) is float
+        assert normalization_defect(stack).shape == (3,)
+        assert distinguishability_from_amplitudes(stack, "reflected").shape == (3,)
+
+    def test_an_empty_stack_has_no_rows(self):
+        stack = AmplitudeTable.build(np.empty(0), 7)
+        assert stack.r.shape == stack.t.shape == (0, 8)
+        assert normalization_defect(stack).shape == (0,)
+
+    def test_a_ratio_outside_the_unit_interval_is_refused_in_a_stack(self):
+        with pytest.raises(ValueError, match="cover ratio must lie in"):
+            AmplitudeTable.build([0.3, 1.5], 7)
+
+
 class TestSamplingWindow:
     def test_gap_and_strip(self):
         assert sampling_window(0.06, "transmitted") == (1.0 - 0.06, 1.0)
@@ -353,7 +417,7 @@ class TestSamplingWindow:
             lambda: AmplitudeTable.build("0.5"),
             lambda: GratingSpec(np.array(["0.5"])),
             lambda: GratingSpec(np.array([0.3])),
-            lambda: AmplitudeTable.build(np.array([0.3])),
+            lambda: AmplitudeTable.build(np.array([[0.3]])),
             lambda: AmplitudeTable.build(np.array([[0.3, 0.7]])),
         ],
     )
