@@ -57,7 +57,7 @@ from pathlib import Path
 import numpy as np
 
 from . import complementarity, scattering, verify
-from .grating import DEFAULT_TRUNCATION, SPECTRUM_TRUNCATION, AmplitudeTable, _coefficients, _profile
+from .grating import CHANNELS, DEFAULT_TRUNCATION, SPECTRUM_TRUNCATION, AmplitudeTable, _coefficients, _profile
 
 __all__ = ["main", "format_number"]
 
@@ -82,7 +82,7 @@ MAX_ORDER = 100_000
 # the reference requests (at most 4001 rows) is one chunk
 _CHUNK_ROWS = 1 << 12
 
-_CHANNEL_FLAGS = {"t": ("transmitted",), "r": ("reflected",), "both": ("transmitted", "reflected")}
+_CHANNEL_FLAGS = {"t": CHANNELS[:1], "r": CHANNELS[1:], "both": CHANNELS}
 
 # the settings each command reads, with their defaults
 _DEFAULTS = {
@@ -244,7 +244,7 @@ def _cmd_orders(config: argparse.Namespace) -> list[tuple]:
 
 
 def _cmd_sweep(config: argparse.Namespace) -> list[tuple]:
-    grid = np.arange(config.points) / (config.points - 1)
+    grid = complementarity._cover_grid(config.points)
     tables = []
     for channel in _CHANNEL_FLAGS[config.channel]:
         columns = complementarity.complementarity_sweep(grid, channel)

@@ -75,6 +75,11 @@ def _contrast(difference, total):
     return _unwrap(np.divide(difference, total, out=np.ones(np.shape(total)), where=total != 0.0))
 
 
+def _cover_grid(points: int) -> np.ndarray:
+    """``points`` covering ratios evenly from 0 to 1, both ends exact: the sweep's and verify's grid."""
+    return np.arange(points) / (points - 1)
+
+
 def _distinguishability(width, s):
     # float_power is libm pow, as Python's ``**``; width*width rounds
     # differently from pow on about 0.1 % of inputs, in pinned sweep rows
@@ -130,19 +135,20 @@ def distinguishability_closed(cover_ratio, channel: Channel = "transmitted"):
 
 
 def distinguishability_from_amplitudes(table: AmplitudeTable, channel: Channel = "transmitted"):
-    """Distinguishability via the trace-norm sum over both slits.
+    """Distinguishability ``|u_0**2 - u_1**2|`` from the zeroth- and first-order amplitudes.
 
-    Reads the zeroth- and first-order amplitudes of ``table``, on the last
-    axis: detector one sees ``u_0`` from its own slit and ``u_1`` from the
-    other, and symmetrically for detector two.  A table of one ratio gives
-    a float, a stack one value per row, each with the bits of its row
-    alone.  For a table from :meth:`AmplitudeTable.build` it must agree
-    with the closed form to machine precision.
+    Reads ``u_0`` and ``u_1`` of ``table`` on the last axis: detector one
+    sees ``u_0`` from its own slit and ``u_1`` from the other, detector two
+    the reverse, so both differ by ``|u_0**2 - u_1**2|`` and the
+    trace-norm half-sum over the two is that difference.  A table of one
+    ratio gives a float, a stack one value per row, each with the bits of
+    its row alone.  For a table from :meth:`AmplitudeTable.build` it must
+    agree with the closed form to machine precision.
     """
     _check_table(table)
     amps = table.amplitudes(channel)
     u0, u1 = amps[..., 0], amps[..., 1]
-    return _unwrap(0.5 * (np.abs(u0 * u0 - u1 * u1) + np.abs(u1 * u1 - u0 * u0)))
+    return _unwrap(np.abs(u0 * u0 - u1 * u1))
 
 
 def complementarity_sweep(cover_ratios, channel: Channel = "transmitted") -> SweepColumns:

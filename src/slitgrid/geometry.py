@@ -62,15 +62,6 @@ class SetupGeometry:
             object.__setattr__(self, name, value)
 
     @property
-    def slit_ratio(self) -> float:
-        """The small-angle parameter ``s/g``."""
-        return self.s / self.g
-
-    @property
-    def paraxial_ok(self) -> bool:
-        return self.slit_ratio <= PARAXIAL_BOUND
-
-    @property
     def k_perp(self) -> float:
         """Transverse wavenumber ``k*s/g`` each slit contributes at the grating plane."""
         return self.k * self.s / self.g

@@ -109,9 +109,9 @@ def sin_pi(u):
 
 def _check_cover_ratio(cover_ratio):
     """Reject a ratio outside [0, 1] or not real; return it by :func:`_real`, a float or a float64 array."""
-    # The one scalar/array fork left, where a float skips even _real: the
-    # same check on a 0-d array takes about 9.5 us against 0.3 us, and
-    # synthesize_field checks a scalar ratio per point.
+    # A float skips _real: a scalar check takes 105-115 ns with this guard
+    # and 175-185 ns without it, about 1 % of a 5.7-7.7 us synthesize_field
+    # point, which checks a scalar ratio per call.
     if type(cover_ratio) is not float:
         cover_ratio = _real("cover_ratio", cover_ratio)
     if type(cover_ratio) is float:
@@ -392,6 +392,17 @@ def _check_table(table) -> None:
     """Refuse a ``table`` that is not an :class:`AmplitudeTable` with a ``TypeError`` naming it."""
     if not isinstance(table, AmplitudeTable):
         raise TypeError(f"table must be an AmplitudeTable, got {table!r:.60}")
+
+
+def _check_one_table(table) -> None:
+    """:func:`_check_table` for a reader of one covering ratio: a stack is a ``TypeError`` naming ``table``.
+
+    A stack is a table whose ``cover_ratio`` is an array; the amplitudes of
+    a hand-made table are checked by the spectrum made from them.
+    """
+    _check_table(table)
+    if np.ndim(table.cover_ratio) != 0:
+        raise TypeError(f"table must hold one covering ratio, got a stack of shape {np.shape(table.cover_ratio)}")
 
 
 def _coefficients(table: AmplitudeTable) -> tuple[float, np.ndarray]:

@@ -33,8 +33,8 @@ import numpy as np
 
 from .geometry import PARAXIAL_BOUND, ParaxialWarning, SetupGeometry
 from .grating import (
-    AmplitudeTable, Channel, GratingSpec, _check_table, _one_dimensional, _one_real, _real, _unwrap, sampling_window,
-    sin_pi,
+    AmplitudeTable, Channel, GratingSpec, _check_one_table, _one_dimensional, _one_real, _real, _unwrap,
+    sampling_window, sin_pi,
 )
 
 __all__ = [
@@ -138,17 +138,6 @@ def _orders(truncation: int, two_slit: bool) -> np.ndarray:
     return np.arange(-truncation, truncation + 1, dtype=float)
 
 
-def _check_one_table(table) -> None:
-    """:func:`grating._check_table` for a reader of one covering ratio: a stack is a ``TypeError`` naming ``table``.
-
-    A stack is a table whose ``cover_ratio`` is an array; the amplitudes of
-    a hand-made table are checked by the spectrum made from them.
-    """
-    _check_table(table)
-    if np.ndim(table.cover_ratio) != 0:
-        raise TypeError(f"table must hold one covering ratio, got a stack of shape {np.shape(table.cover_ratio)}")
-
-
 def single_slit_spectrum(table: AmplitudeTable, channel: Channel) -> OrderSpectrum:
     """Stage with one slit open: ``P(n) = u_n**2`` for ``n`` in [-N, N].
 
@@ -237,9 +226,10 @@ def synthesize_field(
         x, z = _one_real("position x", x), _one_real("position z", z)
     spec = config.spec if isinstance(config, TwoSlitConfig) else config
     sampling_window(spec.cover_ratio, side)  # rejects an unknown side before any warning
-    if not setup.paraxial_ok:
+    ratio = setup.s / setup.g
+    if not ratio <= PARAXIAL_BOUND:
         warnings.warn(
-            f"s/g = {setup.slit_ratio:.4g} exceeds the paraxial bound "
+            f"s/g = {ratio:.4g} exceeds the paraxial bound "
             f"{PARAXIAL_BOUND:.4g}; small-angle formulas degrade",
             ParaxialWarning,
             stacklevel=2,

@@ -78,10 +78,6 @@ def _two_slit_totals(block, row):
     return [scattering.two_slit_spectrum(table, c).total() for c in CHANNELS]
 
 
-def _cover_grid(points: int) -> np.ndarray:
-    return np.arange(points) / (points - 1)
-
-
 def _worst(got, want) -> float:
     return float(np.max(np.abs(np.subtract(got, want))))
 
@@ -157,7 +153,7 @@ def _check_distinguishability_spot():
 
 
 def _check_duality():
-    sweep = _cover_grid(DEFAULT_SWEEP)
+    sweep = complementarity._cover_grid(DEFAULT_SWEEP)
     dualities = complementarity.complementarity_sweep(sweep, "transmitted").duality
     worst = float(np.max(dualities))
     bound = _bounded(
@@ -261,7 +257,7 @@ def run_verification(
         raise ValueError(f"unknown perturbation {perturb!r}; expected one of {PERTURBATIONS}")
     # through its module: perfbench times every _check_* name of this module as a check
     grating._check_truncation(truncation)
-    grid = _cover_grid(DEFAULT_GRID)
+    grid = complementarity._cover_grid(DEFAULT_GRID)
     parseval_at = [grid.tolist().index(a) for a in PARSEVAL_COVER_RATIOS]  # ValueError off the grid
     # the grid's N-term tables in stacks of `rows` ratios, each read by every
     # amplitude check before the next is built; heads holds copies of orders

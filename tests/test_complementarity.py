@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import oracle
 from slitgrid.complementarity import (
+    _cover_grid,
     complementarity_sweep,
     distinguishability_closed,
     distinguishability_from_amplitudes,
@@ -42,6 +43,22 @@ QUADRATURE_V_BOUND = 123 * U + 1.1e-25
 
 # k/1024: a and 1 - a are both exact, and so is every a*n of the harmonics
 DYADIC = np.arange(1025) / 1024
+
+# hand-made amplitudes: signed zeros, subnormals, squares that underflow,
+# +-1, NaN, and any float whose square doubled is finite (|u| <= 2**511)
+amplitudes = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, 1e-154, -1e-154, 1.0, -1.0, math.nan]),
+    st.floats(min_value=-1e150, max_value=1e150),
+)
+
+
+def half_sum(u0, u1):
+    """The two slit-image detectors' differences, halved: the amplitude route before it became one difference."""
+    return 0.5 * (np.abs(u0 * u0 - u1 * u1) + np.abs(u1 * u1 - u0 * u0))
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
 
 
 class TestVisibilityClosed:
@@ -195,6 +212,31 @@ class TestDistinguishability:
         )
         shift = distinguishability_from_amplitudes(table) - distinguishability_from_amplitudes(biased)
         assert shift == pytest.approx(2.0 * table.t[1] * 1e-3 + 1e-6, rel=1e-9)
+
+    @given(amplitudes, amplitudes, channels)
+    def test_amplitude_route_has_the_bits_of_the_two_detector_half_sum(self, u0, u1, channel):
+        table = AmplitudeTable(0.5, np.array([u0, u1]), np.array([u0, u1]))
+        got = distinguishability_from_amplitudes(table, channel)
+        assert type(got) is float
+        assert bits(got) == bits(half_sum(np.float64(u0), np.float64(u1)))
+
+    @pytest.mark.parametrize("truncation", [1, 2, 2000])
+    @pytest.mark.parametrize("channel", CHANNELS)
+    def test_amplitude_route_has_the_bits_of_the_half_sum_row_by_row(self, truncation, channel):
+        grid = np.concatenate((_cover_grid(101), [1e-300, 1e-154, 0.5 + 2.0**-53, 1.0 - 2.0**-53]))
+        stack = AmplitudeTable.build(grid, truncation)
+        amps = stack.amplitudes(channel)
+        want = half_sum(amps[:, 0], amps[:, 1])
+        assert np.array_equal(bits(distinguishability_from_amplitudes(stack, channel)), bits(want))
+        for a, row in zip(grid.tolist(), want):
+            assert bits(distinguishability_from_amplitudes(AmplitudeTable.build(a, truncation), channel)) == bits(row)
+
+    def test_amplitude_route_stays_finite_where_the_half_sum_overflowed(self):
+        u0 = 1.3e154  # u0**2 is finite, twice it is not; a built table has |u| <= 1
+        table = AmplitudeTable(0.5, np.array([u0, 0.0]), np.array([u0, 0.0]))
+        assert distinguishability_from_amplitudes(table) == u0 * u0
+        with np.errstate(over="ignore"):
+            assert half_sum(np.float64(u0), np.float64(0.0)) == math.inf
 
     @given(cover_ratios, channels)
     def test_within_unit_interval(self, a, channel):

@@ -212,8 +212,12 @@ def test_paraxial_warning_threshold():
     with warnings.catch_warnings():
         warnings.simplefilter("error", ParaxialWarning)
         field(SetupGeometry(k=1.0, s=0.1, g=1.0))  # at the bound: quiet
-    with pytest.warns(ParaxialWarning):
-        field(SetupGeometry(k=1.0, s=0.11, g=1.0))
+    for s in (math.nextafter(0.1, 1.0), 0.11):  # the next double above the bound warns, once
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            field(SetupGeometry(k=1.0, s=s, g=1.0))
+        assert [w.category for w in caught] == [ParaxialWarning]
+    assert str(caught[0].message) == "s/g = 0.11 exceeds the paraxial bound 0.1; small-angle formulas degrade"
 
 
 def test_paraxial_warning_names_the_calling_line():
