@@ -119,7 +119,7 @@ def _check_cover_ratio(cover_ratio):
             raise ValueError(f"cover ratio must lie in [0, 1], got {cover_ratio!r}")
         return cover_ratio
     outside = ~((cover_ratio >= 0.0) & (cover_ratio <= 1.0))  # NaN is outside too
-    if np.any(outside):
+    if outside.any():  # the method: np.any's Python wrapper takes 1.4 us a call
         raise ValueError(f"cover ratio must lie in [0, 1], got {float(cover_ratio[outside].flat[0])!r}")
     return cover_ratio
 
@@ -371,11 +371,13 @@ class AmplitudeTable:
             raise TypeError(f"cover_ratio must be one number or a one-dimensional array, got an array of shape {shape}")
         _check_truncation(truncation)
         n = np.arange(1.0, truncation + 1)
-        # r_n = t_n = (-1)**(n+1) * sin(a*pi*n)/(pi*n) for n >= 1; division
-        # rounds -x/y to -(x/y), so negating the even orders afterwards is exact
+        # r_n = t_n = sin(a*pi*n)/((-1)**(n+1)*pi*n) for n >= 1: x/-y rounds to -(x/y),
+        # -0.0 included.  Both go before the copy: heap page faults follow the free order
         r = np.empty(shape + (truncation + 1,))
-        np.divide(sin_pi(np.multiply.outer(cover_ratio, n)), math.pi * n, out=r[..., 1:])
-        r[..., 2::2] *= -1.0
+        sines, divisor = sin_pi(np.multiply.outer(cover_ratio, n)), math.pi * n
+        divisor[1::2] *= -1.0
+        np.divide(sines, divisor, out=r[..., 1:])
+        del sines, divisor
         t = r.copy()
         r[..., 0], t[..., 0] = -cover_ratio, 1.0 - cover_ratio
         r.flags.writeable = False

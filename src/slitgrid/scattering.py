@@ -95,7 +95,7 @@ class OrderSpectrum:
         object.__setattr__(self, "probabilities", _one_dimensional("probabilities", self.probabilities))
         if self.orders.shape != self.probabilities.shape:
             raise ValueError("orders and probabilities must have matching shapes")
-        if not np.all(self.probabilities >= 0.0):  # also false for NaN
+        if not (self.probabilities >= 0.0).all():  # also false for NaN
             raise ValueError("probabilities must be non-negative")
 
     def probability(self, order: float) -> float:
@@ -108,7 +108,7 @@ class OrderSpectrum:
 
     def total(self) -> float:
         """Summed probability over all tabulated orders."""
-        return float(np.sum(self.probabilities))
+        return float(self.probabilities.sum())
 
 
 def interference_intensity(x, delta_phi: float = 0.0):

@@ -2,8 +2,10 @@
 
 Each check measures a worst-case deviation over a covering-ratio grid and
 compares it against a fixed tolerance.  The per-ratio checks share one grid,
-on which the closed forms and the quadrature oracle are one array per
-channel, with the bits of the scalar calls:
+on which each grid quantity is evaluated once per channel, with the bits of
+the scalar calls, and read by every check: V by its closed form and the
+quadrature oracle, D by its closed form and the amplitudes; the spot and
+endpoint checks read its rows at a = 1/2, 0.06, 0 and 1.
 
   normalization-identity   r0**2 + t0**2 + 2*(a - a**2) = 1      <= 1e-14
   normalization-defect     truncated power balance, N terms      <= 4/(pi**2*N)
@@ -22,9 +24,8 @@ ratios (the factored profile's 64 KiB per array: 4 at N = 2000, the whole grid
 up to N = 80, one from N = 4096).  Each stack goes to the library functions
 checked (``normalization_defect``, and ``two_slit_spectrum`` as one-ratio
 rows) before the next is built, and its orders 0 and 1 are kept for
-``distinguishability_from_amplitudes``, which reads the whole grid once per
-channel.  Under ``perturb`` every table comes from one biased source, so
-biasing ``r0``, say, must trip the suite.
+``distinguishability_from_amplitudes``.  Under ``perturb`` every table comes
+from one biased source, so biasing ``r0``, say, must trip the suite.
 """
 
 from __future__ import annotations
@@ -79,10 +80,23 @@ def _two_slit_totals(block, row):
 
 
 def _worst(got, want) -> float:
-    return float(np.max(np.abs(np.subtract(got, want))))
+    return float(np.abs(np.subtract(got, want)).max())
 
 
 def _check_normalization_identity(grid, heads):
+    """``r0**2 + t0**2 + 2(a - a**2)`` against 1, which it equals in real arithmetic.
+
+    The tolerance 1e-14 bounds it at every a in [0, 1].  With u = 2**-53,
+    to first order: ``r0 = -a`` is exact; ``r0**2`` and ``grid * grid`` are
+    one ``s = a**2 (1 + d)``, net once in the sum (``+s - 2s``): ``u a**2``.
+    ``t0 = fl(1 - a)`` is exact for a >= 1/2 (Sterbenz), within u/2 below,
+    which moves ``t0**2`` by ``(1 - a) u <= u``; the square rounds by
+    ``u (1 - a)**2``, and ``a - s >= 0`` by ``u a (1 - a)``, doubled exactly.
+    That is ``u (a + 1 - a)**2 + u = 2u``; the two additions, of sums within
+    1 + 3u, round by u each.  The sum is a double in [1/2, 2], so ``- 1`` is
+    exact and a multiple of u: at most 4u = 4.4e-16, O(u**2) terms and a
+    subnormal a's 2**-1074 included.  1e-14 leaves a factor of 22.
+    """
     r0, t0 = heads.r[:, 0], heads.t[:, 0]
     return _bounded(
         "normalization-identity", _worst(r0**2 + t0**2 + 2.0 * (grid - grid * grid), 1.0), 1e-14,
@@ -91,14 +105,13 @@ def _check_normalization_identity(grid, heads):
 
 
 def _check_normalization_defect(grid, truncation, defects):
-    worst = np.max(np.abs(defects))
     return _bounded(
-        "normalization-defect", worst, 4.0 / (math.pi**2 * truncation),
+        "normalization-defect", _worst(defects, 0.0), 4.0 / (math.pi**2 * truncation),
         f"max |defect| at {truncation} terms over {len(grid)} covering ratios",
     )
 
 
-def _check_visibility_oracle(grid):
+def _check_visibility_oracle(grid, visibility):
     """Closed-form V against the 16-node Gauss-Legendre oracle.
 
     The tolerance 1e-13 is a bound at every window width w in [0, 1].
@@ -122,34 +135,25 @@ def _check_visibility_oracle(grid):
     most ``(u/2)/w <= u``.  With 3u for the quotient of the integrals, V is
     within 131u = 1.45e-14; 1e-13 leaves a factor of 6 for loose constants.
     """
-    closed, quad = complementarity.visibility_closed, complementarity.visibility_quadrature
-    worst = max(_worst(closed(grid, c), quad(grid, c)) for c in CHANNELS)
     return _bounded(
-        "visibility-oracle", worst, 1e-13,
+        "visibility-oracle", _worst(*visibility), 1e-13,
         f"max |closed - quadrature| over {len(grid)} ratios x both channels, 16-node Gauss-Legendre",
     )
 
 
-def _check_visibility_spot():
-    deviation = abs(complementarity.visibility_closed(0.5, "transmitted") - 2.0 / math.pi)
-    return _bounded("visibility-spot", deviation, 1e-12, "|V_t(1/2) - 2/pi|")
+def _check_visibility_spot(v_t):
+    return _bounded("visibility-spot", abs(v_t - 2.0 / math.pi), 1e-12, "|V_t(1/2) - 2/pi|")
 
 
-def _check_distinguishability_dual(grid, heads):
-    worst = 0.0
-    for channel in CHANNELS:
-        closed = complementarity.distinguishability_closed(grid, channel)
-        amp_route = complementarity.distinguishability_from_amplitudes(heads, channel)
-        worst = max(worst, _worst(amp_route, closed))
+def _check_distinguishability_dual(grid, distinguishability):
     return _bounded(
-        "distinguishability-dual", worst, 1e-14,
+        "distinguishability-dual", _worst(distinguishability[1], distinguishability[0]), 1e-14,
         f"max |amplitude route - closed form| over {len(grid)} ratios x both channels",
     )
 
 
-def _check_distinguishability_spot():
-    deviation = abs(complementarity.distinguishability_closed(0.06, "transmitted") - 0.880043)
-    return _bounded("distinguishability-spot", deviation, 1e-6, "|D_t(0.06) - 0.880043|")
+def _check_distinguishability_spot(d_t):
+    return _bounded("distinguishability-spot", abs(d_t - 0.880043), 1e-6, "|D_t(0.06) - 0.880043|")
 
 
 def _check_duality():
@@ -162,10 +166,7 @@ def _check_duality():
     interior_min = float(np.min(dualities[1:-1]))
     endpoints_ok = dualities[0] == 1.0 and dualities[-1] == 1.0
     ends = CheckResult(
-        name="duality-endpoints",
-        passed=bool(endpoints_ok and interior_min < 0.5),
-        value=interior_min,
-        tolerance=0.5,
+        name="duality-endpoints", passed=bool(endpoints_ok and interior_min < 0.5), value=interior_min, tolerance=0.5,
         detail="exactly 1 at a = 0 and a = 1, interior minimum strictly below 1/2",
     )
     return bound, ends
@@ -207,36 +208,25 @@ def _check_parseval(truncation, totals):
     )
 
 
-def _check_endpoints():
-    """Run every operation at the degenerate gratings a = 0 and a = 1."""
+def _check_endpoints(visibility, distinguishability):
+    """Run every operation at the degenerate gratings a = 0 and a = 1, the grid's first and last rows."""
     failures = []
-    for a in (0.0, 1.0):
+    for a, row in ((0.0, 0), (1.0, -1)):
         try:
             table = AmplitudeTable.build(a, 30)
             values = [grid_function(0.25, GratingSpec(cover_ratio=a, truncation=30)), normalization_defect(table)]
             for channel in CHANNELS:
                 values.append(scattering.single_slit_spectrum(table, channel).total())
                 values.append(scattering.two_slit_spectrum(table, channel).total())
-                values.append(complementarity.visibility_closed(a, channel))
-                values.append(complementarity.visibility_quadrature(a, channel))
-                values.append(complementarity.distinguishability_closed(a, channel))
-                values.append(complementarity.distinguishability_from_amplitudes(table, channel))
-            if not all(math.isfinite(v) for v in values):
+            if not np.isfinite([*values, *visibility[..., row].flat, *distinguishability[..., row].flat]).all():
                 failures.append(f"non-finite value at a={a}")
         except Exception as exc:  # noqa: BLE001 - the check is "does not fault"
             failures.append(f"a={a}: {exc!r}")
-    if complementarity.visibility_closed(1.0, "transmitted") != 1.0:
-        failures.append("V_t(1) != 1")
-    if complementarity.visibility_closed(0.0, "reflected") != 1.0:
-        failures.append("V_r(0) != 1")
-    if complementarity.visibility_quadrature(1.0, "transmitted") != 1.0:
-        failures.append("quadrature V_t(1) != 1")
-    if complementarity.visibility_quadrature(0.0, "reflected") != 1.0:
-        failures.append("quadrature V_r(0) != 1")
+    (v_t, v_r), (quad_t, quad_r) = visibility
+    exact = {"V_t(1)": v_t[-1], "V_r(0)": v_r[0], "quadrature V_t(1)": quad_t[-1], "quadrature V_r(0)": quad_r[0]}
+    failures += [f"{name} != 1" for name, value in exact.items() if value != 1.0]
     return _bounded(
-        "endpoint-degenerate",
-        float(len(failures)),
-        0.0,
+        "endpoint-degenerate", float(len(failures)), 0.0,
         "; ".join(failures) if failures else "a = 0 and a = 1 run through every operation",
     )
 
@@ -258,7 +248,8 @@ def run_verification(
     # through its module: perfbench times every _check_* name of this module as a check
     grating._check_truncation(truncation)
     grid = complementarity._cover_grid(DEFAULT_GRID)
-    parseval_at = [grid.tolist().index(a) for a in PARSEVAL_COVER_RATIOS]  # ValueError off the grid
+    at = grid.tolist().index  # a ratio's row; ValueError off the grid
+    parseval_at = [at(a) for a in PARSEVAL_COVER_RATIOS]
     # the grid's N-term tables in stacks of `rows` ratios, each read by every
     # amplitude check before the next is built; heads holds copies of orders
     # 0 and 1, as views would keep every stack.  A stack is freed only once
@@ -272,14 +263,21 @@ def run_verification(
         r[part], t[part], defects[part] = block.r[:, :2], block.t[:, :2], normalization_defect(block)
         totals.update((i, _two_slit_totals(block, i - first)) for i in parseval_at if first <= i < first + rows)
     heads = AmplitudeTable(grid, r, t)
+    # each channel's V and D on the grid, evaluated once for every check that
+    # reads them: [route, channel, ratio], channels in CHANNELS order, the
+    # closed form first, then the quadrature (V) or the amplitude route (D)
+    visibility = np.array([[complementarity.visibility_closed(grid, c) for c in CHANNELS],
+                           [complementarity.visibility_quadrature(grid, c) for c in CHANNELS]])
+    distinguishability = np.array([[complementarity.distinguishability_closed(grid, c) for c in CHANNELS],
+                                   [complementarity.distinguishability_from_amplitudes(heads, c) for c in CHANNELS]])
     return [
         _check_normalization_identity(grid, heads),
         _check_normalization_defect(grid, truncation, defects),
-        _check_visibility_oracle(grid),
-        _check_visibility_spot(),
-        _check_distinguishability_dual(grid, heads),
-        _check_distinguishability_spot(),
+        _check_visibility_oracle(grid, visibility),
+        _check_visibility_spot(float(visibility[0, 0, at(0.5)])),
+        _check_distinguishability_dual(grid, distinguishability),
+        _check_distinguishability_spot(float(distinguishability[0, 0, at(0.06)])),
         *_check_duality(),
         _check_parseval(truncation, [totals[i] for i in parseval_at]),
-        _check_endpoints(),
+        _check_endpoints(visibility, distinguishability),
     ]

@@ -965,6 +965,55 @@ class TestVerifySuite:
         run_verification(perturb=perturb)
         assert sorted(built) == [30] * 4 + [2000] * 101
 
+    @pytest.mark.parametrize("perturb", [None, "r1"])
+    def test_evaluates_each_grid_quantity_once_per_channel(self, perturb, monkeypatch):
+        # V by its closed form and quadrature, D by its closed form and the
+        # amplitudes: one call per channel on the whole grid, whose entries
+        # the spot and endpoint checks read instead of calling again
+        names = ("visibility_closed", "visibility_quadrature", "distinguishability_closed",
+                 "distinguishability_from_amplitudes")
+        calls = []
+        for name in names:
+            route = getattr(complementarity, name)
+            monkeypatch.setattr(
+                complementarity, name,
+                lambda ratios, channel, name=name, route=route: calls.append((name, channel)) or route(ratios, channel),
+            )
+        run_verification(perturb=perturb)
+        assert sorted(calls) == sorted((name, channel) for name in names for channel in grating.CHANNELS)
+
+    @pytest.mark.parametrize(
+        "name, value_at, detail",
+        [
+            ("visibility_quadrature", (0.0, math.nan), "non-finite value at a=0.0; quadrature V_r(0) != 1"),
+            ("visibility_closed", (1.0, 1.0 - 2.0**-52), "V_t(1) != 1"),
+        ],
+    )
+    def test_endpoint_check_reads_the_grid_at_both_ends(self, name, value_at, detail, monkeypatch):
+        # one closed form gone wrong at an endpoint, on the grid that every
+        # check reads, fails endpoint-degenerate with its own detail
+        route, (a, value) = getattr(complementarity, name), value_at
+        monkeypatch.setattr(
+            complementarity, name, lambda ratios, channel: np.where(ratios == a, value, route(ratios, channel))
+        )
+        results = {result.name: result for result in run_verification(truncation=30)}
+        endpoints = results["endpoint-degenerate"]
+        assert (endpoints.passed, endpoints.detail) == (False, detail)
+        assert run_cli("verify", "--order", "30") == EXIT_VERIFY
+
+    @given(st.floats(min_value=0.0, max_value=1.0))
+    @example(5e-324)
+    @example(2.0**-1022)
+    @example(0.5 - 2.0**-54)
+    @example(0.5 + 2.0**-53)
+    @example(1.0 - 2.0**-53)
+    def test_normalization_identity_is_within_its_proven_bound(self, a):
+        # _check_normalization_identity's docstring bounds its value by 4u,
+        # u = 2**-53, at every a in [0, 1]: on the grid and at a drawn ratio
+        for ratios in (complementarity._cover_grid(verify.DEFAULT_GRID), np.array([a])):
+            result = verify._check_normalization_identity(ratios, grating.AmplitudeTable.build(ratios, 1))
+            assert result.passed and result.value <= 4 * 2.0**-53
+
     @pytest.mark.parametrize(
         "truncation, stacks",
         [(80, [101]), (81, [99, 2]), (2000, [4] * 25 + [1]), (4096, [1] * 101)],
