@@ -9,28 +9,15 @@ Commands
   sweep     covering-ratio sweep of (V, D, V**2 + D**2)
   verify    run the invariant suite and report each check
 
-Each CSV command returns its tables, and ``_write_output`` (which
-describes the format) writes them, formatting each chunk of rows with one
-``%`` template: re-running a command with the same configuration rewrites
-byte-identical output.  An even table, one whose label column is
-ascending and antisymmetric and whose other columns read the same in
-reverse, has only its upper half formatted, and its lower half is
-written as the signed mirror of that text, a chunk at a time: every
-``orders`` table is even, and so is the pattern section at zero phase,
-while the sweep and the coefficient table never are.  The writer holds
-the upper-half text of the last even table of each header in the
-request; a later even table with that header, length, label column and
-column dtypes reuses it for every row whose cells are equal and formats
-only the others, so the reflected ``orders`` tables format only the rows
-of order zero and ``m = 1/2``, where ``r_0 = -a`` and ``t_0 = 1 - a``
-differ.  Flags override
-config-file values, which override the built-in defaults.  Config-file
-values are parsed exactly like the flags of the same name, and a value
-that does not parse names the file.
+Each CSV command returns its tables, and ``_write_output`` writes them by
+the rules its docstring gives, the same bytes for the same configuration.
+Flags override config-file values, which override the built-in defaults.
+Config-file values are parsed exactly like the flags of the same name,
+and a value that does not parse names the file.
 ``main`` builds its argument parser once per process, on its first call,
 and keeps no per-request state: each call parses into a fresh namespace,
 so calls may follow one another or run on several threads at once.  Each
-command reads only its own settings (the keys of ``_DEFAULTS``) and
+command reads only its own settings (its entry's in ``_COMMANDS``) and
 ignores the rest.  A value is range-checked once, by the library code
 that reads it (``AmplitudeTable.build``, ``interference_intensity``,
 ``two_slit_spectrum``, ``run_verification``), before any output is written;
@@ -53,11 +40,12 @@ import itertools
 import os
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import complementarity, scattering, verify
-from .grating import CHANNELS, DEFAULT_TRUNCATION, SPECTRUM_TRUNCATION, AmplitudeTable, _coefficients, _profile
+from .grating import CHANNELS, DEFAULT_TRUNCATION, AmplitudeTable, _coefficients, _profile
 
 __all__ = ["main", "format_number"]
 
@@ -83,16 +71,6 @@ MAX_ORDER = 100_000
 _CHUNK_ROWS = 1 << 12
 
 _CHANNEL_FLAGS = {"t": CHANNELS[:1], "r": CHANNELS[1:], "both": CHANNELS}
-
-# the settings each command reads, with their defaults
-_DEFAULTS = {
-    "coeffs": {"a": 0.06, "order": DEFAULT_TRUNCATION, "phase": 0.0, "out": None},
-    "pattern": {"a": 0.06, "order": DEFAULT_TRUNCATION, "phase": 0.0, "out": None},
-    "orders": {"a": 0.06, "order": SPECTRUM_TRUNCATION, "phase": 0.0, "channel": "both", "out": None},
-    "sweep": {"channel": "t", "points": 1001, "out": None},
-    "verify": {"order": verify.DEFAULT_TRUNCATION, "perturb": None, "out": None},
-}
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2; keep 2 for verification
@@ -123,14 +101,8 @@ def format_number(value: float) -> str:
 def _build_parser() -> _Parser:
     parser = _Parser(prog="slitgrid", description="Strip-grating two-slit diffraction tables")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, description in (
-        ("coeffs", "coefficient table plus sampled grid profile"),
-        ("pattern", "sampled grid profile and fringe intensity"),
-        ("orders", "single-slit and two-slit order spectra"),
-        ("sweep", "covering-ratio sweep of visibility/distinguishability"),
-        ("verify", "run the invariant suite"),
-    ):
-        cmd = sub.add_parser(name, help=description)
+    for name, command in _COMMANDS.items():
+        cmd = sub.add_parser(name, help=command.help)
         cmd.add_argument("--a", type=float, default=None, help="covering ratio in [0, 1]")
         cmd.add_argument("--order", type=int, default=None, help="series truncation order")
         cmd.add_argument("--phase", type=float, default=None, help="relative slit phase (radians)")
@@ -138,7 +110,7 @@ def _build_parser() -> _Parser:
         cmd.add_argument("--points", type=int, default=None, help="sweep grid size")
         cmd.add_argument("--out", default=None, help="output path ('-' for stdout)")
         cmd.add_argument("--config", default=None, help="key=value config file")
-        if name == "verify":
+        if "perturb" in command.settings:
             cmd.add_argument(
                 "--perturb",
                 choices=verify.PERTURBATIONS,
@@ -150,7 +122,7 @@ def _build_parser() -> _Parser:
 
 def _load_config_file(path: str) -> dict[str, str]:
     try:
-        text = Path(path).read_text(encoding="utf-8")  # OSError maps to the I/O exit code
+        text = Path(path).read_text(encoding="utf-8-sig")  # drops a leading BOM; OSError is the I/O exit code
     except UnicodeDecodeError as exc:  # a ValueError, caught here to name the file
         raise ValueError(f"{path}: {exc}") from None
     values: dict[str, str] = {}
@@ -162,7 +134,7 @@ def _load_config_file(path: str) -> dict[str, str]:
         key, value = key.strip(), value.strip()
         if not sep or not key or not value:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        if not any(key in defaults for defaults in _DEFAULTS.values()):
+        if not any(key in command.settings for command in _COMMANDS.values()):
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
         values[key] = value
     return values
@@ -177,7 +149,7 @@ def _resolve(parser: _Parser, args: argparse.Namespace) -> argparse.Namespace:
     settings under their flag names.  Only what no library function knows
     is checked here: the caps and ``--points >= 2``.
     """
-    defaults = _DEFAULTS[args.command]
+    defaults = _COMMANDS[args.command].settings
     from_file = argparse.Namespace()
     if args.config:
         tokens = [
@@ -269,6 +241,34 @@ def _cmd_verify(config: argparse.Namespace) -> int:
             )
         handle.write(f"{len(results) - failed}/{len(results)} checks passed\n")
     return EXIT_OK if failed == 0 else EXIT_VERIFY
+
+
+class _Command(NamedTuple):
+    help: str
+    settings: dict  # the settings the command reads, with their defaults
+    build: Callable  # config -> its tables; verify's writes its report and returns the exit code
+
+
+# The commands, in the order --help lists them.  pattern prints the second
+# section of coeffs byte for byte because both read the one settings dict.
+_TABLE_SETTINGS = {"a": 0.06, "order": DEFAULT_TRUNCATION, "phase": 0.0, "out": None}
+_COMMANDS = {
+    "coeffs": _Command("coefficient table plus sampled grid profile", _TABLE_SETTINGS, _cmd_coeffs),
+    "pattern": _Command("sampled grid profile and fringe intensity", _TABLE_SETTINGS, _cmd_pattern),
+    "orders": _Command(
+        "single-slit and two-slit order spectra",
+        {"a": 0.06, "order": 30, "phase": 0.0, "channel": "both", "out": None},
+        _cmd_orders,
+    ),
+    "sweep": _Command(
+        "covering-ratio sweep of visibility/distinguishability",
+        {"points": 1001, "channel": "t", "out": None},
+        _cmd_sweep,
+    ),
+    "verify": _Command(
+        "run the invariant suite", {"order": verify.DEFAULT_TRUNCATION, "perturb": None, "out": None}, _cmd_verify
+    ),
+}
 
 
 def _opened(out: str | None):
@@ -427,11 +427,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         config = _resolve(parser, parser.parse_args(argv))
-        if config.command == "verify":
-            code = _cmd_verify(config)
+        build = _COMMANDS[config.command].build
+        if config.command == "verify":  # the one builder that writes its own output
+            code = build(config)
         else:
-            builders = {"coeffs": _cmd_coeffs, "pattern": _cmd_pattern, "orders": _cmd_orders, "sweep": _cmd_sweep}
-            _write_output(builders[config.command](config), config.out)
+            _write_output(build(config), config.out)
             code = EXIT_OK
         sys.stdout.flush()  # a reader that left fails the flush here, not at exit
         return code

@@ -28,7 +28,6 @@ __all__ = [
     "Channel",
     "CHANNELS",
     "DEFAULT_TRUNCATION",
-    "SPECTRUM_TRUNCATION",
     "GratingSpec",
     "AmplitudeTable",
     "sin_pi",
@@ -40,10 +39,9 @@ __all__ = [
 Channel = Literal["transmitted", "reflected"]
 CHANNELS: tuple[Channel, ...] = ("transmitted", "reflected")
 
-# Series truncations used for the reference figures: 50 terms reconstruct
-# the grid profile well, 30 suffice for the order-spectrum tables.
+# Series truncation used for the reference figures: 50 terms reconstruct
+# the grid profile well.
 DEFAULT_TRUNCATION = 50
-SPECTRUM_TRUNCATION = 30
 
 
 def _unwrap(values):

@@ -1,4 +1,6 @@
+import argparse
 import contextlib
+import hashlib
 import io
 import itertools
 import math
@@ -7,6 +9,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -366,6 +369,31 @@ class TestSharedParser:
         assert run.stdout == "0\n"
 
 
+class TestCommandTable:
+    """Each command's flags are pinned, so the table cannot add or refuse one."""
+
+    FLAGS = {"-h", "--help", "--a", "--order", "--phase", "--channel", "--points", "--out", "--config"}
+    ACCEPTED = [("coeffs", FLAGS), ("pattern", FLAGS), ("orders", FLAGS), ("sweep", FLAGS), ("verify", FLAGS | {"--perturb"})]
+
+    @pytest.mark.parametrize("command, flags", ACCEPTED, ids=[command for command, _ in ACCEPTED])
+    def test_each_command_accepts_its_flags_and_renders_its_help(self, capsys, command, flags):
+        (commands,) = [action for action in cli._build_parser()._actions if isinstance(action, argparse._SubParsersAction)]
+        assert list(commands.choices) == [name for name, _ in self.ACCEPTED]
+        assert {flag for action in commands.choices[command]._actions for flag in action.option_strings} == flags
+        with pytest.raises(SystemExit) as exit_:  # an unescaped % in a help string fails only here
+            main([command, "--help"])
+        assert exit_.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: slitgrid {command} ")
+
+    def test_top_level_help_lists_each_command_with_its_help(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["--help"])
+        assert exit_.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())  # as wrapped to any terminal width
+        for name, command in cli._COMMANDS.items():
+            assert f" {name} {command.help} " in text
+
+
 class TestCoeffsCommand:
     def test_layout_and_values(self, tmp_path):
         out = tmp_path / "coeffs.csv"
@@ -583,6 +611,15 @@ class TestConfigFile:
         assert captured.out == ""
         assert captured.err.startswith(f"error: {config}: ")
 
+    def test_config_with_a_byte_order_mark_reads_as_without_it(self, tmp_path, capsys):
+        # as an editor that saves UTF-8 with a BOM writes it
+        config = tmp_path / "run.cfg"
+        config.write_bytes(b"\xef\xbb\xbfa = 0.06\norder = 50\n")
+        assert run_cli("coeffs", "--config", str(config)) == EXIT_OK
+        lines = (Path(__file__).parent / "reference_digests.txt").read_text(encoding="utf-8").splitlines()
+        (want,) = [line.split()[0] for line in lines if line.endswith(" coeffs --a 0.06 --order 50")]
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == want
+
     # (command, setting, value, other flags): the value differs from the default
     FILE_AS_FLAG = [
         ("coeffs", "a", "0.3", ["--order", "5"]),
@@ -634,7 +671,7 @@ class TestConfigFile:
         assert captured.out == ""
         assert captured.err.startswith(f"error: {config}: argument --{key}")
 
-    @pytest.mark.parametrize("command", sorted(cli._DEFAULTS))
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
     @pytest.mark.parametrize("with_file", [False, True], ids=["flags", "file"])
     def test_config_holds_only_the_command_settings(self, tmp_path, command, with_file):
         config = tmp_path / "run.cfg"
@@ -644,7 +681,7 @@ class TestConfigFile:
         parser = cli._build_parser()
         argv = [command, "--config", str(config)] if with_file else [command]
         resolved = cli._resolve(parser, parser.parse_args(argv))
-        assert set(vars(resolved)) == {"command", *cli._DEFAULTS[command]}
+        assert set(vars(resolved)) == {"command", *cli._COMMANDS[command].settings}
         assert resolved.command == command
 
 

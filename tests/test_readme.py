@@ -2,6 +2,7 @@ import re
 import shlex
 from pathlib import Path
 
+from slitgrid import cli
 from slitgrid.cli import EXIT_OK, EXIT_VERIFY, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -34,3 +35,16 @@ def test_readme_command_lines_run(tmp_path, capsys):
         assert main(argv) == expected, argv
         assert all(path.stat().st_size for path in outputs), argv
     capsys.readouterr()
+
+
+def test_readme_settings_table_matches_the_command_table():
+    # a command added, removed or given other settings fails here until the README's table follows
+    lines = README.read_text(encoding="utf-8").splitlines()
+    (start,) = [i for i, line in enumerate(lines) if re.fullmatch(r"\| command +\| reads +\|", line)]
+    rows = []
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        command, reads = (cell.strip().strip("`") for cell in line.strip("|").split("|"))
+        rows.append((command, reads.split()))
+    assert rows == [(name, [f"--{key}" for key in command.settings]) for name, command in cli._COMMANDS.items()]
